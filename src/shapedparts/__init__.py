@@ -15,7 +15,6 @@ from .generic import (
     GenericPartitionSet,
     PerturbedMatrix,
     SeparatorTriple,
-    assemble,
     enumerate_generic_2partitions,
     enumerate_generic_p_partitions,
     generic_sign,
@@ -84,7 +83,6 @@ __all__ = [
     "SolveReport",
     "VertexReport",
     "as_rational",
-    "assemble",
     "brute_report",
     "brute_solve",
     "brute_vertices",

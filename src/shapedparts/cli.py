@@ -62,7 +62,7 @@ def _emit_json(payload: dict, output: str | None) -> None:
 
 def _limits(args) -> EnumerationLimits:
     return EnumerationLimits(
-        max_two_partitions=args.max_candidates,
+        max_two_partitions=args.max_two_partitions,
         max_assembly_nodes=args.max_assembly_nodes,
         max_candidates=args.max_candidates,
     )
@@ -73,10 +73,14 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", metavar="PATH", help="write the report here instead of stdout")
     parser.add_argument("--threads", type=int, default=1, metavar="N",
                         help="worker threads for independent subtasks (default 1)")
+    parser.add_argument("--max-two-partitions", type=int, default=defaults.max_two_partitions,
+                        metavar="N", help="cap on enumerated generic 2-partitions")
     parser.add_argument("--max-candidates", type=int, default=defaults.max_candidates,
                         metavar="N", help="cap on enumerated candidate sets")
     parser.add_argument("--max-assembly-nodes", type=int, default=defaults.max_assembly_nodes,
-                        metavar="N", help="cap on explored assembly search nodes")
+                        metavar="N",
+                        help="cap on (partial assembly, 2-partition) pairs examined "
+                             "during p-partition assembly")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -13,11 +13,13 @@ oriented hyperplane of the perturbed configuration, splitting the remaining
 columns by sign, and each two-sided split of I itself yields two associated
 ordered 2-partitions. p-partitions are assembled from one 2-partition per
 part pair, intersecting candidate blocks and keeping the assemblies whose
-blocks cover the ground set.
+blocks cover the ground set; the pairs are applied level by level and each
+distinct partial assembly is expanded once.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -50,7 +52,7 @@ class SeparatorTriple(NamedTuple):
 
 @dataclass(frozen=True)
 class GenericPartitionSet:
-    """Deduplicated, canonically ordered set of generic partitions."""
+    """Deduplicated set of generic partitions, sorted by blocks."""
 
     partitions: tuple[Partition, ...]
     d: int
@@ -64,7 +66,8 @@ class GenericPartitionSet:
         return iter(self.partitions)
 
     def __contains__(self, pi: Partition) -> bool:
-        return pi in set(self.partitions)
+        at = bisect_left(self.partitions, pi.blocks, key=lambda q: q.blocks)
+        return at < len(self.partitions) and self.partitions[at] == pi
 
 
 class PerturbedMatrix:
@@ -250,50 +253,23 @@ def enumerate_generic_2partitions(
     return GenericPartitionSet(tuple(partitions), perturbed.d, perturbed.n, 2)
 
 
-def _part_pairs(p: int) -> list[tuple[int, int]]:
-    return [(r, s) for r in range(1, p + 1) for s in range(r + 1, p + 1)]
-
-
-def assemble(pair_partitions: Sequence[Partition], n: int, p: int) -> Partition | None:
-    """Combine one ordered 2-partition per part pair into a p-tuple.
-
-    The pair list is indexed by (r, s) with 1 <= r < s <= p in lexicographic
-    order. Part r keeps the elements lying in the first block of every pair
-    (r, s) and in the second block of every pair (q, r). The resulting blocks
-    are disjoint by construction; None is returned when they fail to cover
-    the ground set.
-    """
-    pairs = _part_pairs(p)
-    if len(pair_partitions) != len(pairs):
-        raise DimensionError(f"need {len(pairs)} pair partitions for p={p}, got {len(pair_partitions)}")
-    full = (1 << n) - 1
-    allowed = [full] * p
-    for (r, s), pi in zip(pairs, pair_partitions):
-        if pi.p != 2 or pi.n != n:
-            raise DimensionError(f"pair entry for ({r},{s}) is not a 2-partition of [{n}]")
-        first = _block_mask(pi.blocks[0])
-        allowed[r - 1] &= first
-        allowed[s - 1] &= full ^ first
-    union = 0
-    for mask in allowed:
-        union |= mask
-    if union != full:
-        return None
-    return Partition(tuple(_mask_block(mask) for mask in allowed), n)
-
-
 def enumerate_generic_p_partitions(
     perturbed: PerturbedMatrix,
     p: int,
     limits: EnumerationLimits = DEFAULT_LIMITS,
     two_partition_masks: list[int] | None = None,
 ) -> GenericPartitionSet:
-    """All generic p-partitions, assembled depth-first over part pairs.
+    """All generic p-partitions, assembled level by level over part pairs.
 
-    A branch dies as soon as some element is excluded from every candidate
-    block, which prunes the list space without changing the result set (the
-    dropped lists cannot cover the ground set). Explored (pair, choice) nodes
-    are counted against limits.max_assembly_nodes.
+    A state holds, per part, the elements it may still take. Level l applies
+    pair (r, s): a 2-partition mask keeps its first block for part r and its
+    second block for part s. Distinct states are kept in a set per level, so
+    masks that lead to the same child are expanded once. A mask survives only
+    if every element stays in some block: of the elements no other part can
+    take, those s cannot take must lie in the first block and those r cannot
+    take must lie outside it. The states left after the last pair are exactly
+    the covering assemblies. Every (state, mask) pair examined counts as one
+    node against limits.max_assembly_nodes.
     """
     d, n = perturbed.d, perturbed.n
     if p < 1:
@@ -307,39 +283,41 @@ def enumerate_generic_p_partitions(
         if two_partition_masks is not None
         else _two_partition_masks(perturbed, limits)
     )
-    complements = [((1 << n) - 1) ^ m for m in masks]
-    pairs = _part_pairs(p)
+    pairs = list(combinations(range(p), 2))
     full = (1 << n) - 1
-    found: set[tuple[int, ...]] = set()
+    states: set[tuple[int, ...]] = {(full,) * p}
     nodes = 0
-
-    def descend(level: int, allowed: tuple[int, ...]) -> None:
-        nonlocal nodes
-        if level == len(pairs):
-            found.add(allowed)
-            return
-        r, s = pairs[level]
-        rest = 0
-        for t in range(p):
-            if t != r - 1 and t != s - 1:
-                rest |= allowed[t]
-        allowed_r, allowed_s = allowed[r - 1], allowed[s - 1]
-        for first, second in zip(masks, complements):
-            nodes += 1
+    for level, (r, s) in enumerate(pairs, start=1):
+        children: set[tuple[int, ...]] = set()
+        # Each child comes from one examined pair, so the node cap also caps
+        # the state set of every level.
+        for allowed in states:
+            nodes += len(masks)
             if nodes > limits.max_assembly_nodes:
-                raise CapacityError("assembly-nodes", limits.max_assembly_nodes)
-            new_r = allowed_r & first
-            new_s = allowed_s & second
-            if rest | new_r | new_s != full:
-                continue
-            child = list(allowed)
-            child[r - 1] = new_r
-            child[s - 1] = new_s
-            descend(level + 1, tuple(child))
+                raise CapacityError(
+                    "assembly-nodes", limits.max_assembly_nodes,
+                    reached=f"pair level {level} of {len(pairs)}, part pair ({r + 1}, {s + 1})",
+                )
+            allowed_r, allowed_s = allowed[r], allowed[s]
+            free = full
+            for t, mask in enumerate(allowed):
+                if t != r and t != s:
+                    free &= ~mask
+            # need_r and the rest of need are disjoint: every element of a
+            # state lies in some part.
+            need_r = free & ~allowed_s
+            need = need_r | (free & ~allowed_r)
+            head, middle, tail = allowed[:r], allowed[r + 1:s], allowed[s + 1:]
+            for new_r, new_s in {
+                (allowed_r & first, allowed_s & ~first)
+                for first in masks
+                if first & need == need_r
+            }:
+                children.add(head + (new_r,) + middle + (new_s,) + tail)
+        states = children
 
-    descend(0, (full,) * p)
     partitions = sorted(
-        (Partition(tuple(_mask_block(m) for m in vec), n) for vec in found),
+        (Partition(tuple(_mask_block(m) for m in vec), n) for vec in states),
         key=lambda pi: pi.blocks,
     )
     return GenericPartitionSet(tuple(partitions), d, n, p)

@@ -229,7 +229,12 @@ class _HullContext:
         rhs[flip] = -rhs[flip]
         acols[flip] = -acols[flip]
 
-        outcome = _float_phase_one(acols, rhs)
+        # Overflow and NaN in the float proposal only spoil a certificate,
+        # which then fails verification; numpy need not warn about them.
+        # The error state is per thread, so it is set here, where the worker
+        # threads of extreme_point_indices run, rather than once per call.
+        with np.errstate(all="ignore"):
+            outcome = _float_phase_one(acols, rhs)
         if outcome is not None:
             status, payload = outcome
             if status == "feasible":
@@ -318,7 +323,8 @@ def extreme_point_indices(points: Sequence[Point], threads: int = 1) -> list[int
     of the proposal.
     """
     context = _HullContext(list(points))
-    proposed = _propose_vertices(np.array([[_safe_float(x) for x in p] for p in points]))
+    with np.errstate(all="ignore"):
+        proposed = _propose_vertices(np.array([[_safe_float(x) for x in p] for p in points]))
     in_survivors = set(proposed)
     survivors: list[int] = list(proposed)
     for idx in range(len(points)):

@@ -13,12 +13,16 @@ non-convex oracle voids the optimality guarantee.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
+import tempfile
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionError, OracleError
 from .linalg import Matrix, as_rational, format_rational
+
+_STDERR_TAIL = 500  # characters of a dead oracle's stderr quoted in the error
 
 
 class Objective:
@@ -162,18 +166,24 @@ class ExternalOracle(Objective):
             raise DimensionError("external oracle needs a non-empty command line")
         self.command = tuple(str(c) for c in command)
         self._process: subprocess.Popen | None = None
+        self._stderr = None
 
     def _ensure_process(self) -> subprocess.Popen:
         if self._process is None or self._process.poll() is not None:
+            self._close_stderr()
+            # A file, not a pipe: nothing reads the oracle's stderr while it
+            # runs, so a full pipe buffer would block the oracle mid-reply.
+            self._stderr = tempfile.TemporaryFile()
             try:
                 self._process = subprocess.Popen(
                     self.command,
                     stdin=subprocess.PIPE,
                     stdout=subprocess.PIPE,
-                    stderr=subprocess.PIPE,
+                    stderr=self._stderr,
                     text=True,
                 )
             except OSError as exc:
+                self._close_stderr()
                 raise OracleError(f"cannot start oracle {self.command}: {exc}") from exc
         return self._process
 
@@ -200,18 +210,28 @@ class ExternalOracle(Objective):
     def _death_note(self) -> str:
         if self._process is None:
             return ""
-        code = self._process.poll()
-        if code is None:
+        try:
+            # stdout reached EOF, so the oracle is exiting; let it finish.
+            code = self._process.wait(timeout=1)
+        except subprocess.TimeoutExpired:
             return ""
         stderr = ""
         try:
-            stderr = self._process.stderr.read()
+            size = self._stderr.seek(0, os.SEEK_END)
+            # 4 bytes per character covers any UTF-8 text of _STDERR_TAIL chars.
+            self._stderr.seek(max(0, size - 4 * _STDERR_TAIL))
+            stderr = self._stderr.read().decode("utf-8", errors="replace")
         except (ValueError, OSError):
             pass
         note = f" (exited with code {code}"
         if stderr.strip():
-            note += f", stderr: {stderr.strip()[:500]}"
+            note += f", stderr: {stderr.strip()[-_STDERR_TAIL:]}"
         return note + ")"
+
+    def _close_stderr(self) -> None:
+        if self._stderr is not None:
+            self._stderr.close()
+            self._stderr = None
 
     def close(self) -> None:
         if self._process is not None:
@@ -223,6 +243,7 @@ class ExternalOracle(Objective):
             except (OSError, subprocess.TimeoutExpired):
                 self._process.kill()
             self._process = None
+        self._close_stderr()
 
     def __enter__(self) -> "ExternalOracle":
         return self

@@ -118,7 +118,40 @@ class TestSolve:
         assert code == 4
 
 
+class TestLimitFlags:
+    GUARDS = ("two-partitions", "candidates", "assembly-nodes")
+
+    @pytest.mark.parametrize("flag, value, guard", [
+        ("--max-two-partitions", "13", "two-partitions"),
+        ("--max-candidates", "3", "candidates"),
+        ("--max-assembly-nodes", "5", "assembly-nodes"),
+    ])
+    def test_each_flag_trips_its_own_guard(self, tmp_path, capsys, flag, value, guard):
+        # 14 two-partitions, 60 candidates
+        path = write_problem(tmp_path, {"matrix": [[1, 2, 3, 4]], "p": 3, "shapes": {"type": "all"}})
+        code, _, err = run_cli(["count", path, flag, value], capsys)
+        assert code == 3
+        assert f"'{guard}'" in err
+        assert all(f"'{other}'" not in err for other in self.GUARDS if other != guard)
+
+
 class TestCount:
+    def test_huge_entry_writes_no_warnings(self, tmp_path):
+        path = write_problem(tmp_path, {"matrix": [["1e400", 2, 3]], "p": 3, "shapes": {"type": "all"}})
+        result = subprocess.run(
+            [sys.executable, "-m", "shapedparts.cli", "count", path],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0
+        assert result.stderr == ""
+        assert json.loads(result.stdout)["counts"] == {
+            "two_partitions": 8,
+            "generic_partitions": 27,
+            "admissible_partitions": 27,
+            "candidates": 27,
+            "vertices": 3,
+        }
+
     def test_cube_counts(self, capsys):
         code, out, _ = run_cli(["count", str(DATA / "cube3.json")], capsys)
         assert code == 0

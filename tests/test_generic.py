@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction as F
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from shapedparts.errors import CapacityError, DimensionError
 from shapedparts.generic import (
@@ -11,7 +13,9 @@ from shapedparts.generic import (
     GenericPartitionSet,
     PerturbedMatrix,
     SeparatorTriple,
-    assemble,
+    _block_mask,
+    _mask_block,
+    _two_partition_masks,
     enumerate_generic_2partitions,
     enumerate_generic_p_partitions,
     generic_orientation,
@@ -20,7 +24,7 @@ from shapedparts.generic import (
     split_by_hyperplane,
 )
 from shapedparts.linalg import Matrix
-from shapedparts.partitions import ordered_partition
+from shapedparts.partitions import lift, ordered_partition
 
 
 def perturbed(rows):
@@ -29,6 +33,67 @@ def perturbed(rows):
 
 def blocks(partition_set: GenericPartitionSet):
     return {pi.blocks for pi in partition_set}
+
+
+class _ReferenceBudget(Exception):
+    pass
+
+
+def reference_p_partitions(masks, n, p, max_nodes=None):
+    """Depth-first assembly over part pairs, one 2-partition mask per pair.
+
+    Every mask is tried at every node, so equal partial assemblies reached
+    through different masks are explored again; a branch dies once some
+    element is left without a block. Returns the set of block tuples.
+    """
+    pairs = [(r, s) for r in range(p) for s in range(r + 1, p)]
+    full = (1 << n) - 1
+    found = set()
+    nodes = 0
+
+    def descend(level, allowed):
+        nonlocal nodes
+        if level == len(pairs):
+            found.add(allowed)
+            return
+        r, s = pairs[level]
+        rest = 0
+        for t in range(p):
+            if t != r and t != s:
+                rest |= allowed[t]
+        for first in masks:
+            nodes += 1
+            if max_nodes is not None and nodes > max_nodes:
+                raise _ReferenceBudget
+            new_r = allowed[r] & first
+            new_s = allowed[s] & (full ^ first)
+            if rest | new_r | new_s != full:
+                continue
+            child = list(allowed)
+            child[r] = new_r
+            child[s] = new_s
+            descend(level + 1, tuple(child))
+
+    descend(0, (full,) * p)
+    return {tuple(_mask_block(m) for m in vec) for vec in found}
+
+
+def reference_assemble(pair_partitions, n, p):
+    """Blocks assembled from one 2-partition per part pair (r < s, in
+    lexicographic order), or None when they do not cover the ground set."""
+    pairs = [(r, s) for r in range(p) for s in range(r + 1, p)]
+    full = (1 << n) - 1
+    allowed = [full] * p
+    for (r, s), pi in zip(pairs, pair_partitions, strict=True):
+        first = _block_mask(pi.blocks[0])
+        allowed[r] &= first
+        allowed[s] &= full ^ first
+    union = 0
+    for mask in allowed:
+        union |= mask
+    if union != full:
+        return None
+    return tuple(_mask_block(mask) for mask in allowed)
 
 
 class TestGenericSign:
@@ -158,29 +223,32 @@ class TestTwoPartitions:
 class TestAssemble:
     def test_pair_identity(self):
         pi = ordered_partition([[1, 3], [2]], 3)
-        assert assemble([pi], 3, 2) == pi
+        assert pi in enumerate_generic_p_partitions(perturbed([[1, 3, 2]]), 2)
 
     def test_three_parts(self):
-        pairs = [
-            ordered_partition([[1], [2, 3]], 3),
-            ordered_partition([[1, 2], [3]], 3),
-            ordered_partition([[2], [1, 3]], 3),
-        ]
-        result = assemble(pairs, 3, 3)
-        assert result is not None
-        assert result.blocks == ((1,), (2,), (3,))
+        result = enumerate_generic_p_partitions(perturbed([[1, 2, 3]]), 3)
+        for order in permutations([1, 2, 3]):
+            assert ordered_partition([[i] for i in order], 3) in result
 
     def test_non_covering_returns_none(self):
-        pairs = [
-            ordered_partition([[1], [2, 3]], 3),
-            ordered_partition([[1, 2, 3], []], 3),
-            ordered_partition([[], [1, 2, 3]], 3),
-        ]
-        assert assemble(pairs, 3, 3) is None
+        # Lists such as ({1}|{2,3}, {1,2,3}|{}, {}|{1,2,3}) leave element 2 or
+        # 3 without a block; every assembled tuple still covers [n].
+        p = perturbed([[1, 2, 3]])
+        two = list(enumerate_generic_2partitions(p))
+        lists = list(product(two, repeat=3))
+        assert any(reference_assemble(combo, 3, 3) is None for combo in lists)
+        for pi in enumerate_generic_p_partitions(p, 3):
+            assert sorted(i for block in pi.blocks for i in block) == [1, 2, 3]
 
-    def test_wrong_list_length_rejected(self):
-        with pytest.raises(DimensionError):
-            assemble([ordered_partition([[1], [2]], 2)], 2, 3)
+
+class TestMembership:
+    def test_present_and_absent(self):
+        result = enumerate_generic_p_partitions(perturbed([[1, 2, 3]]), 2)
+        for pi in result:
+            assert pi in result
+        assert ordered_partition([[1, 3], [2]], 3) not in result
+        assert ordered_partition([[1], [2], [3]], 3) not in result
+        assert ordered_partition([[1], [2, 3, 4]], 4) not in result
 
 
 class TestPPartitions:
@@ -217,9 +285,9 @@ class TestPPartitions:
             two = list(enumerate_generic_2partitions(p))
             expected = set()
             for combo in product(two, repeat=comb(3, 2)):
-                candidate = assemble(list(combo), n, 3)
+                candidate = reference_assemble(combo, n, 3)
                 if candidate is not None:
-                    expected.add(candidate.blocks)
+                    expected.add(candidate)
             assert blocks(enumerate_generic_p_partitions(p, 3)) == expected
 
     def test_round_trip_through_own_pairs(self):
@@ -229,14 +297,20 @@ class TestPPartitions:
             n = rng.randint(2, 5)
             p_count = rng.randint(2, 3)
             p = perturbed([[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)])
-            whole = set(range(1, n + 1))
+            two = list(enumerate_generic_2partitions(p))
             for pi in enumerate_generic_p_partitions(p, p_count):
-                pairs = []
+                chosen = []
                 for r in range(p_count):
                     for s in range(r + 1, p_count):
-                        second = set(pi.blocks[s])
-                        pairs.append(ordered_partition([whole - second, second], n))
-                assert assemble(pairs, n, p_count) == pi
+                        # some generic 2-partition keeps block r first and block s second
+                        fits = [
+                            q for q in two
+                            if set(pi.blocks[r]) <= set(q.blocks[0])
+                            and set(pi.blocks[s]) <= set(q.blocks[1])
+                        ]
+                        assert fits
+                        chosen.append(fits[0])
+                assert reference_assemble(chosen, n, p_count) == pi.blocks
 
     def test_translation_and_scaling_invariance(self):
         rng = random.Random(10)
@@ -255,10 +329,32 @@ class TestPPartitions:
             scaled = [[scale * rows[r][c] for c in range(n)] for r in range(d)]
             assert blocks(enumerate_generic_p_partitions(perturbed(scaled), p_count)) == base
 
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        st.integers(1, 3), st.integers(1, 6), st.integers(2, 4),
+        st.randoms(use_true_random=False),
+    )
+    def test_matches_depth_first_reference(self, d, n, p_count, rng):
+        p = perturbed([[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)])
+        masks = _two_partition_masks(p, EnumerationLimits())
+        try:
+            expected = reference_p_partitions(masks, n, p_count, max_nodes=300_000)
+        except _ReferenceBudget:
+            assume(False)
+        assert blocks(enumerate_generic_p_partitions(p, p_count)) == expected
+
+    def test_five_parts_within_default_limits(self):
+        a = Matrix([[3, -1, 4, 2]])
+        result = enumerate_generic_p_partitions(PerturbedMatrix(lift(a)), 5)
+        assert len(result) > 0
+        assert all(pi.p == 5 for pi in result)
+
     def test_assembly_node_guard(self):
         limits = EnumerationLimits(max_assembly_nodes=5)
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError) as caught:
             enumerate_generic_p_partitions(perturbed([[1, 2, 3, 4]]), 3, limits)
+        assert caught.value.bound_name == "assembly-nodes"
+        assert "pair level 1 of 3" in str(caught.value)
 
     def test_p_must_be_positive(self):
         with pytest.raises(DimensionError):

@@ -1,3 +1,4 @@
+import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
@@ -140,6 +141,38 @@ class TestExternalOracle:
         with ExternalOracle([sys.executable, "-c", "print('pelican'); import sys; sys.stdout.flush(); sys.stdin.read()"]) as oracle:
             with pytest.raises(OracleError):
                 oracle.evaluate(Matrix([[1]]))
+
+    def test_chatty_stderr_does_not_block(self):
+        # 4 KiB of stderr per query fills a 64 KiB pipe after 16 queries; the
+        # run goes in a subprocess so a blocked oracle fails on the timeout.
+        chatty = (
+            "import sys\n"
+            "for line in sys.stdin:\n"
+            "    sys.stderr.write('x' * 4096 + '\\n')\n"
+            "    sys.stderr.flush()\n"
+            "    print(1, flush=True)\n"
+        )
+        script = (
+            "import sys\n"
+            "from shapedparts.linalg import Matrix\n"
+            "from shapedparts.objectives import ExternalOracle\n"
+            f"with ExternalOracle([sys.executable, '-c', {chatty!r}]) as oracle:\n"
+            "    print(sum(oracle.evaluate(Matrix([[i]])) for i in range(100)))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "100"
+
+    def test_death_note_quotes_stderr_tail(self):
+        dying = "import sys; sys.stderr.write('a' * 3000 + 'TAILMARK'); sys.exit(3)"
+        with ExternalOracle([sys.executable, "-c", dying]) as oracle:
+            with pytest.raises(OracleError) as caught:
+                oracle.evaluate(Matrix([[1]]))
+        message = str(caught.value)
+        assert "code 3" in message and message.endswith("TAILMARK)")
+        assert "a" * 500 not in message
 
     def test_missing_binary(self):
         with ExternalOracle(["/nonexistent/oracle"]) as oracle:

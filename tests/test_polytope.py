@@ -143,6 +143,14 @@ class TestEnumerateVertices:
             reference = brute_vertices(a, p, family)
             assert [m.flatten() for m in report.vertices] == [m.flatten() for m in reference]
 
+    @pytest.mark.parametrize("k, n, p", [(1, 5, 4), (1, 6, 4), (2, 5, 4), (1, 4, 5)])
+    def test_matches_brute_at_four_and_five_parts(self, k, n, p):
+        a = random_matrix(random.Random(100 * k + n), k, n)
+        family = ShapeFamily.all_shapes(n, p)
+        report = enumerate_vertices(a, p, family)
+        reference = brute_vertices(a, p, family, force=p > 4)
+        assert [m.flatten() for m in report.vertices] == [m.flatten() for m in reference]
+
     def test_brute_vertices_inside_candidates(self):
         rng = random.Random(29)
         for _ in range(8):

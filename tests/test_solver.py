@@ -99,6 +99,15 @@ class TestSolveInvariants:
             )
             assert solve(a, p, family, objective).best_value == brute_solve(a, p, family, objective)
 
+    @pytest.mark.parametrize("k, n", [(1, 5), (1, 6), (2, 5)])
+    def test_matches_brute_force_at_four_parts(self, k, n):
+        rng = random.Random(100 * k + n)
+        a = Matrix([[rng.randint(-5, 5) for _ in range(n)] for _ in range(k)])
+        family = ShapeFamily.all_shapes(n, 4)
+        cost = Matrix([[rng.randint(-5, 5) for _ in range(4)] for _ in range(k)])
+        for objective in (LinearObjective(cost), ColumnPowerObjective(2)):
+            assert solve(a, 4, family, objective).best_value == brute_solve(a, 4, family, objective)
+
     def test_linear_objective_matches_vertex_maximum(self):
         rng = random.Random(59)
         for _ in range(6):
