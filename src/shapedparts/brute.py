@@ -8,7 +8,6 @@ exponential runs from happening; pass force=True to override them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Iterator
@@ -21,13 +20,6 @@ from .partitions import Partition, ShapeFamily, partition_matrix
 
 MAX_BRUTE_N = 9
 MAX_BRUTE_P = 4
-
-
-@dataclass(frozen=True)
-class BruteResult:
-    all_partitions: int
-    vertex_set: tuple[Matrix, ...]
-    best_value: Fraction | None
 
 
 def _check_guard(n: int, p: int, force: bool) -> None:
@@ -61,7 +53,7 @@ def enumerate_all_partitions(
 
 
 def brute_vertices(
-    a: Matrix, p: int, family: ShapeFamily, force: bool = False, threads: int = 1
+    a: Matrix, p: int, family: ShapeFamily, force: bool = False
 ) -> list[Matrix]:
     """Vertices of the hull of all admissible part-sum matrices, in canonical order."""
     unique: dict[tuple, Matrix] = {}
@@ -69,7 +61,7 @@ def brute_vertices(
         matrix = partition_matrix(a, pi)
         unique.setdefault(matrix.flatten(), matrix)
     ordered = [unique[key] for key in sorted(unique)]
-    keep = extreme_point_indices([m.flatten() for m in ordered], threads=threads)
+    keep = extreme_point_indices([m.flatten() for m in ordered])
     return [ordered[i] for i in keep]
 
 
@@ -85,17 +77,3 @@ def brute_solve(
     if best is None:
         raise AssertionError("a nonempty shape family admits at least one partition")
     return best
-
-
-def brute_report(
-    a: Matrix,
-    p: int,
-    family: ShapeFamily,
-    objective: Objective | None = None,
-    force: bool = False,
-    threads: int = 1,
-) -> BruteResult:
-    total = sum(1 for _ in enumerate_all_partitions(a.ncols, p, family, force))
-    vertices = brute_vertices(a, p, family, force, threads)
-    best = brute_solve(a, p, family, objective, force) if objective is not None else None
-    return BruteResult(all_partitions=total, vertex_set=tuple(vertices), best_value=best)

@@ -19,7 +19,7 @@ from .errors import CapacityError, DimensionError, OracleError, ProblemError
 from .generic import EnumerationLimits
 from .linalg import Matrix, format_rational
 from .partitions import Partition
-from .polytope import VertexReport, candidate_vertices, enumerate_vertices
+from .polytope import VertexReport, enumerate_vertices
 from .problems import Problem, load_problem, problem_from_dict, random_instance_dict
 from .solver import solve
 
@@ -39,10 +39,11 @@ def partition_payload(pi: Partition) -> list[list[int]]:
 
 
 def _counts_payload(report: VertexReport) -> dict:
+    candidates = report.candidates
     return {
-        "two_partitions": report.two_partition_count,
-        "generic_partitions": report.generic_count,
-        "admissible_partitions": report.admissible_count,
+        "two_partitions": candidates.two_partition_count,
+        "generic_partitions": candidates.generic_count,
+        "admissible_partitions": candidates.admissible_count,
         "candidates": report.candidate_count,
         "vertices": report.vertex_count,
     }
@@ -71,8 +72,6 @@ def _limits(args) -> EnumerationLimits:
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     defaults = EnumerationLimits()
     parser.add_argument("--output", metavar="PATH", help="write the report here instead of stdout")
-    parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="worker threads for independent subtasks (default 1)")
     parser.add_argument("--max-two-partitions", type=int, default=defaults.max_two_partitions,
                         metavar="N", help="cap on enumerated generic 2-partitions")
     parser.add_argument("--max-candidates", type=int, default=defaults.max_candidates,
@@ -121,16 +120,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_vertices(args) -> int:
     problem = load_problem(args.problem)
-    report = enumerate_vertices(problem.matrix, problem.p, problem.family,
-                                _limits(args), threads=args.threads)
+    report = enumerate_vertices(problem.matrix, problem.p, problem.family, _limits(args))
     if args.format == "csv":
         lines = [",".join(format_rational(x) for x in m.flatten()) for m in report.vertices]
         _emit("".join(line + "\n" for line in lines), args.output)
         return EXIT_OK
     payload = {
-        "k": report.k,
-        "n": report.n,
-        "p": report.p,
+        "k": problem.k,
+        "n": problem.n,
+        "p": problem.p,
         "counts": _counts_payload(report),
         "vertices": [{"matrix": matrix_payload(m)} for m in report.vertices],
     }
@@ -147,7 +145,7 @@ def _cmd_solve(args) -> int:
         raise ProblemError("solve needs a problem file with an objective")
     try:
         report = solve(problem.matrix, problem.p, problem.family, problem.objective,
-                       _limits(args), threads=args.threads)
+                       _limits(args))
     finally:
         problem.objective.close()
     payload = {
@@ -165,12 +163,11 @@ def _cmd_solve(args) -> int:
 
 def _cmd_count(args) -> int:
     problem = load_problem(args.problem)
-    report = enumerate_vertices(problem.matrix, problem.p, problem.family,
-                                _limits(args), threads=args.threads)
+    report = enumerate_vertices(problem.matrix, problem.p, problem.family, _limits(args))
     payload = {
-        "k": report.k,
-        "n": report.n,
-        "p": report.p,
+        "k": problem.k,
+        "n": problem.n,
+        "p": problem.p,
         "counts": _counts_payload(report),
     }
     _emit_json(payload, args.output)
@@ -179,15 +176,12 @@ def _cmd_count(args) -> int:
 
 def _check_one(problem: Problem, args) -> dict:
     limits = _limits(args)
-    candidates = candidate_vertices(problem.matrix, problem.p, problem.family, limits)
-    report = enumerate_vertices(problem.matrix, problem.p, problem.family,
-                                limits, threads=args.threads, candidates=candidates)
-    reference = brute_vertices(problem.matrix, problem.p, problem.family,
-                               force=args.force, threads=args.threads)
+    report = enumerate_vertices(problem.matrix, problem.p, problem.family, limits)
+    reference = brute_vertices(problem.matrix, problem.p, problem.family, force=args.force)
 
     fast_keys = [m.flatten() for m in report.vertices]
     brute_keys = [m.flatten() for m in reference]
-    candidate_keys = set(m.flatten() for m in candidates.members)
+    candidate_keys = set(m.flatten() for m in report.candidates.members)
     superset_ok = all(key in candidate_keys for key in brute_keys)
     vertices_ok = fast_keys == brute_keys
 
@@ -212,7 +206,7 @@ def _check_one(problem: Problem, args) -> dict:
     if problem.objective is not None:
         try:
             fast_best = solve(problem.matrix, problem.p, problem.family,
-                              problem.objective, limits, threads=args.threads).best_value
+                              problem.objective, limits).best_value
             brute_best = brute_solve(problem.matrix, problem.p, problem.family,
                                      problem.objective, force=args.force)
         finally:
@@ -253,8 +247,6 @@ def _cmd_check(args) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        parser.error("--threads must be at least 1")
     handlers = {
         "vertices": _cmd_vertices,
         "solve": _cmd_solve,

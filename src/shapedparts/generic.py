@@ -23,7 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from .errors import CapacityError, DimensionError
 from .linalg import Matrix, determinant, solve_vandermonde
@@ -38,16 +38,13 @@ class EnumerationLimits:
     max_assembly_nodes: int = 5_000_000
     max_candidates: int = 100_000
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value < 0:
+                raise DimensionError(f"limit {name} must be nonnegative, got {value}")
+
 
 DEFAULT_LIMITS = EnumerationLimits()
-
-
-class SeparatorTriple(NamedTuple):
-    """A sorted d-subset I plus a two-sided split of it (below ∪ above = I)."""
-
-    subset: tuple[int, ...]
-    below: tuple[int, ...]
-    above: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -166,25 +163,6 @@ def split_by_hyperplane(
     return tuple(below), tuple(above)
 
 
-def partitions_from_triple(
-    perturbed: PerturbedMatrix, triple: SeparatorTriple
-) -> tuple[Partition, Partition]:
-    """The two ordered 2-partitions associated with a separator triple."""
-    subset = tuple(sorted(triple.subset))
-    j_below = tuple(sorted(triple.below))
-    j_above = tuple(sorted(triple.above))
-    if set(j_below) | set(j_above) != set(subset) or set(j_below) & set(j_above):
-        raise DimensionError("below/above must split the subset")
-    i_below, i_above = split_by_hyperplane(perturbed, subset)
-    first = set(i_below) | set(j_below)
-    second = set(i_above) | set(j_above)
-    n = perturbed.n
-    return (
-        ordered_partition([first, second], n),
-        ordered_partition([second, first], n),
-    )
-
-
 def _block_mask(block: Sequence[int]) -> int:
     mask = 0
     for i in block:
@@ -219,9 +197,8 @@ def _two_partition_masks(perturbed: PerturbedMatrix, limits: EnumerationLimits) 
         return list(range(count))
     masks: set[int] = set()
     for subset in combinations(range(1, n + 1), d):
-        i_below, i_above = split_by_hyperplane(perturbed, subset)
+        i_below, _ = split_by_hyperplane(perturbed, subset)
         below_mask = _block_mask(i_below)
-        above_mask = _block_mask(i_above)
         members = list(subset)
         for choice in range(1 << d):
             j_below = 0
@@ -234,23 +211,6 @@ def _two_partition_masks(perturbed: PerturbedMatrix, limits: EnumerationLimits) 
             if len(masks) > limits.max_two_partitions:
                 raise CapacityError("two-partitions", limits.max_two_partitions)
     return sorted(masks)
-
-
-def _mask_pair_to_partition(mask: int, n: int) -> Partition:
-    full = (1 << n) - 1
-    return Partition((_mask_block(mask), _mask_block(full ^ mask)), n)
-
-
-def enumerate_generic_2partitions(
-    perturbed: PerturbedMatrix, limits: EnumerationLimits = DEFAULT_LIMITS
-) -> GenericPartitionSet:
-    """All generic ordered 2-partitions of the perturbed configuration."""
-    masks = _two_partition_masks(perturbed, limits)
-    partitions = sorted(
-        (_mask_pair_to_partition(m, perturbed.n) for m in masks),
-        key=lambda pi: pi.blocks,
-    )
-    return GenericPartitionSet(tuple(partitions), perturbed.d, perturbed.n, 2)
 
 
 def enumerate_generic_p_partitions(

@@ -12,19 +12,11 @@ Verification of separating functionals multiplies every point by the common
 denominator of the whole point set, so the strict inequalities are checked
 on integers (via int64 matmuls when magnitude bounds allow, arbitrary
 precision otherwise).
-
-nonvertex_by_affine_bases implements the exhaustive affine-basis search
-(lift by a leading 1, take d = lifted rank, scan independent d-subsets for a
-nonnegative solution). Its cost grows as C(m, d), so it serves as the
-cross-check reference for small sets; the test suite holds the two routes
-against each other.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 from typing import Sequence
 
@@ -35,7 +27,7 @@ try:
 except ImportError:  # pragma: no cover - scipy is a declared dependency
     _ConvexHull = None
 
-from .linalg import Matrix, rank, solve_consistent
+from .linalg import Matrix, solve_consistent
 
 Point = tuple[Fraction, ...]
 
@@ -230,9 +222,8 @@ class _HullContext:
         acols[flip] = -acols[flip]
 
         # Overflow and NaN in the float proposal only spoil a certificate,
-        # which then fails verification; numpy need not warn about them.
-        # The error state is per thread, so it is set here, where the worker
-        # threads of extreme_point_indices run, rather than once per call.
+        # which then fails verification; numpy need not warn about them. The
+        # state is set here so that every caller of membership is covered.
         with np.errstate(all="ignore"):
             outcome = _float_phase_one(acols, rhs)
         if outcome is not None:
@@ -259,28 +250,6 @@ def convex_combination_exists(target: Sequence[Fraction], generators: Sequence[S
         return False
     context = _HullContext([tuple(target)] + [tuple(g) for g in generators])
     return context.membership(0, list(range(1, len(generators) + 1)))
-
-
-def nonvertex_by_affine_bases(target: Sequence[Fraction], others: Sequence[Sequence[Fraction]]) -> bool:
-    """Exhaustive search for a nonnegative affine combination expressing target.
-
-    Let d be the linear rank of the lifted others. The target is a convex
-    combination of the others exactly when some d-subset with independent
-    lifted vectors solves lifted(target) with all coefficients nonnegative.
-    """
-    if not others:
-        return False
-    lifted = [lift_point(o) for o in others]
-    d = rank(Matrix.from_columns(lifted))
-    lifted_target = lift_point(target)
-    for subset in combinations(range(len(others)), d):
-        system = Matrix.from_columns([lifted[i] for i in subset])
-        if rank(system) < d:
-            continue
-        mu = solve_consistent(system, lifted_target)
-        if mu is not None and all(x >= 0 for x in mu):
-            return True
-    return False
 
 
 def _propose_vertices(coords: np.ndarray) -> list[int]:
@@ -313,7 +282,7 @@ def _propose_vertices(coords: np.ndarray) -> list[int]:
         return list(range(count))
 
 
-def extreme_point_indices(points: Sequence[Point], threads: int = 1) -> list[int]:
+def extreme_point_indices(points: Sequence[Point]) -> list[int]:
     """Indices of the points that are vertices of the convex hull of all points.
 
     A float hull proposes the vertex set; every other point is then discarded
@@ -333,13 +302,7 @@ def extreme_point_indices(points: Sequence[Point], threads: int = 1) -> list[int
         if not context.membership(idx, survivors):
             survivors.append(idx)
             in_survivors.add(idx)
-
-    def is_extreme(v: int) -> bool:
-        return not context.membership(v, [w for w in survivors if w != v])
-
-    if threads > 1 and len(survivors) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            flags = list(pool.map(is_extreme, survivors))
-    else:
-        flags = [is_extreme(v) for v in survivors]
-    return sorted(v for v, keep in zip(survivors, flags) if keep)
+    return sorted(
+        v for v in survivors
+        if not context.membership(v, [w for w in survivors if w != v])
+    )

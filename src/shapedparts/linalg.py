@@ -8,20 +8,39 @@ there is no floating-point mode.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, SingularMatrixError
 
-Rational = Fraction
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\Z")
+
+
+def _exponent_too_large(text: str) -> bool:
+    """Whether text ends in a decimal exponent above Python's integer-literal
+    digit limit in magnitude (a limit of 0 means none).
+
+    10**e has e + 1 digits, so Fraction would spend unbounded time and memory
+    building the value of such an exponent.
+    """
+    match = _EXPONENT.search(text)
+    limit = sys.get_int_max_str_digits()
+    if match is None or limit == 0:
+        return False
+    try:
+        return abs(int(match.group(1))) > limit
+    except ValueError:
+        return False  # malformed or too long to read: Fraction rejects it as fast
 
 
 def as_rational(value) -> Fraction:
     """Coerce an exact scalar: Fraction, int, or a string.
 
-    Strings may be integers ("6"), decimals ("0.6" becomes 3/5 exactly), or
-    slash rationals ("17/20"). Floats are rejected: their binary value is
-    almost never the decimal the user meant.
+    Strings may be integers ("6"), decimals ("0.6" becomes 3/5 exactly, "1e400"
+    is read exactly), or slash rationals ("17/20"). Floats are rejected: their
+    binary value is almost never the decimal the user meant.
     """
     if isinstance(value, Fraction):
         return value
@@ -30,8 +49,14 @@ def as_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
+        if _exponent_too_large(text):
+            raise ValueError(
+                f"not a rational scalar: {value!r} (exponent above "
+                f"{sys.get_int_max_str_digits()} in magnitude)"
+            )
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational scalar: {value!r}") from exc
     raise ValueError(f"not a rational scalar: {value!r} (floats are not accepted)")

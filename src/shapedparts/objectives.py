@@ -169,22 +169,31 @@ class ExternalOracle(Objective):
         self._stderr = None
 
     def _ensure_process(self) -> subprocess.Popen:
-        if self._process is None or self._process.poll() is not None:
-            self._close_stderr()
-            # A file, not a pipe: nothing reads the oracle's stderr while it
-            # runs, so a full pipe buffer would block the oracle mid-reply.
-            self._stderr = tempfile.TemporaryFile()
-            try:
-                self._process = subprocess.Popen(
-                    self.command,
-                    stdin=subprocess.PIPE,
-                    stdout=subprocess.PIPE,
-                    stderr=self._stderr,
-                    text=True,
+        """The oracle process, started on first use and never restarted.
+
+        An oracle that exits between queries fails the next query instead of
+        being replaced, so the outcome cannot depend on when it exited.
+        """
+        if self._process is not None:
+            if self._process.poll() is not None:
+                raise OracleError(
+                    f"oracle {self.command} exited before the next query{self._death_note()}"
                 )
-            except OSError as exc:
-                self._close_stderr()
-                raise OracleError(f"cannot start oracle {self.command}: {exc}") from exc
+            return self._process
+        # A file, not a pipe: nothing reads the oracle's stderr while it
+        # runs, so a full pipe buffer would block the oracle mid-reply.
+        self._stderr = tempfile.TemporaryFile()
+        try:
+            self._process = subprocess.Popen(
+                self.command,
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=self._stderr,
+                text=True,
+            )
+        except OSError as exc:
+            self._close_stderr()
+            raise OracleError(f"cannot start oracle {self.command}: {exc}") from exc
         return self._process
 
     def evaluate(self, matrix: Matrix) -> Fraction:
@@ -211,7 +220,7 @@ class ExternalOracle(Objective):
         if self._process is None:
             return ""
         try:
-            # stdout reached EOF, so the oracle is exiting; let it finish.
+            # The oracle has exited or closed stdout, so it is exiting; let it finish.
             code = self._process.wait(timeout=1)
         except subprocess.TimeoutExpired:
             return ""

@@ -193,8 +193,3 @@ def _check_shape(shape: Shape, n: int, p: int) -> None:
         raise DimensionError(f"shape {shape} has a negative entry")
     if sum(shape) != n:
         raise DimensionError(f"shape {shape} sums to {sum(shape)}, expected {n}")
-
-
-def enumerate_shapes(family: ShapeFamily) -> Iterator[Shape]:
-    """Module-level alias for ShapeFamily.enumerate."""
-    return family.enumerate()

@@ -21,7 +21,7 @@ from .generic import (
     _two_partition_masks,
     enumerate_generic_p_partitions,
 )
-from .hull import convex_combination_exists, extreme_point_indices
+from .hull import extreme_point_indices
 from .linalg import Matrix
 from .partitions import Partition, ShapeFamily, lift, partition_matrix, shape_of
 
@@ -36,9 +36,6 @@ class CandidateSet:
 
     members: tuple[Matrix, ...]
     witnesses: tuple[tuple[Partition, ...], ...]
-    k: int
-    n: int
-    p: int
     two_partition_count: int
     generic_count: int
     admissible_count: int
@@ -52,21 +49,20 @@ class CandidateSet:
 
 @dataclass(frozen=True)
 class VertexReport:
-    """Vertices in canonical order, their witnesses, and the pipeline counts."""
+    """Vertices in canonical order, their witnesses, and the candidate set
+    they were filtered from (which holds the earlier pipeline counts)."""
 
     vertices: tuple[Matrix, ...]
     witnesses: tuple[tuple[Partition, ...], ...]
-    k: int
-    n: int
-    p: int
-    two_partition_count: int
-    generic_count: int
-    admissible_count: int
-    candidate_count: int
+    candidates: CandidateSet
 
     @property
     def vertex_count(self) -> int:
         return len(self.vertices)
+
+    @property
+    def candidate_count(self) -> int:
+        return len(self.candidates)
 
 
 def candidate_vertices(
@@ -109,21 +105,10 @@ def candidate_vertices(
     return CandidateSet(
         members=members,
         witnesses=witnesses,
-        k=a.nrows,
-        n=a.ncols,
-        p=p,
         two_partition_count=len(masks),
         generic_count=len(generic_set),
         admissible_count=len(admissible),
     )
-
-
-def is_vertex(u: Matrix, candidates: CandidateSet) -> bool:
-    """Whether a candidate is extreme, i.e. not a convex combination of the others."""
-    if u not in candidates.members:
-        raise DimensionError("is_vertex expects a member of the candidate set")
-    others = [m.flatten() for m in candidates.members if m != u]
-    return not convex_combination_exists(u.flatten(), others)
 
 
 def enumerate_vertices(
@@ -131,22 +116,12 @@ def enumerate_vertices(
     p: int,
     family: ShapeFamily,
     limits: EnumerationLimits = DEFAULT_LIMITS,
-    threads: int = 1,
-    candidates: CandidateSet | None = None,
 ) -> VertexReport:
     """All vertices of the shaped partition polytope, with witness partitions."""
-    if candidates is None:
-        candidates = candidate_vertices(a, p, family, limits)
-    points = [m.flatten() for m in candidates.members]
-    keep = extreme_point_indices(points, threads=threads)
+    candidates = candidate_vertices(a, p, family, limits)
+    keep = extreme_point_indices([m.flatten() for m in candidates.members])
     return VertexReport(
         vertices=tuple(candidates.members[i] for i in keep),
         witnesses=tuple(candidates.witnesses[i] for i in keep),
-        k=candidates.k,
-        n=candidates.n,
-        p=candidates.p,
-        two_partition_count=candidates.two_partition_count,
-        generic_count=candidates.generic_count,
-        admissible_count=candidates.admissible_count,
-        candidate_count=len(candidates.members),
+        candidates=candidates,
     )

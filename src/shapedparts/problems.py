@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import DimensionError, ProblemError
-from .linalg import Matrix, as_rational
+from .linalg import Matrix
 from .objectives import (
     ColumnPowerObjective,
     DiagonalPowerObjective,
@@ -145,7 +145,9 @@ def load_problem(path: str) -> Problem:
             raw = json.load(handle, parse_float=str)
     except OSError as exc:
         raise ProblemError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # Malformed JSON, bad UTF-8, and integer literals past Python's
+        # digit limit all surface as ValueError.
         raise ProblemError(f"{path} is not valid JSON: {exc}") from exc
     return problem_from_dict(raw)
 
@@ -186,12 +188,3 @@ def random_instance_dict(seed: int, index: int, with_objective: bool = True) -> 
         else:
             instance["objective"] = {"type": "sum_column_norm_pow", "q": rng.choice([2, 4])}
     return instance
-
-
-def random_problem(seed: int, index: int, with_objective: bool = True) -> Problem:
-    return problem_from_dict(random_instance_dict(seed, index, with_objective))
-
-
-def matrix_from_rows(rows) -> Matrix:
-    """Convenience for tests and callers holding plain nested lists."""
-    return Matrix([[as_rational(x) for x in row] for row in rows])

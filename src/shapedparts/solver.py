@@ -9,14 +9,13 @@ to the first maximizer in canonical enumeration order.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionError
 from .generic import DEFAULT_LIMITS, EnumerationLimits, PerturbedMatrix, enumerate_generic_p_partitions
 from .linalg import Matrix
-from .objectives import ExternalOracle, Objective
+from .objectives import Objective
 from .partitions import Partition, ShapeFamily, lift, partition_matrix, shape_of
 
 
@@ -34,14 +33,11 @@ def solve(
     family: ShapeFamily,
     objective: Objective,
     limits: EnumerationLimits = DEFAULT_LIMITS,
-    threads: int = 1,
 ) -> SolveReport:
     """Return a shape-admissible partition maximizing the objective.
 
-    One oracle query is spent per admissible generic partition. External
-    oracles are queried sequentially (one pending query at a time); built-in
-    objectives may be evaluated in a thread pool, which cannot change the
-    reported maximizer.
+    One query is spent per admissible generic partition, in canonical order,
+    one at a time.
     """
     if family.n != a.ncols or family.p != p:
         raise DimensionError(
@@ -57,12 +53,7 @@ def solve(
             "no admissible generic partition found; impossible for a nonempty shape family"
         )
     matrices = [partition_matrix(a, pi) for pi in admissible]
-
-    if threads > 1 and not isinstance(objective, ExternalOracle):
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(objective.evaluate, matrices))
-    else:
-        values = [objective.evaluate(m) for m in matrices]
+    values = [objective.evaluate(m) for m in matrices]
 
     best_index = 0
     for i in range(1, len(values)):

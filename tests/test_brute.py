@@ -1,16 +1,12 @@
+import json
 import random
 from fractions import Fraction as F
 from math import factorial
 
 import pytest
 
-from shapedparts.brute import (
-    BruteResult,
-    brute_report,
-    brute_solve,
-    brute_vertices,
-    enumerate_all_partitions,
-)
+from shapedparts import cli
+from shapedparts.brute import brute_solve, brute_vertices, enumerate_all_partitions
 from shapedparts.errors import CapacityError
 from shapedparts.linalg import Matrix
 from shapedparts.objectives import ColumnPowerObjective, DiagonalPowerObjective, MaxCutObjective
@@ -84,9 +80,9 @@ class TestBruteVertices:
         rng = random.Random(67)
         a = Matrix([[rng.randint(-5, 5) for _ in range(5)] for _ in range(2)])
         family = ShapeFamily.all_shapes(5, 2)
-        first = brute_vertices(a, 2, family)
-        second = brute_vertices(a, 2, family, threads=3)
-        assert first == second
+        order = rng.sample(range(5), 5)
+        shuffled = Matrix.from_columns([a.column(j) for j in order])
+        assert brute_vertices(shuffled, 2, family) == brute_vertices(a, 2, family)
 
 
 class TestBruteSolve:
@@ -108,16 +104,28 @@ class TestBruteSolve:
         assert value == F(3) ** 2 + F(6) ** 2
 
 
-class TestBruteReport:
-    def test_bundles_everything(self):
-        a = Matrix([[1, 2, 3]])
-        family = ShapeFamily.all_shapes(3, 2)
-        result = brute_report(a, 2, family, ColumnPowerObjective(2))
-        assert isinstance(result, BruteResult)
-        assert result.all_partitions == 8
-        assert result.best_value == 36
-        assert len(result.vertex_set) >= 2
+def check_result(tmp_path, doc):
+    """The one instance result of the CLI `check`, which bundles the brute
+    reference's vertex count and optimum with the fast path's."""
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    target = tmp_path / "check.json"
+    assert cli.main(["check", str(path), "--output", str(target)]) == 0
+    return json.loads(target.read_text())["results"][0]
 
-    def test_objective_optional(self):
-        result = brute_report(Matrix([[1, 2]]), 2, ShapeFamily.all_shapes(2, 2))
-        assert result.best_value is None
+
+class TestBruteReport:
+    def test_bundles_everything(self, tmp_path):
+        family = ShapeFamily.all_shapes(3, 2)
+        assert sum(1 for _ in enumerate_all_partitions(3, 2, family)) == 8
+        result = check_result(tmp_path, {
+            "matrix": [[1, 2, 3]], "p": 2, "shapes": {"type": "all"},
+            "objective": {"type": "sum_column_norm_pow", "q": 2},
+        })
+        assert result["brute_optimum"] == "36"
+        assert result["brute_vertices"] >= 2
+
+    def test_objective_optional(self, tmp_path):
+        result = check_result(tmp_path, {"matrix": [[1, 2]], "p": 2, "shapes": {"type": "all"}})
+        assert result["brute_vertices"] == 2
+        assert "brute_optimum" not in result

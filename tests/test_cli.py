@@ -117,6 +117,64 @@ class TestSolve:
         code, _, err = run_cli(["solve", path], capsys)
         assert code == 4
 
+    def test_oracle_that_exits_after_one_reply_always_exit_4(self, tmp_path, capsys):
+        # The oracle answers one query and exits; whether that exit is seen
+        # before the next query must not change the outcome.
+        path = write_problem(
+            tmp_path,
+            {
+                "matrix": [[1, 2, 3, 4]], "p": 2, "shapes": {"type": "all"},
+                "objective": {"type": "external", "cmd": ["sh", "-c", "read x; echo 1"]},
+            },
+        )
+        for _ in range(6):
+            code, out, err = run_cli(["solve", path], capsys)
+            assert code == 4, out
+            assert "oracle" in err
+
+    def test_oracle_reply_with_huge_exponent_exit_4(self, tmp_path):
+        replier = "import sys\nfor line in sys.stdin:\n    print('1e999999999999', flush=True)\n"
+        path = write_problem(
+            tmp_path,
+            {
+                "matrix": [[1, 2]], "p": 2, "shapes": {"type": "all"},
+                "objective": {"type": "external", "cmd": [sys.executable, "-c", replier]},
+            },
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "shapedparts.cli", "solve", path],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert result.returncode == 4
+        assert "garbage" in result.stderr
+
+
+class TestInputErrors:
+    def test_huge_exponent_entry_exit_2(self, tmp_path):
+        path = write_problem(
+            tmp_path, {"matrix": [["1e10000000", 1]], "p": 2, "shapes": {"type": "all"}}
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "shapedparts.cli", "count", path],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert result.returncode == 2
+        assert "exponent" in result.stderr
+
+    def test_long_integer_literal_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        path.write_text('{"matrix": [[' + "7" * 5000 + ', 1]], "p": 2, "shapes": {"type": "all"}}')
+        code, _, err = run_cli(["count", str(path)], capsys)
+        assert code == 2
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("flag", ["--max-two-partitions", "--max-candidates", "--max-assembly-nodes"])
+    def test_negative_limit_exit_2(self, tmp_path, capsys, flag):
+        path = write_problem(tmp_path, {"matrix": [[1, 2, 3]], "p": 2, "shapes": {"type": "all"}})
+        code, _, err = run_cli(["count", path, flag, "-1"], capsys)
+        assert code == 2
+        assert "nonnegative" in err
+
 
 class TestLimitFlags:
     GUARDS = ("two-partitions", "candidates", "assembly-nodes")
@@ -221,14 +279,12 @@ class TestCheck:
 
 
 class TestDeterminism:
-    def test_byte_identical_runs_and_threads(self, tmp_path, capsys):
+    def test_byte_identical_runs(self, tmp_path, capsys):
         outputs = []
-        for run, threads in ((1, "1"), (2, "1"), (3, "4")):
+        for run in range(3):
             target = tmp_path / f"out{run}.json"
             code, _, _ = run_cli(
-                ["vertices", str(DATA / "cube3.json"), "--threads", threads,
-                 "--output", str(target)],
-                capsys,
+                ["vertices", str(DATA / "cube3.json"), "--output", str(target)], capsys
             )
             assert code == 0
             outputs.append(target.read_bytes())
@@ -236,6 +292,12 @@ class TestDeterminism:
 
 
 class TestConsoleEntry:
+    def test_threads_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            cli.main(["count", str(DATA / "cube3.json"), "--threads", "1"])
+        assert caught.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
     def test_module_invocation(self):
         result = subprocess.run(
             [sys.executable, "-m", "shapedparts.cli", "count", str(DATA / "cube3.json")],

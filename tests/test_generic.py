@@ -12,15 +12,12 @@ from shapedparts.generic import (
     EnumerationLimits,
     GenericPartitionSet,
     PerturbedMatrix,
-    SeparatorTriple,
     _block_mask,
     _mask_block,
     _two_partition_masks,
-    enumerate_generic_2partitions,
     enumerate_generic_p_partitions,
     generic_orientation,
     generic_sign,
-    partitions_from_triple,
     split_by_hyperplane,
 )
 from shapedparts.linalg import Matrix
@@ -33,6 +30,11 @@ def perturbed(rows):
 
 def blocks(partition_set: GenericPartitionSet):
     return {pi.blocks for pi in partition_set}
+
+
+def two_partitions(p: PerturbedMatrix, limits: EnumerationLimits = EnumerationLimits()):
+    """The generic 2-partitions: the p = 2 case of the general assembly."""
+    return enumerate_generic_p_partitions(p, 2, limits)
 
 
 class _ReferenceBudget(Exception):
@@ -151,45 +153,40 @@ class TestSplitByHyperplane:
 
 
 class TestPartitionsFromTriple:
+    # A separator triple (I, J_below, J_above) splits the d-subset I, and its
+    # hyperplane splits the rest into (I_below, I_above); both orders of
+    # (I_below + J_below, I_above + J_above) are generic 2-partitions.
     def test_subset_into_first_block(self):
-        below, above = partitions_from_triple(
-            perturbed([[2, 2, 5]]), SeparatorTriple((1,), (1,), ())
-        )
-        assert below.blocks == ((1,), (2, 3))
-        assert above.blocks == ((2, 3), (1,))
+        # [[2, 2, 5]], I = {1}: split_by_hyperplane gives ((), (2, 3)).
+        two = blocks(two_partitions(perturbed([[2, 2, 5]])))
+        assert ((1,), (2, 3)) in two
+        assert ((2, 3), (1,)) in two
 
     def test_subset_into_second_block(self):
-        below, above = partitions_from_triple(
-            perturbed([[2, 2, 5]]), SeparatorTriple((1,), (), (1,))
-        )
-        assert below.blocks == ((), (1, 2, 3))
-        assert above.blocks == ((1, 2, 3), ())
+        two = blocks(two_partitions(perturbed([[2, 2, 5]])))
+        assert ((), (1, 2, 3)) in two
+        assert ((1, 2, 3), ()) in two
 
     def test_two_points(self):
-        below, above = partitions_from_triple(
-            perturbed([[1, 2]]), SeparatorTriple((2,), (2,), ())
-        )
-        assert below.blocks == ((1, 2), ())
-        assert above.blocks == ((), (1, 2))
-
-    def test_split_must_cover_subset(self):
-        with pytest.raises(DimensionError):
-            partitions_from_triple(perturbed([[1, 2, 3]]), SeparatorTriple((1,), (), ()))
+        # [[1, 2]], I = {2}: split_by_hyperplane gives ((1,), ()).
+        two = blocks(two_partitions(perturbed([[1, 2]])))
+        assert ((1, 2), ()) in two
+        assert ((), (1, 2)) in two
 
 
 class TestTwoPartitions:
     def test_two_distinct_points(self):
-        two = enumerate_generic_2partitions(perturbed([[1, 2]]))
+        two = two_partitions(perturbed([[1, 2]]))
         assert blocks(two) == {
             ((), (1, 2)), ((1,), (2,)), ((2,), (1,)), ((1, 2), ()),
         }
 
     def test_duplicate_points_still_separate(self):
-        two = enumerate_generic_2partitions(perturbed([[2, 2]]))
+        two = two_partitions(perturbed([[2, 2]]))
         assert len(two) == 4
 
     def test_small_n_gives_everything(self):
-        two = enumerate_generic_2partitions(perturbed([[3, -1], [0, 2]]))
+        two = two_partitions(perturbed([[3, -1], [0, 2]]))
         assert len(two) == 4
 
     def test_swap_closure(self):
@@ -198,7 +195,7 @@ class TestTwoPartitions:
             d = rng.randint(1, 2)
             n = rng.randint(2, 6)
             p = perturbed([[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)])
-            two = enumerate_generic_2partitions(p)
+            two = two_partitions(p)
             members = blocks(two)
             assert all((b, a) in members for a, b in members)
 
@@ -208,7 +205,7 @@ class TestTwoPartitions:
             d = rng.randint(1, 3)
             n = rng.randint(2, 7)
             p = perturbed([[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)])
-            two = enumerate_generic_2partitions(p)
+            two = two_partitions(p)
             if n <= d:
                 assert len(two) == 2 ** n
             else:
@@ -217,7 +214,7 @@ class TestTwoPartitions:
     def test_capacity_guard(self):
         limits = EnumerationLimits(max_two_partitions=3)
         with pytest.raises(CapacityError):
-            enumerate_generic_2partitions(perturbed([[1, 2, 3]]), limits)
+            two_partitions(perturbed([[1, 2, 3]]), limits)
 
 
 class TestAssemble:
@@ -234,7 +231,7 @@ class TestAssemble:
         # Lists such as ({1}|{2,3}, {1,2,3}|{}, {}|{1,2,3}) leave element 2 or
         # 3 without a block; every assembled tuple still covers [n].
         p = perturbed([[1, 2, 3]])
-        two = list(enumerate_generic_2partitions(p))
+        two = list(two_partitions(p))
         lists = list(product(two, repeat=3))
         assert any(reference_assemble(combo, 3, 3) is None for combo in lists)
         for pi in enumerate_generic_p_partitions(p, 3):
@@ -254,9 +251,9 @@ class TestMembership:
 class TestPPartitions:
     def test_p2_matches_two_partition_set(self):
         p = perturbed([[1, 2]])
-        two = enumerate_generic_2partitions(p)
-        assembled = enumerate_generic_p_partitions(p, 2)
-        assert blocks(two) == blocks(assembled)
+        masks = _two_partition_masks(p, EnumerationLimits())
+        expected = {(_mask_block(m), _mask_block(0b11 ^ m)) for m in masks}
+        assert blocks(enumerate_generic_p_partitions(p, 2)) == expected
 
     def test_p1_is_single_whole_partition(self):
         result = enumerate_generic_p_partitions(perturbed([[4, 1, 1]]), 1)
@@ -273,7 +270,7 @@ class TestPPartitions:
             n = rng.randint(2, 5)
             p_count = rng.randint(2, 3)
             p = perturbed([[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)])
-            two = enumerate_generic_2partitions(p)
+            two = two_partitions(p)
             full = enumerate_generic_p_partitions(p, p_count)
             assert len(full) <= len(two) ** comb(p_count, 2)
 
@@ -282,7 +279,7 @@ class TestPPartitions:
         for _ in range(6):
             n = rng.randint(2, 4)
             p = perturbed([[rng.randint(-2, 2) for _ in range(n)]])
-            two = list(enumerate_generic_2partitions(p))
+            two = list(two_partitions(p))
             expected = set()
             for combo in product(two, repeat=comb(3, 2)):
                 candidate = reference_assemble(combo, n, 3)
@@ -297,7 +294,7 @@ class TestPPartitions:
             n = rng.randint(2, 5)
             p_count = rng.randint(2, 3)
             p = perturbed([[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)])
-            two = list(enumerate_generic_2partitions(p))
+            two = list(two_partitions(p))
             for pi in enumerate_generic_p_partitions(p, p_count):
                 chosen = []
                 for r in range(p_count):
@@ -355,6 +352,12 @@ class TestPPartitions:
             enumerate_generic_p_partitions(perturbed([[1, 2, 3, 4]]), 3, limits)
         assert caught.value.bound_name == "assembly-nodes"
         assert "pair level 1 of 3" in str(caught.value)
+
+    def test_negative_limits_rejected(self):
+        assert EnumerationLimits(max_two_partitions=0).max_two_partitions == 0
+        for field in ("max_two_partitions", "max_assembly_nodes", "max_candidates"):
+            with pytest.raises(DimensionError):
+                EnumerationLimits(**{field: -1})
 
     def test_p_must_be_positive(self):
         with pytest.raises(DimensionError):

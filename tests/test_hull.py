@@ -7,7 +7,6 @@ from shapedparts.hull import (
     exact_membership,
     extreme_point_indices,
     lift_point,
-    nonvertex_by_affine_bases,
 )
 from shapedparts.linalg import Matrix, rank, solve_consistent
 
@@ -70,7 +69,7 @@ class TestMembership:
 
 
 class TestRouteAgreement:
-    def test_three_routes_agree_on_random_sets(self):
+    def test_three_routes_agree_on_random_sets(self, nonvertex_by_affine_bases):
         rng = random.Random(77)
         for _ in range(120):
             dim = rng.randint(1, 3)
@@ -114,11 +113,6 @@ class TestExtremePoints:
     def test_all_vertices_kept(self):
         points = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1))]
         assert extreme_point_indices(points) == [0, 1, 2]
-
-    def test_threads_do_not_change_result(self):
-        rng = random.Random(3)
-        points = frac_points(rng, 40, 3)
-        assert extreme_point_indices(points, threads=4) == extreme_point_indices(points)
 
     def test_matches_filter_by_membership(self):
         rng = random.Random(13)

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -45,6 +46,20 @@ class TestScalars:
             as_rational("1/0")
         with pytest.raises(ValueError):
             as_rational("abc")
+
+    def test_exponent_capped_at_int_digit_limit(self):
+        saved = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)
+            assert as_rational("1e400") == F(10) ** 400
+            assert as_rational("1e-4300") == F(1, 10 ** 4300)
+            for text in ("1e4301", "1e10000000", "-2.5E-999999999999"):
+                with pytest.raises(ValueError, match="exponent"):
+                    as_rational(text)
+            sys.set_int_max_str_digits(0)  # no limit
+            assert as_rational("1e5000") == F(10) ** 5000
+        finally:
+            sys.set_int_max_str_digits(saved)
 
     def test_canonical_format(self):
         assert format_rational(F(6)) == "6"

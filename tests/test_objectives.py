@@ -137,6 +137,13 @@ class TestExternalOracle:
             with pytest.raises(OracleError):
                 oracle.evaluate(Matrix([[1]]))
 
+    def test_exited_oracle_is_not_restarted(self):
+        with ExternalOracle(["sh", "-c", "read x; echo 1"]) as oracle:
+            assert oracle.evaluate(Matrix([[1]])) == 1
+            oracle._process.wait(timeout=10)
+            with pytest.raises(OracleError, match="exited before the next query"):
+                oracle.evaluate(Matrix([[1]]))
+
     def test_garbage_reply(self):
         with ExternalOracle([sys.executable, "-c", "print('pelican'); import sys; sys.stdout.flush(); sys.stdin.read()"]) as oracle:
             with pytest.raises(OracleError):

@@ -11,7 +11,6 @@ from shapedparts.partitions import (
     Partition,
     ShapeFamily,
     compositions,
-    enumerate_shapes,
     lift,
     ordered_partition,
     partition_matrix,
@@ -147,15 +146,15 @@ class TestShapeFamily:
 class TestEnumerateShapes:
     def test_all_lexicographic(self):
         family = ShapeFamily.all_shapes(2, 2)
-        assert list(enumerate_shapes(family)) == [(0, 2), (1, 1), (2, 0)]
+        assert list(family.enumerate()) == [(0, 2), (1, 1), (2, 0)]
 
     def test_explicit_single(self):
         family = ShapeFamily.explicit([(1, 1)], 2, 2)
-        assert list(enumerate_shapes(family)) == [(1, 1)]
+        assert list(family.enumerate()) == [(1, 1)]
 
     def test_bounds_filtering(self):
         family = ShapeFamily.bounds([1, 1], [2, 2], 3)
-        assert list(enumerate_shapes(family)) == [(1, 2), (2, 1)]
+        assert list(family.enumerate()) == [(1, 2), (2, 1)]
 
     def test_composition_count(self):
         assert len(list(compositions(5, 3))) == 21

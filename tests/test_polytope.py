@@ -6,19 +6,15 @@ import pytest
 from shapedparts.brute import brute_vertices
 from shapedparts.errors import CapacityError, DimensionError
 from shapedparts.generic import EnumerationLimits
+from shapedparts.hull import convex_combination_exists
 from shapedparts.linalg import Matrix
-from shapedparts.partitions import ShapeFamily, ordered_partition
-from shapedparts.polytope import CandidateSet, candidate_vertices, enumerate_vertices, is_vertex
+from shapedparts.partitions import ShapeFamily
+from shapedparts.polytope import candidate_vertices, enumerate_vertices
 
 
-def tiny_candidates(values):
-    """A fabricated candidate set of 1x1 matrices for is_vertex contract tests."""
-    members = tuple(Matrix([[v]]) for v in values)
-    witness = tuple((ordered_partition([[1]], 1),) for _ in values)
-    return CandidateSet(
-        members=members, witnesses=witness, k=1, n=1, p=1,
-        two_partition_count=0, generic_count=len(values), admissible_count=len(values),
-    )
+def is_vertex(value, values):
+    """Whether 1x1 value is extreme among the distinct 1x1 values."""
+    return not convex_combination_exists((F(value),), [(F(v),) for v in values if v != value])
 
 
 def random_matrix(rng, k, n):
@@ -63,32 +59,28 @@ class TestCandidates:
 
 
 class TestIsVertex:
+    # A candidate is a vertex when it is no convex combination of the others.
     def test_midpoint_is_not_a_vertex(self):
-        assert not is_vertex(Matrix([[1]]), tiny_candidates([0, 1, 2]))
+        assert not is_vertex(1, [0, 1, 2])
 
     def test_endpoint_is_a_vertex(self):
-        assert is_vertex(Matrix([[0]]), tiny_candidates([0, 1, 2]))
+        assert is_vertex(0, [0, 1, 2])
 
     def test_singleton_is_a_vertex(self):
-        assert is_vertex(Matrix([[7]]), tiny_candidates([7]))
-
-    def test_non_member_rejected(self):
-        with pytest.raises(DimensionError):
-            is_vertex(Matrix([[9]]), tiny_candidates([0, 1]))
+        assert is_vertex(7, [7])
 
     def test_agrees_with_report(self):
         rng = random.Random(31)
         a = random_matrix(rng, 2, 5)
         family = ShapeFamily.all_shapes(5, 2)
-        cand = candidate_vertices(a, 2, family)
         report = enumerate_vertices(a, 2, family)
         vertex_keys = {m.flatten() for m in report.vertices}
-        for member in cand.members:
-            assert is_vertex(member, cand) == (member.flatten() in vertex_keys)
+        members = [m.flatten() for m in report.candidates.members]
+        for member in members:
+            others = [m for m in members if m != member]
+            assert (not convex_combination_exists(member, others)) == (member in vertex_keys)
 
-    def test_agrees_with_exhaustive_oracle_on_small_sets(self):
-        from shapedparts.hull import nonvertex_by_affine_bases
-
+    def test_agrees_with_exhaustive_oracle_on_small_sets(self, nonvertex_by_affine_bases):
         rng = random.Random(33)
         tried = 0
         for _ in range(20):
@@ -100,8 +92,8 @@ class TestIsVertex:
             tried += 1
             for member in cand.members:
                 others = [m.flatten() for m in cand.members if m != member]
-                assert is_vertex(member, cand) == (
-                    not nonvertex_by_affine_bases(member.flatten(), others)
+                assert convex_combination_exists(member.flatten(), others) == (
+                    nonvertex_by_affine_bases(member.flatten(), others)
                 )
         assert tried >= 5
 
@@ -198,11 +190,3 @@ class TestEnumerateVertices:
                 for m in base.vertices
             }
             assert {m.flatten() for m in translated.vertices} == expected
-
-    def test_threads_identical_output(self):
-        rng = random.Random(43)
-        a = random_matrix(rng, 2, 6)
-        family = ShapeFamily.all_shapes(6, 2)
-        single = enumerate_vertices(a, 2, family, threads=1)
-        pooled = enumerate_vertices(a, 2, family, threads=4)
-        assert [m.flatten() for m in single.vertices] == [m.flatten() for m in pooled.vertices]

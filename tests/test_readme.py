@@ -1,0 +1,31 @@
+import re
+from pathlib import Path
+
+import shapedparts
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def library_section() -> str:
+    text = README.read_text(encoding="utf-8")
+    start = text.index("\n## Library\n")
+    end = text.find("\n## ", start + 1)
+    return text[start:] if end == -1 else text[start:end]
+
+
+class TestReadmeLibrary:
+    def test_example_runs_verbatim(self):
+        example = re.search(r"```python\n(.*?)```", library_section(), re.S).group(1)
+        exec(compile(example, str(README), "exec"), {})
+
+    def test_exports_are_the_listed_names(self):
+        # every backticked name in the bullet list, continuation lines included
+        listed = []
+        in_bullet = False
+        for line in library_section().splitlines():
+            in_bullet = line.startswith("- ") or (in_bullet and line.startswith("  "))
+            if in_bullet:
+                listed += re.findall(r"`([A-Za-z_]\w*)`", line)
+        assert len(listed) == len(set(listed))
+        assert set(shapedparts.__all__) == set(listed)
+        assert all(hasattr(shapedparts, name) for name in shapedparts.__all__)

@@ -122,14 +122,6 @@ class TestSolveInvariants:
             report = enumerate_vertices(a, p, family)
             assert best == max(objective.evaluate(v) for v in report.vertices)
 
-    def test_threads_agree(self):
-        a = Matrix([[1, -2, 3, 0, 2]])
-        family = ShapeFamily.all_shapes(5, 2)
-        objective = ColumnPowerObjective(2)
-        sequential = solve(a, 2, family, objective, threads=1)
-        pooled = solve(a, 2, family, objective, threads=4)
-        assert sequential == pooled
-
 
 class TestExternalSolve:
     def test_external_matches_builtin(self):
