@@ -5,10 +5,6 @@ class DimensionError(ValueError):
     """Operands have incompatible sizes or arities."""
 
 
-class SingularMatrixError(ArithmeticError):
-    """A square system has no unique solution."""
-
-
 class CapacityError(RuntimeError):
     """A configured resource guard was exceeded; carries the bound's name and,
     where the stage tracks it, how far the run got."""

@@ -2,11 +2,21 @@
 
 The perturbation is symbolic: column i of a d x n base matrix is read as
 ``base^i + eps * (i, i^2, ..., i^d)`` for an infinitesimal eps > 0, but eps is
-never instantiated. Every decision reduces to the sign of a determinant
-polynomial in eps, which equals the sign of its first nonzero coefficient.
-Coefficients are recovered exactly by evaluating the determinant at the
-integer nodes eps = 0, 1, ..., d and solving the (always nonsingular)
-Vandermonde system, so no tolerance is ever tuned.
+never instantiated. Every decision is the sign of a lifted determinant (the
+columns with a 1 prepended), a polynomial of degree d in eps whose sign for
+small eps is that of its first nonzero coefficient. Its leading coefficient is
+a Vandermonde determinant at distinct column indices, so it never vanishes.
+This is the symbolic perturbation of Edelsbrunner and Muecke's "Simulation of
+Simplicity" (1990).
+
+The sign kernel works in integers only. The base is scaled once by the common
+denominator L of its entries; reading eps as L * eps multiplies every lifted
+determinant by L^d > 0, so no sign changes. For each sorted d-subset the
+cofactor vector of its lifted columns is computed at the nodes eps = 0..d by
+fraction-free elimination (Bareiss 1968), after which the determinant of the
+subset with any other column is one dot product per node. The fixed integer
+matrix d! * V^-1 turns those node values into d! times the polynomial's
+coefficients. No tolerance is tuned and no rational is built.
 
 Two-partitions come from separator triples: a sorted d-subset I spans an
 oriented hyperplane of the perturbed configuration, splitting the remaining
@@ -21,12 +31,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
+from math import comb, lcm
+from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import CapacityError, DimensionError
-from .linalg import Matrix, determinant, solve_vandermonde
+from .linalg import Matrix
 from .partitions import Partition, ordered_partition
 
 
@@ -67,8 +78,64 @@ class GenericPartitionSet:
         return at < len(self.partitions) and self.partitions[at] == pi
 
 
+def _bareiss_determinant(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination
+    (Bareiss 1968); every division is exact. Overwrites rows."""
+    size = len(rows)
+    sign, previous = 1, 1
+    for k in range(size - 1):
+        if rows[k][k] == 0:
+            swap = next((r for r in range(k + 1, size) if rows[r][k]), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for row in rows[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, size):
+                row[j] = (row[j] * pivot - lead * pivot_row[j]) // previous
+        previous = pivot
+    return sign * rows[-1][-1]
+
+
+def _cofactors(columns: Sequence[Sequence[int]]) -> list[int]:
+    """Cofactors along the last column of the square matrix [columns | x].
+
+    columns are d integer vectors of length d + 1; the determinant of the
+    matrix with x as its last column is the dot product of x with the result.
+    """
+    d = len(columns)
+    rows = list(zip(*columns))
+    return [
+        (-1) ** (r + d) * _bareiss_determinant([list(row) for row in rows[:r] + rows[r + 1:]])
+        for r in range(d + 1)
+    ]
+
+
+def _interpolation_weights(d: int) -> list[list[int]]:
+    """d! times the inverse of the Vandermonde matrix V[e][j] = e^j, e, j = 0..d.
+
+    By Lagrange interpolation at the nodes 0..d, row j, column e is
+    (-1)^(d-e) * C(d, e) * [x^j] prod_{m != e} (x - m): an integer matrix that
+    maps a polynomial's values at the nodes to d! times its coefficients.
+    """
+    weights = [[0] * (d + 1) for _ in range(d + 1)]
+    for e in range(d + 1):
+        product = [1]  # coefficients of prod_{m != e} (x - m), lowest first
+        for m in range(d + 1):
+            if m != e:
+                product = [high - m * low for high, low in zip([0] + product, product + [0])]
+        scale = (-1) ** (d - e) * comb(d, e)
+        for j, coefficient in enumerate(product):
+            weights[j][e] = scale * coefficient
+    return weights
+
+
 class PerturbedMatrix:
-    """A base matrix accessed only through generic-sign queries.
+    """A base matrix accessed only through the signs of its perturbed lifted
+    determinants.
 
     The moment-curve dimension always equals the base row count, so a lifted
     matrix is perturbed in lifted space.
@@ -77,97 +144,51 @@ class PerturbedMatrix:
     def __init__(self, base: Matrix):
         if base.nrows < 1:
             raise DimensionError("perturbation needs at least one row")
-        self.base = base
-        self.d = base.nrows
-        self.n = base.ncols
-        self._node_columns: dict[int, list[tuple[Fraction, ...]]] = {}
+        self.d = d = base.nrows
+        self.n = n = base.ncols
+        scale = lcm(*(x.denominator for x in base.flatten()))
+        integral = [[x.numerator * (scale // x.denominator) for x in row] for row in base.rows()]
+        # _nodes[e][c]: lifted column c (0-based) of scale * base at eps = e.
+        self._nodes = [
+            [
+                (1,) + tuple(integral[r][c] + e * (c + 1) ** (r + 1) for r in range(d))
+                for c in range(n)
+            ]
+            for e in range(d + 1)
+        ]
+        self._weights = _interpolation_weights(d)
 
-    def _columns_at_node(self, node: int) -> list[tuple[Fraction, ...]]:
-        """Lifted perturbed columns (prepended 1) evaluated at eps = node."""
-        cached = self._node_columns.get(node)
-        if cached is not None:
-            return cached
-        cols = []
-        for i in range(1, self.n + 1):
-            moment = 1
-            col = [Fraction(1)]
-            for r in range(self.d):
-                moment *= i
-                col.append(self.base.entry(r, i - 1) + node * moment)
-            cols.append(tuple(col))
-        self._node_columns[node] = cols
-        return cols
+    def below_mask(self, subset: Sequence[int]) -> int:
+        """Bitmask of the columns on the negative side of the hyperplane that
+        the sorted d-subset of 0-based column indices spans.
 
-
-def generic_orientation(perturbed: PerturbedMatrix, column_indices: Sequence[int]) -> int:
-    """Sign, for all sufficiently small eps > 0, of the lifted determinant
-    whose columns are the perturbed columns listed (in the given order).
-
-    The determinant is a polynomial of degree d in eps whose leading
-    coefficient is a Vandermonde determinant at the distinct listed indices,
-    hence nonzero; an all-zero coefficient vector is therefore impossible and
-    raises AssertionError.
-    """
-    d, n = perturbed.d, perturbed.n
-    cols = tuple(column_indices)
-    if len(cols) != d + 1:
-        raise DimensionError(f"need {d + 1} column indices, got {len(cols)}")
-    if len(set(cols)) != len(cols):
-        raise DimensionError(f"column indices must be distinct: {cols}")
-    if any(not (1 <= c <= n) for c in cols):
-        raise DimensionError(f"column index outside [1, {n}]: {cols}")
-    values = []
-    for node in range(d + 1):
-        at_node = perturbed._columns_at_node(node)
-        values.append(determinant(Matrix.from_columns([at_node[c - 1] for c in cols])))
-    coefficients = solve_vandermonde(values)
-    for c in coefficients:
-        if c > 0:
-            return 1
-        if c < 0:
-            return -1
-    raise AssertionError(
-        f"determinant polynomial vanished identically for columns {cols}; "
-        "the Vandermonde leading coefficient makes this impossible"
-    )
-
-
-def generic_sign(perturbed: PerturbedMatrix, subset: Sequence[int], i: int) -> int:
-    """Side of column i relative to the oriented hyperplane spanned by subset.
-
-    subset is taken in increasing order (the fixed orientation convention);
-    i must not belong to it.
-    """
-    ordered = tuple(sorted(subset))
-    if len(ordered) != perturbed.d:
-        raise DimensionError(f"subset must have {perturbed.d} indices, got {len(ordered)}")
-    if i in ordered:
-        raise DimensionError(f"index {i} lies on the separating subset {ordered}")
-    return generic_orientation(perturbed, ordered + (i,))
-
-
-def split_by_hyperplane(
-    perturbed: PerturbedMatrix, subset: Sequence[int]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Partition the columns outside subset by generic sign: (negative, positive)."""
-    ordered = tuple(sorted(subset))
-    below: list[int] = []
-    above: list[int] = []
-    for i in range(1, perturbed.n + 1):
-        if i in ordered:
-            continue
-        if generic_sign(perturbed, ordered, i) < 0:
-            below.append(i)
-        else:
-            above.append(i)
-    return tuple(below), tuple(above)
-
-
-def _block_mask(block: Sequence[int]) -> int:
-    mask = 0
-    for i in block:
-        mask |= 1 << (i - 1)
-    return mask
+        Column c outside subset lies there when the lifted determinant with
+        the subset's columns in increasing order, then c, is negative for all
+        sufficiently small eps > 0. An all-zero determinant polynomial is
+        impossible (its leading coefficient is a Vandermonde determinant at
+        distinct indices) and raises AssertionError.
+        """
+        node_cofactors = [_cofactors([node[i] for i in subset]) for node in self._nodes]
+        mask = 0
+        for c in range(self.n):
+            if c in subset:
+                continue
+            values = [
+                sum(map(mul, cofactors, node[c]))
+                for cofactors, node in zip(node_cofactors, self._nodes)
+            ]
+            for weights in self._weights:
+                lead = sum(map(mul, weights, values))
+                if lead:
+                    break
+            else:
+                raise AssertionError(
+                    f"determinant polynomial vanished identically for columns {subset} and {c}; "
+                    "the Vandermonde leading coefficient makes this impossible"
+                )
+            if lead < 0:
+                mask |= 1 << c
+        return mask
 
 
 def _mask_block(mask: int) -> tuple[int, ...]:
@@ -196,15 +217,13 @@ def _two_partition_masks(perturbed: PerturbedMatrix, limits: EnumerationLimits) 
             raise CapacityError("two-partitions", limits.max_two_partitions, count)
         return list(range(count))
     masks: set[int] = set()
-    for subset in combinations(range(1, n + 1), d):
-        i_below, _ = split_by_hyperplane(perturbed, subset)
-        below_mask = _block_mask(i_below)
-        members = list(subset)
+    for subset in combinations(range(n), d):
+        below_mask = perturbed.below_mask(subset)
         for choice in range(1 << d):
             j_below = 0
-            for pos, element in enumerate(members):
+            for pos, element in enumerate(subset):
                 if choice >> pos & 1:
-                    j_below |= 1 << (element - 1)
+                    j_below |= 1 << element
             first = below_mask | j_below
             masks.add(first)
             masks.add(full ^ first)

@@ -244,14 +244,6 @@ class _HullContext:
         )
 
 
-def convex_combination_exists(target: Sequence[Fraction], generators: Sequence[Sequence[Fraction]]) -> bool:
-    """Exact test whether target lies in the convex hull of the generators."""
-    if not generators:
-        return False
-    context = _HullContext([tuple(target)] + [tuple(g) for g in generators])
-    return context.membership(0, list(range(1, len(generators) + 1)))
-
-
 def _propose_vertices(coords: np.ndarray) -> list[int]:
     """Float guess at the hull vertices; correctness never depends on it.
 

@@ -1,9 +1,11 @@
-"""Exact rational scalars and small dense linear algebra.
+"""Exact rational scalars and matrices.
 
 Every scalar is a ``fractions.Fraction``: arbitrary precision, always stored
 reduced with a positive denominator, so arithmetic and comparisons are exact.
-All sign decisions elsewhere in the package rest on this module, which is why
-there is no floating-point mode.
+Problem entries, part-sum matrices and objective values are all exact
+rationals, which is why there is no floating-point mode. ``solve_consistent``
+verifies the convex combinations that the hull stage's float phase proposes.
+The generic-sign kernel in ``generic.py`` works in integers of its own.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import sys
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DimensionError, SingularMatrixError
+from .errors import DimensionError, ProblemError
 
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\Z")
 
@@ -63,8 +65,18 @@ def as_rational(value) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Canonical text form: "6" for integers, reduced "a/b" otherwise."""
-    return str(value)
+    """Canonical text form: "6" for integers, reduced "a/b" otherwise.
+
+    Raises ProblemError when the numerator or denominator has more digits than
+    Python's integer-string limit (``sys.get_int_max_str_digits()``) allows.
+    """
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise ProblemError(
+            f"a reported value has more than {sys.get_int_max_str_digits()} digits, "
+            "the integer-string limit"
+        ) from exc
 
 
 class Matrix:
@@ -154,91 +166,6 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols}: {body})"
 
 
-def _forward_eliminate(rows: list[list[Fraction]]) -> tuple[int, int]:
-    """In-place row echelon reduction. Returns (rank, parity of row swaps)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivot_row = 0
-    swaps = 0
-    for col in range(ncols):
-        if pivot_row >= nrows:
-            break
-        src = next((r for r in range(pivot_row, nrows) if rows[r][col] != 0), None)
-        if src is None:
-            continue
-        if src != pivot_row:
-            rows[pivot_row], rows[src] = rows[src], rows[pivot_row]
-            swaps += 1
-        pivot = rows[pivot_row][col]
-        for r in range(pivot_row + 1, nrows):
-            factor = rows[r][col]
-            if factor:
-                scale = factor / pivot
-                row_r, row_p = rows[r], rows[pivot_row]
-                for c in range(col, ncols):
-                    row_r[c] -= scale * row_p[c]
-        pivot_row += 1
-    return pivot_row, swaps
-
-
-def determinant(m: Matrix) -> Fraction:
-    """Exact determinant by Gaussian elimination; the empty matrix has determinant 1."""
-    if m.nrows != m.ncols:
-        raise DimensionError(f"determinant needs a square matrix, got {m.nrows}x{m.ncols}")
-    rows = [list(r) for r in m.rows()]
-    rank_, swaps = _forward_eliminate(rows)
-    if rank_ < m.nrows:
-        return Fraction(0)
-    det = Fraction(1)
-    for i in range(m.nrows):
-        det *= rows[i][i]
-    return -det if swaps % 2 else det
-
-
-def rank(m: Matrix) -> int:
-    """Exact linear rank over the rationals."""
-    if m.nrows == 0 or m.ncols == 0:
-        return 0
-    rows = [list(r) for r in m.rows()]
-    r, _ = _forward_eliminate(rows)
-    return r
-
-
-def solve_linear(m: Matrix, b: Sequence) -> list[Fraction]:
-    """Unique solution of m x = b for square nonsingular m.
-
-    Raises SingularMatrixError when m is singular (whether the system is then
-    inconsistent or underdetermined, there is no unique solution to return).
-    """
-    if m.nrows != m.ncols:
-        raise DimensionError(f"solve_linear needs a square matrix, got {m.nrows}x{m.ncols}")
-    rhs = [as_rational(x) for x in b]
-    if len(rhs) != m.nrows:
-        raise DimensionError(f"right-hand side has {len(rhs)} entries, expected {m.nrows}")
-    n = m.nrows
-    rows = [list(m.row(i)) + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        src = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if src is None:
-            raise SingularMatrixError("matrix is singular")
-        if src != col:
-            rows[col], rows[src] = rows[src], rows[col]
-        pivot = rows[col][col]
-        for r in range(col + 1, n):
-            factor = rows[r][col]
-            if factor:
-                scale = factor / pivot
-                for c in range(col, n + 1):
-                    rows[r][c] -= scale * rows[col][c]
-    solution = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = rows[i][n]
-        for j in range(i + 1, n):
-            acc -= rows[i][j] * solution[j]
-        solution[i] = acc / rows[i][i]
-    return solution
-
-
 def solve_consistent(m: Matrix, b: Sequence) -> list[Fraction] | None:
     """One exact solution of a general (possibly non-square) system, or None.
 
@@ -275,19 +202,3 @@ def solve_consistent(m: Matrix, b: Sequence) -> list[Fraction] | None:
     for r, col in enumerate(pivot_cols):
         solution[col] = rows[r][ncols] / rows[r][col]
     return solution
-
-
-def solve_vandermonde(node_values: Sequence) -> list[Fraction]:
-    """Coefficients of the degree <= d polynomial through (e, value_e), e = 0..d.
-
-    The defining matrix at distinct integer nodes is nonsingular, so this
-    always succeeds.
-    """
-    values = [as_rational(x) for x in node_values]
-    size = len(values)
-    if size == 0:
-        raise DimensionError("need at least one node value")
-    vandermonde = Matrix(
-        [[Fraction(e) ** j for j in range(size)] for e in range(size)], ncols=size
-    )
-    return solve_linear(vandermonde, values)

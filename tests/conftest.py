@@ -1,9 +1,56 @@
+from fractions import Fraction
 from itertools import combinations
+from typing import Sequence
 
 import pytest
 
-from shapedparts.hull import lift_point
-from shapedparts.linalg import Matrix, rank, solve_consistent
+from shapedparts.hull import _HullContext, lift_point
+from shapedparts.linalg import Matrix, solve_consistent
+
+
+def _forward_eliminate(rows: list[list[Fraction]]) -> tuple[int, int]:
+    """In-place row echelon reduction. Returns (rank, parity of row swaps)."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivot_row = 0
+    swaps = 0
+    for col in range(ncols):
+        if pivot_row >= nrows:
+            break
+        src = next((r for r in range(pivot_row, nrows) if rows[r][col] != 0), None)
+        if src is None:
+            continue
+        if src != pivot_row:
+            rows[pivot_row], rows[src] = rows[src], rows[pivot_row]
+            swaps += 1
+        pivot = rows[pivot_row][col]
+        for r in range(pivot_row + 1, nrows):
+            factor = rows[r][col]
+            if factor:
+                scale = factor / pivot
+                row_r, row_p = rows[r], rows[pivot_row]
+                for c in range(col, ncols):
+                    row_r[c] -= scale * row_p[c]
+        pivot_row += 1
+    return pivot_row, swaps
+
+
+def rank(m: Matrix) -> int:
+    """Exact linear rank over the rationals."""
+    if m.nrows == 0 or m.ncols == 0:
+        return 0
+    rows = [list(r) for r in m.rows()]
+    r, _ = _forward_eliminate(rows)
+    return r
+
+
+def convex_combination_exists(target: Sequence[Fraction], generators: Sequence[Sequence[Fraction]]) -> bool:
+    """Exact test whether target lies in the convex hull of the generators,
+    through the hull stage's certificate route."""
+    if not generators:
+        return False
+    context = _HullContext([tuple(target)] + [tuple(g) for g in generators])
+    return context.membership(0, list(range(1, len(generators) + 1)))
 
 
 def _nonvertex_by_affine_bases(target, others):

@@ -168,6 +168,26 @@ class TestInputErrors:
         assert code == 2
         assert err.startswith("error: ")
 
+    def test_vertex_entry_beyond_digit_limit_exit_2(self, tmp_path, capsys):
+        path = write_problem(tmp_path, {"matrix": [["1e4300", 1]], "p": 2, "shapes": {"type": "all"}})
+        code, out, err = run_cli(["vertices", path], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "digits" in err
+
+    def test_optimum_beyond_digit_limit_exit_2(self, tmp_path, capsys):
+        path = write_problem(
+            tmp_path,
+            {
+                "matrix": [["1e1100", 2, 3]], "p": 2, "shapes": {"type": "all"},
+                "objective": {"type": "sum_column_norm_pow", "q": 4},
+            },
+        )
+        code, out, err = run_cli(["solve", path], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "digits" in err
+
     @pytest.mark.parametrize("flag", ["--max-two-partitions", "--max-candidates", "--max-assembly-nodes"])
     def test_negative_limit_exit_2(self, tmp_path, capsys, flag):
         path = write_problem(tmp_path, {"matrix": [[1, 2, 3]], "p": 2, "shapes": {"type": "all"}})

@@ -1,10 +1,10 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations, permutations, product
-from math import comb
+from math import comb, factorial
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from shapedparts.errors import CapacityError, DimensionError
@@ -12,13 +12,11 @@ from shapedparts.generic import (
     EnumerationLimits,
     GenericPartitionSet,
     PerturbedMatrix,
-    _block_mask,
+    _bareiss_determinant,
+    _interpolation_weights,
     _mask_block,
     _two_partition_masks,
     enumerate_generic_p_partitions,
-    generic_orientation,
-    generic_sign,
-    split_by_hyperplane,
 )
 from shapedparts.linalg import Matrix
 from shapedparts.partitions import lift, ordered_partition
@@ -30,6 +28,76 @@ def perturbed(rows):
 
 def blocks(partition_set: GenericPartitionSet):
     return {pi.blocks for pi in partition_set}
+
+
+def _block_mask(block):
+    mask = 0
+    for i in block:
+        mask |= 1 << (i - 1)
+    return mask
+
+
+def side(p: PerturbedMatrix, subset, c):
+    """Generic sign of 0-based column c against the sorted 0-based subset."""
+    return -1 if p.below_mask(subset) >> c & 1 else 1
+
+
+def _poly_mul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def reference_determinant_polynomial(rows, columns):
+    """Coefficients in eps, lowest first, of the lifted perturbed determinant
+    whose columns are the listed 0-based columns of the base rows, in order.
+
+    Expanded term by term (Leibniz) over Fraction polynomials: entry (r, c)
+    for r >= 1 is rows[r - 1][c] + eps * (c + 1)^r, and row 0 is all ones.
+    """
+    size = len(columns)
+    entries = [[[F(1)] for _ in columns]] + [
+        [[F(row[c]), F((c + 1) ** r)] for c in columns] for r, row in enumerate(rows, start=1)
+    ]
+    total = [F(0)] * size
+    for perm in permutations(range(size)):
+        inversions = sum(perm[i] > perm[j] for i in range(size) for j in range(i + 1, size))
+        term = [F((-1) ** inversions)]
+        for i, j in enumerate(perm):
+            term = _poly_mul(term, entries[i][j])
+        for e, x in enumerate(term):
+            total[e] += x
+    return total
+
+
+def reference_side(rows, subset, c):
+    """Sign for small eps > 0 of the determinant on subset then column c."""
+    lead = next(x for x in reference_determinant_polynomial(rows, list(subset) + [c]) if x)
+    return 1 if lead > 0 else -1
+
+
+_entries = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    st.builds(F, st.integers(-2 ** 70, 2 ** 70), st.integers(2 ** 61, 2 ** 62)),
+)
+
+
+@st.composite
+def base_rows(draw):
+    """A d x n base, d <= 3 and n <= 6, with zero and duplicate columns mixed in."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(d + 1, 6))
+    columns = [draw(st.lists(_entries, min_size=d, max_size=d)) for _ in range(n)]
+    for c in range(n):
+        kind = draw(st.sampled_from(["keep", "keep", "zero", "copy"]))
+        if kind == "zero":
+            columns[c] = [0] * d
+        elif kind == "copy":
+            columns[c] = list(columns[draw(st.integers(0, n - 1))])
+    return [list(row) for row in zip(*columns)]
 
 
 def two_partitions(p: PerturbedMatrix, limits: EnumerationLimits = EnumerationLimits()):
@@ -102,54 +170,105 @@ class TestGenericSign:
     # base row (2, 2, 5): the three determinant polynomials expand by hand to
     # eps, -3 - 2 eps, and 3 + 2 eps.
     def test_duplicate_column_resolved_by_perturbation(self):
-        assert generic_sign(perturbed([[2, 2, 5]]), (1,), 2) == 1
+        assert side(perturbed([[2, 2, 5]]), (0,), 1) == 1
 
     def test_negative_side(self):
-        assert generic_sign(perturbed([[2, 2, 5]]), (3,), 1) == -1
+        assert side(perturbed([[2, 2, 5]]), (2,), 0) == -1
 
     def test_positive_side(self):
-        assert generic_sign(perturbed([[2, 2, 5]]), (1,), 3) == 1
+        assert side(perturbed([[2, 2, 5]]), (0,), 2) == 1
+
+    def test_hand_expansions_match_reference(self):
+        rows = [[2, 2, 5]]
+        assert reference_determinant_polynomial(rows, [0, 1]) == [0, 1]
+        assert reference_determinant_polynomial(rows, [2, 0]) == [-3, -2]
+        assert reference_determinant_polynomial(rows, [0, 2]) == [3, 2]
 
     def test_never_zero_on_random_queries(self):
+        # below_mask raises AssertionError on an all-zero polynomial.
         rng = random.Random(11)
         for _ in range(60):
             d = rng.randint(1, 3)
             n = rng.randint(d + 1, 6)
-            p = perturbed([[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)])
-            subset = tuple(sorted(rng.sample(range(1, n + 1), d)))
-            outside = [i for i in range(1, n + 1) if i not in subset]
-            assert generic_sign(p, subset, rng.choice(outside)) in (-1, 1)
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)]
+            subset = tuple(sorted(rng.sample(range(n), d)))
+            c = rng.choice([i for i in range(n) if i not in subset])
+            assert side(perturbed(rows), subset, c) == reference_side(rows, subset, c)
 
     def test_swapping_two_columns_flips_orientation(self):
+        # For a sorted (d+1)-set U and u in U, the query (U - u, u) orders U
+        # as sorted(U - u) + (u,), which is g(u) swaps away from sorted(U),
+        # g(u) being the number of members of U above u. So the sides times
+        # (-1)^g(u) all equal the orientation of sorted(U).
         rng = random.Random(23)
         for _ in range(40):
             d = rng.randint(1, 3)
             n = rng.randint(d + 1, 6)
             p = perturbed([[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)])
-            cols = rng.sample(range(1, n + 1), d + 1)
-            i, j = rng.sample(range(d + 1), 2)
-            swapped = list(cols)
-            swapped[i], swapped[j] = swapped[j], swapped[i]
-            assert generic_orientation(p, swapped) == -generic_orientation(p, cols)
+            members = sorted(rng.sample(range(n), d + 1))
+            orientations = {
+                side(p, tuple(v for v in members if v != u), u) * (-1) ** (d - at)
+                for at, u in enumerate(members)
+            }
+            assert len(orientations) == 1
 
-    def test_index_on_subset_rejected(self):
-        with pytest.raises(DimensionError):
-            generic_sign(perturbed([[1, 2, 3]]), (2,), 2)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(base_rows())
+    @example([[F(1, 2 ** 61 + 1), F(1, 2 ** 61 + 1), 0, F(-3, 2 ** 62 + 5)]])
+    @example([[0, 0, 0, 0], [1, 1, 1, 1], [F(2, 3), F(2, 3), 0, F(2, 3)]])
+    def test_matches_leibniz_expansion(self, rows):
+        p = perturbed(rows)
+        d, n = len(rows), len(rows[0])
+        for subset in combinations(range(n), d):
+            expected = 0
+            for c in range(n):
+                if c not in subset and reference_side(rows, subset, c) < 0:
+                    expected |= 1 << c
+            assert p.below_mask(subset) == expected
 
-    def test_wrong_subset_size_rejected(self):
-        with pytest.raises(DimensionError):
-            generic_sign(perturbed([[1, 2, 3]]), (1, 2), 3)
+
+class TestSignKernelParts:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.integers(1, 4).flatmap(
+        lambda size: st.lists(
+            st.lists(st.integers(-4, 4), min_size=size, max_size=size),
+            min_size=size, max_size=size,
+        )
+    ))
+    def test_bareiss_matches_leibniz(self, rows):
+        size = len(rows)
+        expected = 0
+        for perm in permutations(range(size)):
+            inversions = sum(perm[i] > perm[j] for i in range(size) for j in range(i + 1, size))
+            term = (-1) ** inversions
+            for i, j in enumerate(perm):
+                term *= rows[i][j]
+            expected += term
+        assert _bareiss_determinant([list(row) for row in rows]) == expected
+
+    def test_zero_pivot_needs_a_row_swap(self):
+        assert _bareiss_determinant([[0, 1], [1, 0]]) == -1
+        assert _bareiss_determinant([[0, 0, 1], [0, 2, 0], [3, 0, 0]]) == -6
+        assert _bareiss_determinant([[0, 1], [0, 1]]) == 0
+
+    @pytest.mark.parametrize("d", range(6))
+    def test_weights_invert_vandermonde_times_factorial(self, d):
+        weights = _interpolation_weights(d)
+        for j in range(d + 1):
+            for i in range(d + 1):
+                entry = sum(weights[j][e] * e ** i for e in range(d + 1))
+                assert entry == (factorial(d) if i == j else 0)
 
 
 class TestSplitByHyperplane:
     def test_all_above(self):
-        assert split_by_hyperplane(perturbed([[2, 2, 5]]), (1,)) == ((), (2, 3))
+        assert perturbed([[2, 2, 5]]).below_mask((0,)) == 0
 
     def test_all_below(self):
-        assert split_by_hyperplane(perturbed([[1, 2]]), (2,)) == ((1,), ())
+        assert perturbed([[1, 2]]).below_mask((1,)) == 0b01
 
     def test_single_above(self):
-        assert split_by_hyperplane(perturbed([[1, 2]]), (1,)) == ((), (2,))
+        assert perturbed([[1, 2]]).below_mask((0,)) == 0
 
 
 class TestPartitionsFromTriple:
@@ -157,7 +276,7 @@ class TestPartitionsFromTriple:
     # hyperplane splits the rest into (I_below, I_above); both orders of
     # (I_below + J_below, I_above + J_above) are generic 2-partitions.
     def test_subset_into_first_block(self):
-        # [[2, 2, 5]], I = {1}: split_by_hyperplane gives ((), (2, 3)).
+        # [[2, 2, 5]], I = {1}: columns 2 and 3 both lie above.
         two = blocks(two_partitions(perturbed([[2, 2, 5]])))
         assert ((1,), (2, 3)) in two
         assert ((2, 3), (1,)) in two
@@ -168,7 +287,7 @@ class TestPartitionsFromTriple:
         assert ((1, 2, 3), ()) in two
 
     def test_two_points(self):
-        # [[1, 2]], I = {2}: split_by_hyperplane gives ((1,), ()).
+        # [[1, 2]], I = {2}: column 1 lies below.
         two = blocks(two_partitions(perturbed([[1, 2]])))
         assert ((1, 2), ()) in two
         assert ((), (1, 2)) in two

@@ -2,13 +2,9 @@ import random
 from fractions import Fraction as F
 from itertools import combinations
 
-from shapedparts.hull import (
-    convex_combination_exists,
-    exact_membership,
-    extreme_point_indices,
-    lift_point,
-)
-from shapedparts.linalg import Matrix, rank, solve_consistent
+from conftest import convex_combination_exists, rank
+from shapedparts.hull import exact_membership, extreme_point_indices, lift_point
+from shapedparts.linalg import Matrix, solve_consistent
 
 
 def every_size_caratheodory(target, others):

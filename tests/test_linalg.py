@@ -5,23 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shapedparts.errors import DimensionError, SingularMatrixError
-from shapedparts.linalg import (
-    Matrix,
-    as_rational,
-    determinant,
-    format_rational,
-    rank,
-    solve_consistent,
-    solve_linear,
-    solve_vandermonde,
-)
+from conftest import rank
+from shapedparts.errors import DimensionError, ProblemError
+from shapedparts.linalg import Matrix, as_rational, format_rational, solve_consistent
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
-
-
-def square(n):
-    return st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n)
 
 
 class TestScalars:
@@ -66,6 +54,17 @@ class TestScalars:
         assert format_rational(F(17, 20)) == "17/20"
         assert format_rational(F(-3, 9)) == "-1/3"
 
+    def test_format_beyond_digit_limit_is_problem_error(self):
+        saved = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)
+            assert len(format_rational(F(10) ** 4299)) == 4300
+            for value in (F(10) ** 4300, F(1, 10 ** 4300)):
+                with pytest.raises(ProblemError, match="4300 digits"):
+                    format_rational(value)
+        finally:
+            sys.set_int_max_str_digits(saved)
+
 
 class TestMatrix:
     def test_ragged_rejected(self):
@@ -89,32 +88,8 @@ class TestMatrix:
         assert m.column(1) == (F(2), F(5))
 
 
-class TestDeterminant:
-    def test_identity(self):
-        assert determinant(Matrix.identity(2)) == 1
-
-    def test_hand_cofactor(self):
-        assert determinant(Matrix([[1, 1], [1, 2]])) == 1
-
-    def test_equal_columns_vanish(self):
-        assert determinant(Matrix([[2, 2], [7, 7]])) == 0
-        assert determinant(Matrix([[1, 3, 1], [0, 5, 0], [2, 6, 2]])) == 0
-
-    def test_non_square_rejected(self):
-        with pytest.raises(DimensionError):
-            determinant(Matrix([[1, 2, 3]]))
-
-    @settings(max_examples=40, deadline=None)
-    @given(square(4), st.integers(0, 3), st.integers(0, 3))
-    def test_row_swap_negates(self, rows, i, j):
-        if i == j:
-            return
-        swapped = list(rows)
-        swapped[i], swapped[j] = swapped[j], swapped[i]
-        assert determinant(Matrix(swapped)) == -determinant(Matrix(rows))
-
-
 class TestRank:
+    # rank lives in conftest.py: only the test references use it.
     def test_zero_matrix(self):
         assert rank(Matrix.zeros(3, 3)) == 0
 
@@ -131,31 +106,6 @@ class TestRank:
         assert rank(m) == rank(m.transpose())
 
 
-class TestSolveLinear:
-    def test_identity(self):
-        assert solve_linear(Matrix.identity(2), [3, 5]) == [F(3), F(5)]
-
-    def test_forward_substitution(self):
-        assert solve_linear(Matrix([[1, 0], [1, 1]]), [2, 5]) == [F(2), F(3)]
-
-    def test_singular(self):
-        with pytest.raises(SingularMatrixError):
-            solve_linear(Matrix([[1, 1], [2, 2]]), [1, 1])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            solve_linear(Matrix.identity(2), [1, 2, 3])
-
-    @settings(max_examples=40, deadline=None)
-    @given(square(3), st.lists(rationals, min_size=3, max_size=3))
-    def test_solve_recovers_x(self, rows, x):
-        m = Matrix(rows)
-        if determinant(m) == 0:
-            return
-        b = [sum(m.entry(i, j) * x[j] for j in range(3)) for i in range(3)]
-        assert solve_linear(m, b) == [F(v) for v in x]
-
-
 class TestSolveConsistent:
     def test_overdetermined_consistent(self):
         m = Matrix([[1, 0], [0, 1], [1, 1]])
@@ -170,22 +120,3 @@ class TestSolveConsistent:
         solution = solve_consistent(m, [4])
         assert solution is not None
         assert solution[0] + solution[1] == 4
-
-
-class TestVandermonde:
-    def test_constant(self):
-        assert solve_vandermonde([5, 5, 5]) == [F(5), F(0), F(0)]
-
-    def test_linear(self):
-        assert solve_vandermonde([0, 1, 2]) == [F(0), F(1), F(0)]
-
-    def test_quadratic(self):
-        assert solve_vandermonde([1, 2, 5]) == [F(1), F(0), F(1)]
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(rationals, min_size=1, max_size=6))
-    def test_reevaluation_roundtrip(self, values):
-        coeffs = solve_vandermonde(values)
-        for node, expected in enumerate(values):
-            acc = sum(c * F(node) ** j for j, c in enumerate(coeffs))
-            assert acc == expected

@@ -2,14 +2,18 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from shapedparts.brute import brute_vertices
+from conftest import convex_combination_exists
+from shapedparts.brute import brute_solve, brute_vertices
 from shapedparts.errors import CapacityError, DimensionError
 from shapedparts.generic import EnumerationLimits
-from shapedparts.hull import convex_combination_exists
 from shapedparts.linalg import Matrix
-from shapedparts.partitions import ShapeFamily
+from shapedparts.objectives import LinearObjective
+from shapedparts.partitions import ShapeFamily, compositions
 from shapedparts.polytope import candidate_vertices, enumerate_vertices
+from shapedparts.solver import solve
 
 
 def is_vertex(value, values):
@@ -19,6 +23,44 @@ def is_vertex(value, values):
 
 def random_matrix(rng, k, n):
     return Matrix([[rng.randint(-5, 5) for _ in range(n)] for _ in range(k)])
+
+
+@st.composite
+def edge_problems(draw):
+    """(A, p, family, linear cost) with k <= 2, n <= 6 and p <= 3, mixing in
+    zero and duplicate columns, n <= k + 1 (n = 0 included), p > n, each
+    declarative shape kind, and entries whose common denominator exceeds 2^60."""
+    k = draw(st.integers(1, 2))
+    n = draw(st.integers(0, 6))
+    p = draw(st.integers(1, 3))
+    entries = st.one_of(
+        st.integers(-2, 2),
+        st.builds(F, st.integers(-2 ** 64, 2 ** 64), st.integers(2 ** 61, 2 ** 62)),
+    )
+    columns = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "copy"]))
+        if kind == "zero":
+            columns.append([0] * k)
+        elif kind == "copy" and columns:
+            columns.append(list(draw(st.sampled_from(columns))))
+        else:
+            columns.append(draw(st.lists(entries, min_size=k, max_size=k)))
+    a = Matrix([[column[r] for column in columns] for r in range(k)], ncols=n)
+    shape_kind = draw(st.sampled_from(["all", "list", "bounds"]))
+    if shape_kind == "all":
+        family = ShapeFamily.all_shapes(n, p)
+    elif shape_kind == "list":
+        shapes = draw(st.lists(st.sampled_from(list(compositions(n, p))), min_size=1, max_size=4))
+        family = ShapeFamily.explicit(shapes, n, p)
+    else:
+        upper = draw(st.lists(st.integers(0, n), min_size=p, max_size=p))
+        upper[-1] += max(0, n - sum(upper))
+        lower = [draw(st.integers(0, u)) for u in upper]
+        assume(sum(lower) <= n)
+        family = ShapeFamily.bounds(lower, upper, n)
+    cost = Matrix([draw(st.lists(st.integers(-3, 3), min_size=p, max_size=p)) for _ in range(k)])
+    return a, p, family, cost
 
 
 class TestCandidates:
@@ -134,6 +176,22 @@ class TestEnumerateVertices:
             report = enumerate_vertices(a, p, family)
             reference = brute_vertices(a, p, family)
             assert [m.flatten() for m in report.vertices] == [m.flatten() for m in reference]
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(edge_problems())
+    @example((Matrix([[]], ncols=0), 3, ShapeFamily.all_shapes(0, 3), Matrix([[1, -2, 3]])))
+    @example((Matrix([[0, 0]]), 3, ShapeFamily.bounds([0, 0, 0], [2, 1, 1], 2), Matrix([[1, 2, 3]])))
+    @example((
+        Matrix([[F(1, 2 ** 61 + 1), F(1, 2 ** 61 + 1), F(-5, 2 ** 62 + 3)], [0, 0, 1]]), 2,
+        ShapeFamily.explicit([(1, 2), (3, 0)], 3, 2), Matrix([[1, -1], [2, 0]]),
+    ))
+    def test_edge_inputs_match_brute(self, problem):
+        a, p, family, cost = problem
+        report = enumerate_vertices(a, p, family)
+        reference = brute_vertices(a, p, family)
+        assert [m.flatten() for m in report.vertices] == [m.flatten() for m in reference]
+        objective = LinearObjective(cost)
+        assert solve(a, p, family, objective).best_value == brute_solve(a, p, family, objective)
 
     @pytest.mark.parametrize("k, n, p", [(1, 5, 4), (1, 6, 4), (2, 5, 4), (1, 4, 5)])
     def test_matches_brute_at_four_and_five_parts(self, k, n, p):
