@@ -4,7 +4,8 @@ Subcommands: vertices, solve, count, check. Reports are JSON by default
 (stable key order, canonical rational strings, 1-based indices); vertex
 matrices can also be emitted as CSV, one row per vertex with row-major
 entries. Exit codes: 0 ok, 2 input error, 3 capacity guard, 4 external oracle
-failure, 5 self-check mismatch.
+failure, 5 self-check mismatch, 6 internal error (any other exception; a bug).
+Each failure prints one "error:" line to stderr.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ EXIT_INPUT = 2
 EXIT_CAPACITY = 3
 EXIT_ORACLE = 4
 EXIT_MISMATCH = 5
+EXIT_INTERNAL = 6
 
 
 def matrix_payload(m: Matrix) -> list[list[str]]:
@@ -255,10 +257,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ProblemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except DimensionError as exc:
+    except (ProblemError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CapacityError as exc:
@@ -267,6 +266,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OracleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ORACLE
+    except Exception as exc:  # SystemExit and KeyboardInterrupt pass through
+        detail = " ".join(str(exc).split())
+        print(f"error: internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

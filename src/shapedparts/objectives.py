@@ -6,8 +6,11 @@ external subprocess speaking a line-delimited protocol: one query line holding
 the matrix as a JSON array of rows (entries are integers or "a/b" strings),
 one reply line holding a single rational (integer, decimal string, or "a/b"
 string). Replies are converted exactly; a missing or malformed reply raises
-OracleError. Convexity of external oracles is trusted, not verified; a
-non-convex oracle voids the optimality guarantee.
+OracleError. An objective is a pure function of the queried matrix, so an
+ExternalOracle keeps every reply and asks its subprocess once per distinct
+matrix; a repeated matrix is answered from that record, but only while the
+subprocess is still running. Convexity of external oracles is trusted, not
+verified; a non-convex oracle voids the optimality guarantee.
 """
 
 from __future__ import annotations
@@ -139,7 +142,13 @@ class MaxCutObjective(Objective):
 
 
 def encode_wire_scalar(value: Fraction):
-    return int(value) if value.denominator == 1 else format_rational(value)
+    """An int for an integer, else its "a/b" string.
+
+    Raises ProblemError past the integer-string digit limit, as
+    format_rational does.
+    """
+    text = format_rational(value)
+    return value.numerator if value.denominator == 1 else text
 
 
 def parse_wire_scalar(text: str) -> Fraction:
@@ -157,7 +166,7 @@ def parse_wire_scalar(text: str) -> Fraction:
 
 
 class ExternalOracle(Objective):
-    """Objective values supplied by a subprocess, one query per line."""
+    """Objective values supplied by a subprocess, one query per distinct matrix."""
 
     kind = "external"
 
@@ -167,12 +176,15 @@ class ExternalOracle(Objective):
         self.command = tuple(str(c) for c in command)
         self._process: subprocess.Popen | None = None
         self._stderr = None
+        self._replies: dict[tuple, Fraction] = {}  # queried matrix rows -> reply
 
     def _ensure_process(self) -> subprocess.Popen:
         """The oracle process, started on first use and never restarted.
 
         An oracle that exits between queries fails the next query instead of
-        being replaced, so the outcome cannot depend on when it exited.
+        being replaced, so a query's outcome cannot depend on when it exited.
+        A repeated matrix sends no query: it fails only if the exit has
+        already been seen, so an oracle must serve until its stdin closes.
         """
         if self._process is not None:
             if self._process.poll() is not None:
@@ -197,11 +209,14 @@ class ExternalOracle(Objective):
         return self._process
 
     def evaluate(self, matrix: Matrix) -> Fraction:
+        process = self._ensure_process()
+        known = self._replies.get(matrix.rows())
+        if known is not None:
+            return known
         query = json.dumps(
             [[encode_wire_scalar(x) for x in row] for row in matrix.rows()],
             separators=(",", ":"),
         )
-        process = self._ensure_process()
         try:
             process.stdin.write(query + "\n")
             process.stdin.flush()
@@ -212,9 +227,11 @@ class ExternalOracle(Objective):
             detail = self._death_note()
             raise OracleError(f"oracle {self.command} gave no reply{detail}")
         try:
-            return parse_wire_scalar(reply)
+            value = parse_wire_scalar(reply)
         except ValueError as exc:
             raise OracleError(f"oracle {self.command} replied with garbage: {reply!r}") from exc
+        self._replies[matrix.rows()] = value
+        return value
 
     def _death_note(self) -> str:
         if self._process is None:

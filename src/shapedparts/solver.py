@@ -3,14 +3,15 @@
 The convexity of the objective guarantees an optimum at a vertex of the
 shaped partition polytope, and every vertex arises from a generic partition
 of the lifted configuration, so scanning the admissible generic partitions
-and querying the oracle once per candidate finds a global maximizer. Ties go
-to the first maximizer in canonical enumeration order.
+and evaluating the objective at each one's part-sum matrix finds a global
+maximizer. Ties go to the first maximizer in canonical enumeration order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import DimensionError
 from .generic import DEFAULT_LIMITS, EnumerationLimits, PerturbedMatrix, enumerate_generic_p_partitions
@@ -36,8 +37,9 @@ def solve(
 ) -> SolveReport:
     """Return a shape-admissible partition maximizing the objective.
 
-    One query is spent per admissible generic partition, in canonical order,
-    one at a time.
+    The objective is evaluated once per admissible generic partition, in
+    canonical order, one at a time; `evaluations` counts those partitions.
+    Partitions with equal part sums share one part-sum matrix, built once.
     """
     if family.n != a.ncols or family.p != p:
         raise DimensionError(
@@ -52,16 +54,26 @@ def solve(
         raise AssertionError(
             "no admissible generic partition found; impossible for a nonempty shape family"
         )
-    matrices = [partition_matrix(a, pi) for pi in admissible]
-    values = [objective.evaluate(m) for m in matrices]
+    # Part sums of scale * a are exact integer keys for the part-sum matrices.
+    scale = lcm(*(x.denominator for x in a.flatten()))
+    columns = [tuple(x.numerator * (scale // x.denominator) for x in col) for col in a.columns()]
+    zero = (0,) * a.nrows
+    matrices: dict[tuple, Matrix] = {}
 
-    best_index = 0
-    for i in range(1, len(values)):
-        if values[i] > values[best_index]:
-            best_index = i
+    best_value = None
+    for pi in admissible:
+        key = tuple(
+            tuple(map(sum, zip(zero, *(columns[i - 1] for i in block)))) for block in pi.blocks
+        )
+        matrix = matrices.get(key)
+        if matrix is None:
+            matrix = matrices[key] = partition_matrix(a, pi)
+        value = objective.evaluate(matrix)
+        if best_value is None or value > best_value:
+            best_partition, best_matrix, best_value = pi, matrix, value
     return SolveReport(
-        best_partition=admissible[best_index],
-        best_matrix=matrices[best_index],
-        best_value=values[best_index],
+        best_partition=best_partition,
+        best_matrix=best_matrix,
+        best_value=best_value,
         evaluations=len(admissible),
     )

@@ -3,9 +3,12 @@ from itertools import combinations
 from typing import Sequence
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from shapedparts.hull import _HullContext, lift_point
 from shapedparts.linalg import Matrix, solve_consistent
+from shapedparts.partitions import ShapeFamily, compositions
 
 
 def _forward_eliminate(rows: list[list[Fraction]]) -> tuple[int, int]:
@@ -42,6 +45,44 @@ def rank(m: Matrix) -> int:
     rows = [list(r) for r in m.rows()]
     r, _ = _forward_eliminate(rows)
     return r
+
+
+@st.composite
+def edge_problems(draw):
+    """(A, p, family, linear cost) with k <= 2, n <= 6 and p <= 3, mixing in
+    zero and duplicate columns, n <= k + 1 (n = 0 included), p > n, each
+    declarative shape kind, and entries whose common denominator exceeds 2^60."""
+    k = draw(st.integers(1, 2))
+    n = draw(st.integers(0, 6))
+    p = draw(st.integers(1, 3))
+    entries = st.one_of(
+        st.integers(-2, 2),
+        st.builds(Fraction, st.integers(-2 ** 64, 2 ** 64), st.integers(2 ** 61, 2 ** 62)),
+    )
+    columns = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "copy"]))
+        if kind == "zero":
+            columns.append([0] * k)
+        elif kind == "copy" and columns:
+            columns.append(list(draw(st.sampled_from(columns))))
+        else:
+            columns.append(draw(st.lists(entries, min_size=k, max_size=k)))
+    a = Matrix([[column[r] for column in columns] for r in range(k)], ncols=n)
+    shape_kind = draw(st.sampled_from(["all", "list", "bounds"]))
+    if shape_kind == "all":
+        family = ShapeFamily.all_shapes(n, p)
+    elif shape_kind == "list":
+        shapes = draw(st.lists(st.sampled_from(list(compositions(n, p))), min_size=1, max_size=4))
+        family = ShapeFamily.explicit(shapes, n, p)
+    else:
+        upper = draw(st.lists(st.integers(0, n), min_size=p, max_size=p))
+        upper[-1] += max(0, n - sum(upper))
+        lower = [draw(st.integers(0, u)) for u in upper]
+        assume(sum(lower) <= n)
+        family = ShapeFamily.bounds(lower, upper, n)
+    cost = Matrix([draw(st.lists(st.integers(-3, 3), min_size=p, max_size=p)) for _ in range(k)])
+    return a, p, family, cost
 
 
 def convex_combination_exists(target: Sequence[Fraction], generators: Sequence[Sequence[Fraction]]) -> bool:

@@ -148,6 +148,23 @@ class TestSolve:
         assert result.returncode == 4
         assert "garbage" in result.stderr
 
+    def test_oracle_query_beyond_digit_limit_exit_2(self, tmp_path):
+        replier = "import sys\nfor line in sys.stdin:\n    print(1, flush=True)\n"
+        path = write_problem(
+            tmp_path,
+            {
+                "matrix": [["1e4300", 1]], "p": 2, "shapes": {"type": "all"},
+                "objective": {"type": "external", "cmd": [sys.executable, "-c", replier]},
+            },
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "shapedparts.cli", "solve", path],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert "digits" in result.stderr
+
 
 class TestInputErrors:
     def test_huge_exponent_entry_exit_2(self, tmp_path):
@@ -325,6 +342,24 @@ class TestConsoleEntry:
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["counts"]["vertices"] == 8
+
+    def test_unexpected_exception_exit_6(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom\nsecond line")
+
+        monkeypatch.setattr(cli, "_cmd_count", broken)
+        code, out, err = run_cli(["count", str(DATA / "cube3.json")], capsys)
+        assert code == 6 and out == ""
+        assert err == "error: internal error: RuntimeError: boom second line\n"
+
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
+    def test_interrupt_and_exit_pass_through(self, monkeypatch, exc):
+        def interrupted(args):
+            raise exc()
+
+        monkeypatch.setattr(cli, "_cmd_count", interrupted)
+        with pytest.raises(exc):
+            cli.main(["count", str(DATA / "cube3.json")])
 
     def test_usage_error_exit_2(self):
         result = subprocess.run(

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from shapedparts.errors import DimensionError, OracleError
+from shapedparts.errors import DimensionError, OracleError, ProblemError
 from shapedparts.linalg import Matrix
 from shapedparts.objectives import (
     ColumnPowerObjective,
@@ -102,6 +102,13 @@ class TestWireScalars:
         assert encode_wire_scalar(F(6)) == 6
         assert encode_wire_scalar(F(17, 20)) == "17/20"
 
+    def test_encode_beyond_digit_limit(self):
+        assert encode_wire_scalar(F(10 ** 4299)) == 10 ** 4299
+        with pytest.raises(ProblemError, match="digits"):
+            encode_wire_scalar(F(10 ** 4300))
+        with pytest.raises(ProblemError, match="digits"):
+            encode_wire_scalar(F(1, 10 ** 4300))
+
     def test_parse_forms(self):
         assert parse_wire_scalar("17") == 17
         assert parse_wire_scalar('"17/20"') == F(17, 20)
@@ -131,6 +138,14 @@ class TestExternalOracle:
             assert oracle.evaluate(Matrix([["3/5", "3/10"], ["2/5", "7/10"]])) == (
                 F(9, 25) + F(9, 100) + F(4, 25) + F(49, 100)
             )
+
+    def test_repeated_matrix_is_answered_from_the_first_reply(self):
+        counter = "import sys\nfor i, line in enumerate(sys.stdin, 1):\n    print(i, flush=True)\n"
+        with ExternalOracle([sys.executable, "-c", counter]) as oracle:
+            assert oracle.evaluate(Matrix([[1, 2]])) == 1
+            assert oracle.evaluate(Matrix([[3, 4]])) == 2
+            assert oracle.evaluate(Matrix([[1, 2]])) == 1
+            assert oracle.evaluate(Matrix([["1/2", 4]])) == 3
 
     def test_dead_process(self):
         with ExternalOracle(["/bin/false"]) as oracle:
