@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator
 
-from .errors import CapacityError
+from .errors import CapacityError, DimensionError
 from .hull import extreme_point_indices
 from .linalg import Matrix
 from .objectives import Objective
@@ -75,5 +75,5 @@ def brute_solve(
         if best is None or value > best:
             best = value
     if best is None:
-        raise AssertionError("a nonempty shape family admits at least one partition")
+        raise DimensionError("shape family admits no partition")
     return best

@@ -8,24 +8,25 @@ proposal is then verified in exact arithmetic. When a proposed certificate
 fails to verify, an exact phase-one simplex with Bland's rule settles the
 question outright. Floats therefore only influence speed, never verdicts.
 
+Vertex filtering starts from a float proposal: the points that maximize one
+of a fixed set of directions (the coordinate axes both ways and a seeded
+random set). The proposal only orders the work; every point is kept or
+discarded by the exact membership test above.
+
 Verification of separating functionals multiplies every point by the common
 denominator of the whole point set, so the strict inequalities are checked
-on integers (via int64 matmuls when magnitude bounds allow, arbitrary
-precision otherwise).
+on integers: int64 matmuls when magnitude bounds allow, Python integers
+otherwise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Sequence
 
 import numpy as np
-
-try:
-    from scipy.spatial import ConvexHull as _ConvexHull
-except ImportError:  # pragma: no cover - scipy is a declared dependency
-    _ConvexHull = None
 
 from .linalg import Matrix, solve_consistent
 
@@ -34,8 +35,8 @@ Point = tuple[Fraction, ...]
 _FUNCTIONAL_SCALE = 1 << 24
 _FEASIBILITY_TOL = 1e-7
 _PIVOT_TOL = 1e-9
-_DENOMINATOR_CAP = 1 << 60
 _INT64_GUARD = 1 << 62
+_DIRECTION_SEED = 20240611
 
 
 def lift_point(point: Sequence[Fraction]) -> Point:
@@ -162,10 +163,10 @@ class _HullContext:
     """Shared exact and float views of one point set.
 
     lifted: per point, the Fraction tuple with a leading 1.
-    float_rows: the same as a float array (certificate proposals).
-    int_rows: the lifted points scaled by their common denominator, when that
-        denominator stays small enough; lets separation certificates be
-        verified with integer arithmetic.
+    float_rows: the same as a float array (certificate and vertex proposals).
+    int_rows: the lifted points scaled by their common denominator, so that
+        separation certificates are verified with integer arithmetic; held as
+        an int64 array too when the products cannot overflow.
     """
 
     def __init__(self, points: Sequence[Point]):
@@ -174,18 +175,13 @@ class _HullContext:
         self.m = len(self.lifted[0]) if self.lifted else 1
         self.float_rows = np.array([[_safe_float(x) for x in lp] for lp in self.lifted]) \
             if self.lifted else np.zeros((0, self.m))
-        self.int_rows: list[tuple[int, ...]] | None = None
+        common = lcm(*(x.denominator for lp in self.lifted for x in lp))
+        self.int_rows = [
+            tuple(x.numerator * (common // x.denominator) for x in lp) for lp in self.lifted
+        ]
+        max_scaled = max((abs(v) for row in self.int_rows for v in row), default=0)
         self._int_matrix: np.ndarray | None = None
-        self._max_scaled = 0
-        common = 1
-        for lp in self.lifted:
-            for x in lp:
-                common = lcm(common, x.denominator)
-                if common > _DENOMINATOR_CAP:
-                    return
-        self.int_rows = [tuple(int(x * common) for x in lp) for lp in self.lifted]
-        self._max_scaled = max((max(abs(v) for v in row) for row in self.int_rows), default=0)
-        if self.int_rows and self._max_scaled * _FUNCTIONAL_SCALE * self.m < _INT64_GUARD:
+        if max_scaled * _FUNCTIONAL_SCALE * self.m < _INT64_GUARD:
             self._int_matrix = np.array(self.int_rows, dtype=np.int64)
 
     def _verify_support(self, target: int, generator_indices: Sequence[int],
@@ -203,10 +199,9 @@ class _HullContext:
             score = int(self._int_matrix[target] @ weights)
             others = self._int_matrix[np.asarray(generator_indices)] @ weights
             return score > int(others.max(initial=-(1 << 62)))
-        rows = self.int_rows if self.int_rows is not None else self.lifted
-        score = sum(c * x for c, x in zip(functional, rows[target]))
+        score = sum(c * x for c, x in zip(functional, self.int_rows[target]))
         for g in generator_indices:
-            if sum(c * x for c, x in zip(functional, rows[g])) >= score:
+            if sum(c * x for c, x in zip(functional, self.int_rows[g])) >= score:
                 return False
         return True
 
@@ -244,48 +239,39 @@ class _HullContext:
         )
 
 
-def _propose_vertices(coords: np.ndarray) -> list[int]:
-    """Float guess at the hull vertices; correctness never depends on it.
+@lru_cache(maxsize=None)
+def _directions(dim: int) -> np.ndarray:
+    """The fixed proposal directions in R^dim: the coordinate axes both ways,
+    then 64 * dim + 64 seeded Gaussian directions."""
+    axes = np.eye(dim)
+    rng = np.random.default_rng(_DIRECTION_SEED)
+    return np.vstack([axes, -axes, rng.standard_normal((64 * dim + 64, dim))])
 
-    The points are projected onto their (numerically estimated) affine span
-    so the hull code sees a full-dimensional input. Any failure degrades to
-    proposing everything.
-    """
-    count = coords.shape[0]
-    if count <= 4 or _ConvexHull is None:
-        return list(range(count))
-    centered = coords - coords.mean(axis=0)
-    _, singular, vt = np.linalg.svd(centered, full_matrices=False)
-    scale = max(1.0, float(singular.max(initial=0.0)))
-    dim = int((singular > 1e-9 * scale).sum())
-    if dim == 0:
-        return [0]
-    projected = centered @ vt[:dim].T
-    if dim == 1:
-        line = projected[:, 0]
-        return sorted({int(np.argmin(line)), int(np.argmax(line))})
-    try:
-        try:
-            hull = _ConvexHull(projected)
-        except Exception:
-            hull = _ConvexHull(projected, qhull_options="QJ")
-        return sorted(int(v) for v in hull.vertices)
-    except Exception:
-        return list(range(count))
+
+def _propose_vertices(coords: np.ndarray) -> list[int]:
+    """Float guess at the hull vertices: each point that maximizes one of the
+    fixed directions. Correctness never depends on it."""
+    directions = _directions(coords.shape[1])
+    picks: set[int] = set()
+    if len(coords):
+        # 64 directions at a time, so the score array stays small for big sets.
+        for start in range(0, len(directions), 64):
+            picks.update(np.argmax(coords @ directions[start:start + 64].T, axis=0).tolist())
+    return sorted(picks)
 
 
 def extreme_point_indices(points: Sequence[Point]) -> list[int]:
     """Indices of the points that are vertices of the convex hull of all points.
 
-    A float hull proposes the vertex set; every other point is then discarded
-    only with an exactly verified convex-combination certificate against the
-    current survivors, and a final exact purge pass removes any proposed
-    point that is not extreme after all. The output is exact and independent
-    of the proposal.
+    The points that maximize a fixed direction are proposed as vertices; every
+    other point is then discarded only with an exactly verified
+    convex-combination certificate against the current survivors, and a final
+    exact purge pass removes any proposed point that is not extreme after all.
+    The output is exact and independent of the proposal.
     """
     context = _HullContext(list(points))
     with np.errstate(all="ignore"):
-        proposed = _propose_vertices(np.array([[_safe_float(x) for x in p] for p in points]))
+        proposed = _propose_vertices(context.float_rows[:, 1:])
     in_survivors = set(proposed)
     survivors: list[int] = list(proposed)
     for idx in range(len(points)):

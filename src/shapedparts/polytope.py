@@ -31,7 +31,8 @@ class CandidateSet:
     """Deduplicated candidate matrices with their generating partitions.
 
     members are in row-major lexicographic order; witnesses[i] holds every
-    admissible generic partition whose part-sum matrix equals members[i].
+    admissible generic partition whose part-sum matrix equals members[i], in
+    the generic set's order (sorted by blocks).
     """
 
     members: tuple[Matrix, ...]
@@ -99,9 +100,7 @@ def candidate_vertices(
 
     ordered_keys = sorted(grouped)
     members = tuple(grouped[key][0] for key in ordered_keys)
-    witnesses = tuple(
-        tuple(sorted(grouped[key][1], key=lambda pi: pi.blocks)) for key in ordered_keys
-    )
+    witnesses = tuple(tuple(grouped[key][1]) for key in ordered_keys)
     return CandidateSet(
         members=members,
         witnesses=witnesses,

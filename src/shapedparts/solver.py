@@ -51,9 +51,7 @@ def solve(
     generic_set = enumerate_generic_p_partitions(perturbed, p, limits)
     admissible = [pi for pi in generic_set if family.contains(shape_of(pi))]
     if not admissible:
-        raise AssertionError(
-            "no admissible generic partition found; impossible for a nonempty shape family"
-        )
+        raise DimensionError("shape family admits no partition")
     # Part sums of scale * a are exact integer keys for the part-sum matrices.
     scale = lcm(*(x.denominator for x in a.flatten()))
     columns = [tuple(x.numerator * (scale // x.denominator) for x in col) for col in a.columns()]

@@ -47,6 +47,13 @@ def rank(m: Matrix) -> int:
     return r
 
 
+# small rationals plus ones whose denominators reach past 2^61
+TRANSLATIONS = st.one_of(
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2)),
+    st.builds(Fraction, st.integers(-2 ** 64, 2 ** 64), st.integers(2 ** 61, 2 ** 62)),
+)
+
+
 @st.composite
 def edge_problems(draw):
     """(A, p, family, linear cost) with k <= 2, n <= 6 and p <= 3, mixing in

@@ -112,9 +112,33 @@ class TestExtremePoints:
 
     def test_matches_filter_by_membership(self):
         rng = random.Random(13)
+        point_sets = []
         for _ in range(25):
             dim = rng.randint(1, 3)
-            points = list(dict.fromkeys(frac_points(rng, rng.randint(2, 10), dim)))
+            point_sets.append(list(dict.fromkeys(frac_points(rng, rng.randint(2, 10), dim))))
+        for _ in range(10):
+            # affine hull of lower dimension than the ambient space: a plane
+            # (or a line) through an offset, embedded in three or four coordinates
+            flat_dim, dim = rng.randint(1, 2), rng.randint(3, 4)
+            offset = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim)]
+            basis = [[F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(dim)]
+                     for _ in range(flat_dim)]
+            flat = frac_points(rng, rng.randint(2, 10), flat_dim)
+            point_sets.append(list(dict.fromkeys(
+                tuple(offset[j] + sum(c * b[j] for c, b in zip(coords, basis)) for j in range(dim))
+                for coords in flat
+            )))
+        for _ in range(10):
+            # ties along the axes: two values in the first coordinate, three in the rest
+            dim = rng.randint(2, 3)
+            point_sets.append(list(dict.fromkeys(
+                (F(rng.choice([0, 2])),) + tuple(F(rng.randint(-1, 1)) for _ in range(dim - 1))
+                for _ in range(rng.randint(2, 10))
+            )))
+        # the first maximizer of +x is an edge midpoint, not a vertex
+        point_sets.append([(F(2), F(0)), (F(2), F(1)), (F(2), F(-1)), (F(0), F(0))])
+        point_sets.append([])
+        for points in point_sets:
             expected = [
                 i for i, pt in enumerate(points)
                 if not exact_membership(pt, points[:i] + points[i + 1:])

@@ -3,14 +3,15 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import convex_combination_exists, edge_problems
+from conftest import TRANSLATIONS, convex_combination_exists, edge_problems
 from shapedparts.brute import brute_solve, brute_vertices
 from shapedparts.errors import CapacityError, DimensionError
 from shapedparts.generic import EnumerationLimits
 from shapedparts.linalg import Matrix
 from shapedparts.objectives import LinearObjective
-from shapedparts.partitions import ShapeFamily
+from shapedparts.partitions import ShapeFamily, compositions
 from shapedparts.polytope import candidate_vertices, enumerate_vertices
 from shapedparts.solver import solve
 
@@ -209,3 +210,48 @@ class TestEnumerateVertices:
                 for m in base.vertices
             }
             assert {m.flatten() for m in translated.vertices} == expected
+
+
+class TestVertexInvariants:
+    """Hypothesis properties on the edge inputs: zero and duplicate columns,
+    n = 0, p > n and denominators past 2^61."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(edge_problems(), st.randoms(use_true_random=False))
+    def test_relabeling_keeps_vertex_set(self, problem, rng):
+        a, p, _, _ = problem
+        family = ShapeFamily.all_shapes(a.ncols, p)
+        order = rng.sample(range(a.ncols), a.ncols)
+        shuffled = Matrix([[row[j] for j in order] for row in a.rows()], ncols=a.ncols)
+        assert {m.flatten() for m in enumerate_vertices(shuffled, p, family).vertices} == {
+            m.flatten() for m in enumerate_vertices(a, p, family).vertices
+        }
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(edge_problems(), st.integers(1, 6))
+    def test_scaling_scales_each_vertex(self, problem, c):
+        a, p, family, _ = problem
+        scaled = Matrix([[c * x for x in row] for row in a.rows()], ncols=a.ncols)
+        base = enumerate_vertices(a, p, family)
+        report = enumerate_vertices(scaled, p, family)
+        assert [m.flatten() for m in report.vertices] == [
+            tuple(c * x for x in m.flatten()) for m in base.vertices
+        ]
+        assert [[pi.blocks for pi in w] for w in report.witnesses] == [
+            [pi.blocks for pi in w] for w in base.witnesses
+        ]
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(edge_problems(), st.data())
+    def test_single_shape_translation_moves_each_vertex(self, problem, data):
+        a, p, _, _ = problem
+        k, n = a.nrows, a.ncols
+        shape = data.draw(st.sampled_from(list(compositions(n, p))))
+        family = ShapeFamily.explicit([shape], n, p)
+        shift = data.draw(st.lists(TRANSLATIONS, min_size=k, max_size=k))
+        moved = Matrix([[x + shift[r] for x in a.row(r)] for r in range(k)], ncols=n)
+        expected = {
+            tuple(m.entry(r, j) + shape[j] * shift[r] for r in range(k) for j in range(p))
+            for m in enumerate_vertices(a, p, family).vertices
+        }
+        assert {m.flatten() for m in enumerate_vertices(moved, p, family).vertices} == expected

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import shapedparts
@@ -29,3 +32,20 @@ class TestReadmeLibrary:
         assert len(listed) == len(set(listed))
         assert set(shapedparts.__all__) == set(listed)
         assert all(hasattr(shapedparts, name) for name in shapedparts.__all__)
+
+
+class TestRuntimeDependencies:
+    def test_pyproject_matches_readme(self):
+        sentence = re.search(r"runtime dependenc(?:y is|ies are) ([^.;]+)\.", README.read_text())
+        documented = sorted(re.findall(r"\w+", sentence.group(1).replace(" and ", " ")))
+        pyproject = (README.parent / "pyproject.toml").read_text()
+        declared = re.search(r"^dependencies = \[(.*)\]$", pyproject, re.M).group(1)
+        assert sorted(re.findall(r'"([^"]+)"', declared)) == documented
+
+    def test_cli_import_loads_no_scipy(self):
+        probe = ("import sys, shapedparts.cli; "
+                 "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        env = dict(os.environ, PYTHONPATH=str(README.parent / "src"))
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import edge_problems
+from conftest import TRANSLATIONS, edge_problems
 from shapedparts.brute import brute_solve
 from shapedparts.errors import DimensionError
 from shapedparts.generic import PerturbedMatrix, enumerate_generic_p_partitions
@@ -21,7 +21,7 @@ from shapedparts.objectives import (
     MaxCutObjective,
     Objective,
 )
-from shapedparts.partitions import ShapeFamily, lift, partition_matrix, shape_of
+from shapedparts.partitions import ShapeFamily, compositions, lift, partition_matrix, shape_of
 from shapedparts.polytope import candidate_vertices, enumerate_vertices
 from shapedparts.solver import SolveReport, solve
 
@@ -118,6 +118,16 @@ class TestSolveExamples:
                 LinearObjective(Matrix([[1, 0], [0, 1]])),
             )
 
+    def test_family_admitting_nothing_rejected(self):
+        a = Matrix([[1, 2, 3]])
+        family = ShapeFamily.from_predicate(lambda shape: False, 3, 2)
+        objective = LinearObjective(Matrix([[1, 0]]))
+        with pytest.raises(DimensionError, match="admits no partition"):
+            solve(a, 2, family, objective)
+        with pytest.raises(DimensionError, match="admits no partition"):
+            brute_solve(a, 2, family, objective)
+        assert enumerate_vertices(a, 2, family).vertex_count == 0
+
 
 class TestSolveInvariants:
     def test_report_is_internally_consistent(self):
@@ -211,6 +221,21 @@ class TestSolveInvariants:
         objective = LinearObjective(cost)
         assert solve(scaled, p, family, objective).best_value == (
             c * solve(a, p, family, objective).best_value
+        )
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(edge_problems(), st.data())
+    def test_single_shape_translation_shifts_linear_best_value(self, problem, data):
+        a, p, _, cost = problem
+        k, n = a.nrows, a.ncols
+        shape = data.draw(st.sampled_from(list(compositions(n, p))))
+        family = ShapeFamily.explicit([shape], n, p)
+        shift = data.draw(st.lists(TRANSLATIONS, min_size=k, max_size=k))
+        moved = Matrix([[x + shift[r] for x in a.row(r)] for r in range(k)], ncols=n)
+        objective = LinearObjective(cost)
+        offset = sum(cost.entry(r, j) * shape[j] * shift[r] for r in range(k) for j in range(p))
+        assert solve(moved, p, family, objective).best_value == (
+            solve(a, p, family, objective).best_value + offset
         )
 
     def test_linear_objective_matches_vertex_maximum(self):
