@@ -1,22 +1,22 @@
 """Exact convex-position tests.
 
 Membership of a point in the convex hull of finitely many generators is
-decided exactly over the rationals. The decision procedure is certificate
-based: a floating-point phase-one simplex proposes either a support for a
-convex combination (membership) or a Farkas functional (separation), and the
-proposal is then verified in exact arithmetic. When a proposed certificate
-fails to verify, an exact phase-one simplex with Bland's rule settles the
-question outright. Floats therefore only influence speed, never verdicts.
+decided by one exact procedure: a phase-one simplex with Bland's rule on
+integers (``_integer_phase_one``). Every point set is lifted straight to
+integer rows, the coordinates with a leading 1 times the common denominator
+of the whole set, so no rational arithmetic is needed.
 
-Vertex filtering starts from a float proposal: the points that maximize one
-of a fixed set of directions (the coordinate axes both ways and a seeded
+Floats only propose. A float phase-one simplex proposes either the support of
+a convex combination, on whose columns alone the integer simplex then runs,
+or a Farkas functional, whose strict separation is checked with one integer
+matmul (int64 when magnitude bounds allow, Python integers otherwise). When
+neither proposal holds, the integer simplex runs on all generators. Floats
+therefore only influence speed, never verdicts.
+
+Vertex filtering starts from a float proposal too: the points that maximize
+one of a fixed set of directions (the coordinate axes both ways and a seeded
 random set). The proposal only orders the work; every point is kept or
 discarded by the exact membership test above.
-
-Verification of separating functionals multiplies every point by the common
-denominator of the whole point set, so the strict inequalities are checked
-on integers: int64 matmuls when magnitude bounds allow, Python integers
-otherwise.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import Matrix, solve_consistent
-
 Point = tuple[Fraction, ...]
 
 _FUNCTIONAL_SCALE = 1 << 24
@@ -37,11 +35,6 @@ _FEASIBILITY_TOL = 1e-7
 _PIVOT_TOL = 1e-9
 _INT64_GUARD = 1 << 62
 _DIRECTION_SEED = 20240611
-
-
-def lift_point(point: Sequence[Fraction]) -> Point:
-    """Prepend the coordinate 1, so affine combinations become linear ones."""
-    return (Fraction(1),) + tuple(point)
 
 
 def _safe_float(x) -> float:
@@ -52,75 +45,56 @@ def _safe_float(x) -> float:
         return 1e300 if x > 0 else -1e300
 
 
-def exact_membership(target: Sequence[Fraction], generators: Sequence[Sequence[Fraction]]) -> bool:
-    """Phase-one simplex with Bland's rule: is target in conv(generators)?
+def _integer_phase_one(rhs: Sequence[int], columns: Sequence[Sequence[int]]) -> bool:
+    """Phase-one simplex with Bland's rule: is rhs a nonnegative combination
+    of the columns? With lifted points this is hull membership, since the
+    leading coordinate forces the weights to sum to 1. Always terminates.
 
-    Solves  sum_i mu_i * lifted(g_i) = lifted(target), mu >= 0  exactly; the
-    lifted leading coordinate forces sum mu = 1. Always terminates.
+    The tableau is fraction-free (Edmonds 1967, Bareiss 1968): every stored
+    entry is denom times the true one, where denom is the absolute determinant
+    of the current basis, so each pivot divides exactly and every sign test is
+    a sign test on the true entry. One artificial column per row starts the
+    basis; the last row holds the phase-one reduced costs and, in its last
+    entry, minus the sum of the artificials.
     """
-    if not generators:
-        return False
-    rhs = list(lift_point(target))
-    columns = [list(lift_point(g)) for g in generators]
-    m = len(rhs)
-    for col in columns:
-        if len(col) != m:
-            raise ValueError("generator dimension mismatch")
-
-    # Flip rows so the right-hand side is nonnegative; artificials form the basis.
+    m, ng = len(rhs), len(columns)
+    width = ng + m
+    rows = []
     for i in range(m):
-        if rhs[i] < 0:
-            rhs[i] = -rhs[i]
-            for col in columns:
-                col[i] = -col[i]
-
-    ng = len(columns)
-    zero, one = Fraction(0), Fraction(1)
-    tableau = [
-        [columns[j][i] for j in range(ng)]
-        + [one if t == i else zero for t in range(m)]
-        + [rhs[i]]
-        for i in range(m)
-    ]
-    # Phase-one reduced-cost row; artificials start basic with zero reduced cost.
-    obj = [-sum(tableau[i][j] for i in range(m)) for j in range(ng)] + [zero] * m
-    obj_value = sum(rhs)
-    basis = [ng + i for i in range(m)]
-
+        sign = -1 if rhs[i] < 0 else 1  # flip rows so the right-hand side is nonnegative
+        rows.append([sign * col[i] for col in columns] + [0] * m + [sign * rhs[i]])
+        rows[i][ng + i] = 1
+    # Phase-one reduced costs; the artificials start basic with reduced cost 0.
+    totals = [sum(col) for col in zip(*rows)]
+    rows.append([-t for t in totals[:ng]] + [0] * m + [-totals[width]])
+    basis = list(range(ng, width))
+    denom = 1
     while True:
-        enter = next((j for j in range(ng + m) if obj[j] < 0), None)
+        enter = next((j for j in range(width) if rows[m][j] < 0), None)
         if enter is None:
-            break
+            return rows[m][width] == 0
         leave = None
-        best_ratio = None
         for i in range(m):
-            coeff = tableau[i][enter]
+            coeff = rows[i][enter]
             if coeff > 0:
-                ratio = tableau[i][ng + m] / coeff
-                if best_ratio is None or ratio < best_ratio or (
-                    ratio == best_ratio and basis[i] < basis[leave]
-                ):
-                    best_ratio = ratio
+                if leave is None:
+                    leave = i
+                    continue
+                # compare the ratios rhs / coeff by cross-multiplying (coeffs > 0)
+                ours = rows[i][width] * rows[leave][enter]
+                theirs = rows[leave][width] * coeff
+                if ours < theirs or (ours == theirs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise AssertionError("phase-one simplex cannot be unbounded")
-        pivot_row = tableau[leave]
+        pivot_row = rows[leave]
         pivot = pivot_row[enter]
-        for c in range(ng + m + 1):
-            pivot_row[c] /= pivot
-        for i in range(m):
-            if i != leave and tableau[i][enter]:
-                factor = tableau[i][enter]
-                row = tableau[i]
-                for c in range(ng + m + 1):
-                    row[c] -= factor * pivot_row[c]
-        factor = obj[enter]
-        for c in range(ng + m):
-            obj[c] -= factor * pivot_row[c]
-        obj_value += factor * pivot_row[ng + m]
+        for i, row in enumerate(rows):
+            if i != leave:
+                factor = row[enter]
+                rows[i] = [(x * pivot - factor * y) // denom for x, y in zip(row, pivot_row)]
+        denom = pivot
         basis[leave] = enter
-
-    return obj_value == 0
 
 
 def _float_phase_one(acols: np.ndarray, rhs: np.ndarray):
@@ -160,50 +134,38 @@ def _float_phase_one(acols: np.ndarray, rhs: np.ndarray):
 
 
 class _HullContext:
-    """Shared exact and float views of one point set.
+    """Integer and float views of one point set.
 
-    lifted: per point, the Fraction tuple with a leading 1.
-    float_rows: the same as a float array (certificate and vertex proposals).
-    int_rows: the lifted points scaled by their common denominator, so that
-        separation certificates are verified with integer arithmetic; held as
-        an int64 array too when the products cannot overflow.
+    int_rows: per point, the coordinates with a leading 1, all multiplied by
+        the common denominator of the whole set. The integer simplex decides
+        on these rows, and separating functionals are verified on them.
+    float_rows: the same rows unscaled as floats, from which the float simplex
+        proposes supports and separating functionals and the direction scan
+        proposes vertices.
     """
 
     def __init__(self, points: Sequence[Point]):
-        self.points = list(points)
-        self.lifted = [lift_point(p) for p in self.points]
-        self.m = len(self.lifted[0]) if self.lifted else 1
-        self.float_rows = np.array([[_safe_float(x) for x in lp] for lp in self.lifted]) \
-            if self.lifted else np.zeros((0, self.m))
-        common = lcm(*(x.denominator for lp in self.lifted for x in lp))
+        m = 1 + (len(points[0]) if points else 0)
+        self.float_rows = np.array([[1.0] + [_safe_float(x) for x in p] for p in points]) \
+            if points else np.zeros((0, m))
+        common = lcm(*(x.denominator for p in points for x in p))
         self.int_rows = [
-            tuple(x.numerator * (common // x.denominator) for x in lp) for lp in self.lifted
+            (common,) + tuple(x.numerator * (common // x.denominator) for x in p) for p in points
         ]
         max_scaled = max((abs(v) for row in self.int_rows for v in row), default=0)
-        self._int_matrix: np.ndarray | None = None
-        if max_scaled * _FUNCTIONAL_SCALE * self.m < _INT64_GUARD:
-            self._int_matrix = np.array(self.int_rows, dtype=np.int64)
-
-    def _verify_support(self, target: int, generator_indices: Sequence[int],
-                        support: Sequence[int]) -> bool:
-        if not support:
-            return False
-        columns = [self.lifted[generator_indices[i]] for i in support]
-        mu = solve_consistent(Matrix.from_columns(columns), self.lifted[target])
-        return mu is not None and all(x >= 0 for x in mu)
+        small = max_scaled * _FUNCTIONAL_SCALE * m < _INT64_GUARD
+        self._int_matrix = np.array(self.int_rows, dtype=np.int64 if small else object)
 
     def _verify_separation(self, target: int, generator_indices: Sequence[int],
                            functional: Sequence[int]) -> bool:
-        if self._int_matrix is not None:
-            weights = np.array(functional, dtype=np.int64)
-            score = int(self._int_matrix[target] @ weights)
-            others = self._int_matrix[np.asarray(generator_indices)] @ weights
-            return score > int(others.max(initial=-(1 << 62)))
-        score = sum(c * x for c, x in zip(functional, self.int_rows[target]))
-        for g in generator_indices:
-            if sum(c * x for c, x in zip(functional, self.int_rows[g])) >= score:
-                return False
-        return True
+        weights = np.array(functional, dtype=self._int_matrix.dtype)
+        scores = self._int_matrix[[target, *generator_indices]] @ weights
+        return bool((scores[1:] < scores[0]).all())
+
+    def _decide(self, target: int, generator_indices: Sequence[int]) -> bool:
+        return _integer_phase_one(
+            self.int_rows[target], [self.int_rows[g] for g in generator_indices]
+        )
 
     def membership(self, target: int, generator_indices: Sequence[int]) -> bool:
         """Exact verdict: is point[target] in the hull of the indexed generators?"""
@@ -224,8 +186,8 @@ class _HullContext:
         if outcome is not None:
             status, payload = outcome
             if status == "feasible":
-                support = [int(i) for i in np.nonzero(payload > 1e-9)[0]]
-                if self._verify_support(target, gen_idx, support):
+                support = [gen_idx[i] for i in np.nonzero(payload > 1e-9)[0]]
+                if self._decide(target, support):
                     return True
             else:
                 farkas = np.where(flip, -payload, payload)
@@ -234,9 +196,7 @@ class _HullContext:
                     functional = [round(float(x) * _FUNCTIONAL_SCALE / peak) for x in farkas]
                     if self._verify_separation(target, gen_idx, functional):
                         return False
-        return exact_membership(
-            self.points[target], [self.points[g] for g in gen_idx]
-        )
+        return self._decide(target, gen_idx)
 
 
 @lru_cache(maxsize=None)

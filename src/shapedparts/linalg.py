@@ -3,9 +3,9 @@
 Every scalar is a ``fractions.Fraction``: arbitrary precision, always stored
 reduced with a positive denominator, so arithmetic and comparisons are exact.
 Problem entries, part-sum matrices and objective values are all exact
-rationals, which is why there is no floating-point mode. ``solve_consistent``
-verifies the convex combinations that the hull stage's float phase proposes.
-The generic-sign kernel in ``generic.py`` works in integers of its own.
+rationals, which is why there is no floating-point mode. The generic-sign
+kernel in ``generic.py`` and the hull test in ``hull.py`` work in integers of
+their own.
 """
 
 from __future__ import annotations
@@ -110,11 +110,6 @@ class Matrix:
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)], ncols=n)
 
     @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "Matrix":
-        zero = Fraction(0)
-        return cls([[zero] * ncols for _ in range(nrows)], ncols=ncols)
-
-    @classmethod
     def from_columns(cls, columns: Sequence[Sequence], nrows: int | None = None) -> "Matrix":
         cols = [tuple(as_rational(x) for x in col) for col in columns]
         if cols:
@@ -146,9 +141,6 @@ class Matrix:
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         return self._rows
 
-    def transpose(self) -> "Matrix":
-        return Matrix([self.column(j) for j in range(self.ncols)], ncols=self.nrows)
-
     def flatten(self) -> tuple[Fraction, ...]:
         """Row-major entry tuple; also the canonical sort key among equal shapes."""
         return tuple(x for row in self._rows for x in row)
@@ -165,40 +157,3 @@ class Matrix:
         body = "; ".join(" ".join(format_rational(x) for x in row) for row in self._rows)
         return f"Matrix({self.nrows}x{self.ncols}: {body})"
 
-
-def solve_consistent(m: Matrix, b: Sequence) -> list[Fraction] | None:
-    """One exact solution of a general (possibly non-square) system, or None.
-
-    Free variables, if any, are set to zero. Returns None exactly when the
-    system is inconsistent.
-    """
-    rhs = [as_rational(x) for x in b]
-    if len(rhs) != m.nrows:
-        raise DimensionError(f"right-hand side has {len(rhs)} entries, expected {m.nrows}")
-    nrows, ncols = m.nrows, m.ncols
-    rows = [list(m.row(i)) + [rhs[i]] for i in range(nrows)]
-    pivot_cols: list[int] = []
-    pivot_row = 0
-    for col in range(ncols):
-        if pivot_row >= nrows:
-            break
-        src = next((r for r in range(pivot_row, nrows) if rows[r][col] != 0), None)
-        if src is None:
-            continue
-        if src != pivot_row:
-            rows[pivot_row], rows[src] = rows[src], rows[pivot_row]
-        pivot = rows[pivot_row][col]
-        for r in range(nrows):
-            if r != pivot_row and rows[r][col]:
-                scale = rows[r][col] / pivot
-                for c in range(col, ncols + 1):
-                    rows[r][c] -= scale * rows[pivot_row][c]
-        pivot_cols.append(col)
-        pivot_row += 1
-    for r in range(pivot_row, nrows):
-        if rows[r][ncols] != 0:
-            return None
-    solution = [Fraction(0)] * ncols
-    for r, col in enumerate(pivot_cols):
-        solution[col] = rows[r][ncols] / rows[r][col]
-    return solution

@@ -84,7 +84,9 @@ def _parse_shapes(raw, n: int, p: int) -> ShapeFamily:
             if len(lower) != p or len(upper) != p:
                 raise ProblemError(f"bounds must have {p} entries")
             return ShapeFamily.bounds(lower, upper, n)
-    except DimensionError as exc:
+    except ProblemError:
+        raise
+    except (ValueError, TypeError) as exc:  # DimensionError, or a bad int() or entry
         raise ProblemError(f"bad shape family: {exc}") from exc
     raise ProblemError(f"unknown shape family type {kind!r}")
 
@@ -113,7 +115,9 @@ def _parse_objective(raw, k: int, n: int, p: int) -> Objective:
             if not isinstance(cmd, list) or not cmd:
                 raise ProblemError('objective "external" needs a non-empty "cmd" array')
             return ExternalOracle(cmd)
-    except DimensionError as exc:
+    except ProblemError:
+        raise
+    except (ValueError, TypeError) as exc:  # DimensionError, or a bad int() or edge
         raise ProblemError(f"bad objective: {exc}") from exc
     raise ProblemError(f"unknown objective type {kind!r}")
 

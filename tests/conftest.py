@@ -6,8 +6,9 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from shapedparts.hull import _HullContext, lift_point
-from shapedparts.linalg import Matrix, solve_consistent
+from shapedparts.errors import DimensionError
+from shapedparts.hull import _HullContext
+from shapedparts.linalg import Matrix, as_rational
 from shapedparts.partitions import ShapeFamily, compositions
 
 
@@ -45,6 +46,121 @@ def rank(m: Matrix) -> int:
     rows = [list(r) for r in m.rows()]
     r, _ = _forward_eliminate(rows)
     return r
+
+
+def solve_consistent(m: Matrix, b: Sequence) -> list[Fraction] | None:
+    """One exact solution of a general (possibly non-square) system, or None.
+
+    Free variables, if any, are set to zero. Returns None exactly when the
+    system is inconsistent.
+    """
+    rhs = [as_rational(x) for x in b]
+    if len(rhs) != m.nrows:
+        raise DimensionError(f"right-hand side has {len(rhs)} entries, expected {m.nrows}")
+    nrows, ncols = m.nrows, m.ncols
+    rows = [list(m.row(i)) + [rhs[i]] for i in range(nrows)]
+    pivot_cols: list[int] = []
+    pivot_row = 0
+    for col in range(ncols):
+        if pivot_row >= nrows:
+            break
+        src = next((r for r in range(pivot_row, nrows) if rows[r][col] != 0), None)
+        if src is None:
+            continue
+        if src != pivot_row:
+            rows[pivot_row], rows[src] = rows[src], rows[pivot_row]
+        pivot = rows[pivot_row][col]
+        for r in range(nrows):
+            if r != pivot_row and rows[r][col]:
+                scale = rows[r][col] / pivot
+                for c in range(col, ncols + 1):
+                    rows[r][c] -= scale * rows[pivot_row][c]
+        pivot_cols.append(col)
+        pivot_row += 1
+    for r in range(pivot_row, nrows):
+        if rows[r][ncols] != 0:
+            return None
+    solution = [Fraction(0)] * ncols
+    for r, col in enumerate(pivot_cols):
+        solution[col] = rows[r][ncols] / rows[r][col]
+    return solution
+
+
+def lift_point(point: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """Prepend the coordinate 1, so affine combinations become linear ones."""
+    return (Fraction(1),) + tuple(point)
+
+
+def reference_membership(target: Sequence[Fraction], generators: Sequence[Sequence[Fraction]]) -> bool:
+    """Phase-one simplex with Bland's rule over Fractions: is target in
+    conv(generators)? The pivot sequence the integer kernel reproduces.
+
+    Solves  sum_i mu_i * lifted(g_i) = lifted(target), mu >= 0  exactly; the
+    lifted leading coordinate forces sum mu = 1. Always terminates.
+    """
+    if not generators:
+        return False
+    rhs = list(lift_point(target))
+    columns = [list(lift_point(g)) for g in generators]
+    m = len(rhs)
+    for col in columns:
+        if len(col) != m:
+            raise ValueError("generator dimension mismatch")
+
+    # Flip rows so the right-hand side is nonnegative; artificials form the basis.
+    for i in range(m):
+        if rhs[i] < 0:
+            rhs[i] = -rhs[i]
+            for col in columns:
+                col[i] = -col[i]
+
+    ng = len(columns)
+    zero, one = Fraction(0), Fraction(1)
+    tableau = [
+        [columns[j][i] for j in range(ng)]
+        + [one if t == i else zero for t in range(m)]
+        + [rhs[i]]
+        for i in range(m)
+    ]
+    # Phase-one reduced-cost row; artificials start basic with zero reduced cost.
+    obj = [-sum(tableau[i][j] for i in range(m)) for j in range(ng)] + [zero] * m
+    obj_value = sum(rhs)
+    basis = [ng + i for i in range(m)]
+
+    while True:
+        enter = next((j for j in range(ng + m) if obj[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best_ratio = None
+        for i in range(m):
+            coeff = tableau[i][enter]
+            if coeff > 0:
+                ratio = tableau[i][ng + m] / coeff
+                if best_ratio is None or ratio < best_ratio or (
+                    ratio == best_ratio and basis[i] < basis[leave]
+                ):
+                    best_ratio = ratio
+                    leave = i
+        if leave is None:
+            raise AssertionError("phase-one simplex cannot be unbounded")
+        pivot_row = tableau[leave]
+        pivot = pivot_row[enter]
+        for c in range(ng + m + 1):
+            pivot_row[c] /= pivot
+        for i in range(m):
+            if i != leave and tableau[i][enter]:
+                factor = tableau[i][enter]
+                row = tableau[i]
+                for c in range(ng + m + 1):
+                    row[c] -= factor * pivot_row[c]
+        factor = obj[enter]
+        for c in range(ng + m):
+            obj[c] -= factor * pivot_row[c]
+        obj_value += factor * pivot_row[ng + m]
+        basis[leave] = enter
+
+    return obj_value == 0
 
 
 # small rationals plus ones whose denominators reach past 2^61

@@ -213,6 +213,22 @@ class TestInputErrors:
         assert "nonnegative" in err
 
 
+    @pytest.mark.parametrize("shapes, objective", [
+        ({"type": "list", "shapes": [["a", 3]]}, None),
+        ({"type": "bounds", "lower": [0, 1.5], "upper": [3, 3]}, None),  # a JSON float
+        ({"type": "all"}, {"type": "max_cut", "edges": [[1, 2, 3]]}),
+    ], ids=["shape-entry", "bound-entry", "edge-arity"])
+    def test_malformed_shape_or_edge_entry_exit_2(self, tmp_path, capsys, shapes, objective):
+        matrix = [[1, 2, 3]] if objective is None else [[1, 0], [0, 1]]
+        doc = {"matrix": matrix, "p": 2, "shapes": shapes}
+        if objective is not None:
+            doc["objective"] = objective
+        code, out, err = run_cli(["count", write_problem(tmp_path, doc)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "internal error" not in err
+
+
 class TestLimitFlags:
     GUARDS = ("two-partitions", "candidates", "assembly-nodes")
 
@@ -245,6 +261,27 @@ class TestCount:
             "admissible_partitions": 27,
             "candidates": 27,
             "vertices": 3,
+        }
+
+    def test_float_degenerate_counts(self, tmp_path, capsys):
+        # Entries that differ by far less than float resolution: the float
+        # simplex certifies almost nothing, so the integer simplex decides.
+        doc = {
+            "matrix": [
+                [-2, "-1902866558439589/9007199254740992", -1, 2, -1],
+                ["508697/1710201182783748864", "1/2305843009213693952",
+                 "1/2305843009213693952", 2, 0],
+            ],
+            "p": 3, "shapes": {"type": "all"},
+        }
+        code, out, _ = run_cli(["count", write_problem(tmp_path, doc)], capsys)
+        assert code == 0
+        assert json.loads(out)["counts"] == {
+            "two_partitions": 30,
+            "generic_partitions": 237,
+            "admissible_partitions": 237,
+            "candidates": 237,
+            "vertices": 63,
         }
 
     def test_cube_counts(self, capsys):

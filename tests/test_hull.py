@@ -2,9 +2,18 @@ import random
 from fractions import Fraction as F
 from itertools import combinations
 
-from conftest import convex_combination_exists, rank
-from shapedparts.hull import exact_membership, extreme_point_indices, lift_point
-from shapedparts.linalg import Matrix, solve_consistent
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import (
+    convex_combination_exists,
+    lift_point,
+    rank,
+    reference_membership,
+    solve_consistent,
+)
+from shapedparts.hull import _HullContext, _integer_phase_one, extreme_point_indices
+from shapedparts.linalg import Matrix
 
 
 def every_size_caratheodory(target, others):
@@ -27,6 +36,50 @@ def every_size_caratheodory(target, others):
 
 def frac_points(rng, count, dim):
     return [tuple(F(rng.randint(-4, 4)) for _ in range(dim)) for _ in range(count)]
+
+
+@st.composite
+def membership_problems(draw):
+    """(target, generators) with dim <= 3 and at most 8 generators, mixing in
+    zero and duplicate points, denominators in [2^61, 2^62], entries of scale
+    10**400 / 3, points on a lower-dimensional flat, and no generators at all."""
+    dim = draw(st.integers(1, 3))
+    scalars = st.one_of(
+        st.integers(-3, 3).map(F),
+        st.builds(F, st.integers(-2 ** 64, 2 ** 64), st.integers(2 ** 61, 2 ** 62)),
+        st.integers(-3, 3).map(lambda c: F(10 ** 400, 3) + c),
+    )
+    count = draw(st.integers(0, 9))  # the target and up to 8 generators
+    if draw(st.booleans()):
+        # an affine line through an offset
+        offset = draw(st.lists(scalars, min_size=dim, max_size=dim))
+        step = draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim))
+        points = [
+            tuple(o + t * d for o, d in zip(offset, step))
+            for t in draw(st.lists(st.integers(-3, 3), min_size=count + 1, max_size=count + 1))
+        ]
+    else:
+        points = []
+        for _ in range(count + 1):
+            kind = draw(st.sampled_from(["fresh", "fresh", "zero", "copy"]))
+            if kind == "zero":
+                points.append((F(0),) * dim)
+            elif kind == "copy" and points:
+                points.append(draw(st.sampled_from(points)))
+            else:
+                points.append(tuple(draw(st.lists(scalars, min_size=dim, max_size=dim))))
+    return points[0], points[1:]
+
+
+class TestIntegerKernel:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(membership_problems())
+    def test_matches_fraction_simplex(self, problem):
+        target, generators = problem
+        expected = reference_membership(target, generators)
+        rows = _HullContext([target] + generators).int_rows
+        assert _integer_phase_one(rows[0], rows[1:]) == expected
+        assert convex_combination_exists(target, generators) == expected
 
 
 class TestMembership:
@@ -76,7 +129,7 @@ class TestRouteAgreement:
                     tuple(sum(c) / len(others) for c in zip(*others)),
                 ]
             )
-            expected = exact_membership(target, others)
+            expected = reference_membership(target, others)
             assert convex_combination_exists(target, others) == expected
             assert nonvertex_by_affine_bases(target, others) == expected
             assert every_size_caratheodory(target, others) == expected
@@ -137,10 +190,21 @@ class TestExtremePoints:
             )))
         # the first maximizer of +x is an edge midpoint, not a vertex
         point_sets.append([(F(2), F(0)), (F(2), F(1)), (F(2), F(-1)), (F(0), F(0))])
+        # integers next to offsets of 2^-61: the float simplex certifies nothing
+        tiny = F(1, 2 ** 61)
+        point_sets.append(list(dict.fromkeys(
+            (F(x) + a * tiny, F(y) + b * tiny)
+            for x, y in ((0, 0), (1, 0), (0, 1), (1, 1))
+            for a, b in ((0, 0), (1, 0), (0, 1), (-1, -1))
+        )))
+        # past float range: every float coordinate clamps to the same value
+        big = F(10 ** 400, 3)
+        point_sets.append([(big + x, big + y) for x, y in
+                           ((0, 0), (2, 0), (0, 2), (1, 1), (2, 2), (1, 0), (3, 3))])
         point_sets.append([])
         for points in point_sets:
             expected = [
                 i for i, pt in enumerate(points)
-                if not exact_membership(pt, points[:i] + points[i + 1:])
+                if not reference_membership(pt, points[:i] + points[i + 1:])
             ]
             assert extreme_point_indices(points) == expected
