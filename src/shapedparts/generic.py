@@ -25,20 +25,31 @@ ordered 2-partitions. p-partitions are assembled from one 2-partition per
 part pair, intersecting candidate blocks and keeping the assemblies whose
 blocks cover the ground set; the pairs are applied level by level and each
 distinct partial assembly is expanded once.
+
+The assembly is whole-array numpy work. A partial assembly is a (p, W)
+uint64 array, each block a bitmask of W = ceil(n / 64) words, so every n
+takes the same path. A level tests all 2-partition masks against a bounded
+chunk of states at a time, builds the children with bitwise and, and drops
+duplicate rows with a lexsort and a row diff. The result is put in canonical
+order (sorted by blocks) once, and `GenericPartitionSet` keeps that array,
+building Partition objects only when they are asked for.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb, lcm
 from operator import mul
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .errors import CapacityError, DimensionError
 from .linalg import Matrix
-from .partitions import Partition, ordered_partition
+from .partitions import Partition
 
 
 @dataclass(frozen=True)
@@ -56,26 +67,6 @@ class EnumerationLimits:
 
 
 DEFAULT_LIMITS = EnumerationLimits()
-
-
-@dataclass(frozen=True)
-class GenericPartitionSet:
-    """Deduplicated set of generic partitions, sorted by blocks."""
-
-    partitions: tuple[Partition, ...]
-    d: int
-    n: int
-    p: int
-
-    def __len__(self) -> int:
-        return len(self.partitions)
-
-    def __iter__(self) -> Iterator[Partition]:
-        return iter(self.partitions)
-
-    def __contains__(self, pi: Partition) -> bool:
-        at = bisect_left(self.partitions, pi.blocks, key=lambda q: q.blocks)
-        return at < len(self.partitions) and self.partitions[at] == pi
 
 
 def _bareiss_determinant(rows: list[list[int]]) -> int:
@@ -202,6 +193,91 @@ def _mask_block(mask: int) -> tuple[int, ...]:
     return tuple(block)
 
 
+_WORD_BITS = 64
+# Bound on the states x masks x words elements of one chunk of the mask test.
+_CHUNK_ELEMENTS = 1 << 12
+
+
+def _words(masks: Sequence[int], width: int) -> np.ndarray:
+    """(len(masks), width) uint64 array; word w of a row holds bits 64w to
+    64w + 63 of its mask."""
+    low = (1 << _WORD_BITS) - 1
+    return np.array(
+        [[(mask >> (_WORD_BITS * w)) & low for w in range(width)] for mask in masks],
+        dtype=np.uint64,
+    ).reshape(len(masks), width)
+
+
+def _bits(words: np.ndarray, n: int) -> np.ndarray:
+    """(..., n) 0/1 uint8 array of the masks held as (..., width) words:
+    entry c is bit c, that is, element c + 1."""
+    bits = np.empty(words.shape[:-1] + (n,), dtype=np.uint8)
+    for c in range(n):
+        word = words[..., c // _WORD_BITS] >> np.uint64(c % _WORD_BITS)
+        bits[..., c] = word & np.uint64(1)
+    return bits
+
+
+def _sort_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The permutation that sorts the rows of a 2-d array lexicographically,
+    and a flag per sorted row: whether it differs from the row before it."""
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    np.any(rows[1:] != rows[:-1], axis=1, out=new[1:])
+    return order, new
+
+
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-d array, in lexicographic order."""
+    order, new = _sort_rows(rows)
+    return rows[order[new]]
+
+
+@dataclass(frozen=True, eq=False)
+class GenericPartitionSet:
+    """Deduplicated set of generic partitions in canonical order (sorted by blocks).
+
+    states[i, j] is block j of partition i as a bitmask of W uint64 words,
+    word w holding bits 64w to 64w + 63 and bit c standing for element c + 1.
+    Partition objects are built on first use of `partitions`, iteration or
+    membership, and by `select`.
+    """
+
+    states: np.ndarray
+    d: int
+    n: int
+    p: int
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def select(self, rows) -> tuple[Partition, ...]:
+        """The partitions at the given positions (any index of states' first
+        axis), built now."""
+        return tuple(
+            Partition(
+                tuple(
+                    _mask_block(sum(w << (_WORD_BITS * i) for i, w in enumerate(block)))
+                    for block in state
+                ),
+                self.n,
+            )
+            for state in self.states[rows].tolist()
+        )
+
+    @cached_property
+    def partitions(self) -> tuple[Partition, ...]:
+        return self.select(slice(None))
+
+    def __iter__(self) -> Iterator[Partition]:
+        return iter(self.partitions)
+
+    def __contains__(self, pi: Partition) -> bool:
+        at = bisect_left(self.partitions, pi.blocks, key=lambda q: q.blocks)
+        return at < len(self.partitions) and self.partitions[at] == pi
+
+
 def _two_partition_masks(perturbed: PerturbedMatrix, limits: EnumerationLimits) -> list[int]:
     """Generic 2-partitions as first-block bitmasks, sorted and deduplicated.
 
@@ -242,61 +318,66 @@ def enumerate_generic_p_partitions(
 
     A state holds, per part, the elements it may still take. Level l applies
     pair (r, s): a 2-partition mask keeps its first block for part r and its
-    second block for part s. Distinct states are kept in a set per level, so
+    second block for part s. The distinct states of a level are kept, so
     masks that lead to the same child are expanded once. A mask survives only
     if every element stays in some block: of the elements no other part can
     take, those s cannot take must lie in the first block and those r cannot
     take must lie outside it. The states left after the last pair are exactly
-    the covering assemblies. Every (state, mask) pair examined counts as one
-    node against limits.max_assembly_nodes.
+    the covering assemblies. Each level charges its states times the masks,
+    every (state, mask) pair it examines, to limits.max_assembly_nodes before
+    it runs.
     """
     d, n = perturbed.d, perturbed.n
     if p < 1:
         raise DimensionError(f"need p >= 1, got p={p}")
+    width = max(1, -(-n // _WORD_BITS))
+    full = _words([(1 << n) - 1], width)[0]
     if p == 1:
-        whole = ordered_partition([range(1, n + 1)], n)
-        return GenericPartitionSet((whole,), d, n, 1)
+        return GenericPartitionSet(full.reshape(1, 1, width), d, n, 1)
 
-    masks = (
+    first = _words(
         two_partition_masks
         if two_partition_masks is not None
-        else _two_partition_masks(perturbed, limits)
+        else _two_partition_masks(perturbed, limits),
+        width,
     )
+    second = full & ~first
     pairs = list(combinations(range(p), 2))
-    full = (1 << n) - 1
-    states: set[tuple[int, ...]] = {(full,) * p}
+    states = np.tile(full, (1, p, 1))
+    # masks tested against one chunk of states: a bounded temporary
+    step = max(1, _CHUNK_ELEMENTS // max(1, len(first) * width))
     nodes = 0
     for level, (r, s) in enumerate(pairs, start=1):
-        children: set[tuple[int, ...]] = set()
-        # Each child comes from one examined pair, so the node cap also caps
-        # the state set of every level.
-        for allowed in states:
-            nodes += len(masks)
-            if nodes > limits.max_assembly_nodes:
-                raise CapacityError(
-                    "assembly-nodes", limits.max_assembly_nodes,
-                    reached=f"pair level {level} of {len(pairs)}, part pair ({r + 1}, {s + 1})",
-                )
-            allowed_r, allowed_s = allowed[r], allowed[s]
-            free = full
-            for t, mask in enumerate(allowed):
-                if t != r and t != s:
-                    free &= ~mask
-            # need_r and the rest of need are disjoint: every element of a
-            # state lies in some part.
-            need_r = free & ~allowed_s
-            need = need_r | (free & ~allowed_r)
-            head, middle, tail = allowed[:r], allowed[r + 1:s], allowed[s + 1:]
-            for new_r, new_s in {
-                (allowed_r & first, allowed_s & ~first)
-                for first in masks
-                if first & need == need_r
-            }:
-                children.add(head + (new_r,) + middle + (new_s,) + tail)
-        states = children
+        nodes += len(states) * len(first)
+        if nodes > limits.max_assembly_nodes:
+            raise CapacityError(
+                "assembly-nodes", limits.max_assembly_nodes,
+                reached=f"pair level {level} of {len(pairs)}, part pair ({r + 1}, {s + 1})",
+            )
+        others = [t for t in range(p) if t != r and t != s]
+        free = full & ~np.bitwise_or.reduce(states[:, others], axis=1)
+        # need_r and the rest of need are disjoint: every element of a state
+        # lies in some part.
+        need_r = free & ~states[:, s]
+        need = need_r | (free & ~states[:, r])
+        children = [np.empty((0, p * width), dtype=np.uint64)]
+        for start in range(0, len(states), step):
+            chunk = slice(start, start + step)
+            fits = ((first & need[chunk, None]) == need_r[chunk, None]).all(axis=2)
+            state_at, mask_at = np.nonzero(fits)
+            child = states[chunk][state_at]
+            child[:, r] &= first[mask_at]
+            child[:, s] &= second[mask_at]
+            children.append(_distinct_rows(child.reshape(len(child), p * width)))
+        states = _distinct_rows(np.concatenate(children)).reshape(-1, p, width)
 
-    partitions = sorted(
-        (Partition(tuple(_mask_block(m) for m in vec), n) for vec in states),
-        key=lambda pi: pi.blocks,
-    )
-    return GenericPartitionSet(tuple(partitions), d, n, p)
+    if len(states) > 1:
+        # Position c of a block reads 1 if element c + 1 is in it, 2 if not but
+        # a later element is, and 0 if no element at or past it is. Comparing
+        # these codes position by position compares the blocks' sorted tuples,
+        # a proper prefix first, so one lexsort puts the states in block order.
+        bits = _bits(states, n)
+        at_or_past = np.maximum.accumulate(bits[..., ::-1], axis=-1)[..., ::-1]
+        codes = (2 * at_or_past - bits).reshape(len(states), p * n)
+        states = states[np.lexsort(codes.T[::-1])]
+    return GenericPartitionSet(states, d, n, p)

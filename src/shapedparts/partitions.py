@@ -156,6 +156,9 @@ class ShapeFamily:
 
     @classmethod
     def from_predicate(cls, predicate: Callable[[Shape], bool], n: int, p: int) -> "ShapeFamily":
+        """A family decided by predicate(shape). The predicate must be pure:
+        `vertices` and `solve` ask it once per distinct shape and apply the
+        answer to every partition of that shape."""
         _check_dims(n, p)
         return cls("predicate", n, p, predicate=predicate)
 

@@ -5,19 +5,24 @@ shaped partition polytope, and every vertex arises from a generic partition
 of the lifted configuration, so scanning the admissible generic partitions
 and evaluating the objective at each one's part-sum matrix finds a global
 maximizer. Ties go to the first maximizer in canonical enumeration order.
+
+The admissible generic partitions and their part-sum matrices come from
+`polytope.admissible_partitions`, the stage `candidate_vertices` uses too:
+one Matrix per distinct part-sum matrix, and a Partition object only for
+the winner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import DimensionError
 from .generic import DEFAULT_LIMITS, EnumerationLimits, PerturbedMatrix, enumerate_generic_p_partitions
 from .linalg import Matrix
 from .objectives import Objective
-from .partitions import Partition, ShapeFamily, lift, partition_matrix, shape_of
+from .partitions import Partition, ShapeFamily, lift
+from .polytope import admissible_partitions, check_family
 
 
 @dataclass(frozen=True)
@@ -41,37 +46,20 @@ def solve(
     canonical order, one at a time; `evaluations` counts those partitions.
     Partitions with equal part sums share one part-sum matrix, built once.
     """
-    if family.n != a.ncols or family.p != p:
-        raise DimensionError(
-            f"shape family over n={family.n}, p={family.p} does not match "
-            f"matrix with {a.ncols} columns and p={p}"
-        )
+    check_family(a, p, family)
     objective.check_compatible(a, p)
-    perturbed = PerturbedMatrix(lift(a))
-    generic_set = enumerate_generic_p_partitions(perturbed, p, limits)
-    admissible = [pi for pi in generic_set if family.contains(shape_of(pi))]
+    generic = enumerate_generic_p_partitions(PerturbedMatrix(lift(a)), p, limits)
+    admissible = admissible_partitions(a, generic, family)
     if not admissible:
         raise DimensionError("shape family admits no partition")
-    # Part sums of scale * a are exact integer keys for the part-sum matrices.
-    scale = lcm(*(x.denominator for x in a.flatten()))
-    columns = [tuple(x.numerator * (scale // x.denominator) for x in col) for col in a.columns()]
-    zero = (0,) * a.nrows
-    matrices: dict[tuple, Matrix] = {}
-
     best_value = None
-    for pi in admissible:
-        key = tuple(
-            tuple(map(sum, zip(zero, *(columns[i - 1] for i in block)))) for block in pi.blocks
-        )
-        matrix = matrices.get(key)
-        if matrix is None:
-            matrix = matrices[key] = partition_matrix(a, pi)
-        value = objective.evaluate(matrix)
+    for at, g in enumerate(admissible.group):
+        value = objective.evaluate(admissible.matrices[g])
         if best_value is None or value > best_value:
-            best_partition, best_matrix, best_value = pi, matrix, value
+            best_at, best_value = at, value
     return SolveReport(
-        best_partition=best_partition,
-        best_matrix=best_matrix,
+        best_partition=admissible.partitions([best_at])[0],
+        best_matrix=admissible.matrices[admissible.group[best_at]],
         best_value=best_value,
         evaluations=len(admissible),
     )

@@ -170,6 +170,26 @@ TRANSLATIONS = st.one_of(
 )
 
 
+def _huge_problems():
+    """(A, p, family) whose integer part sums overflow int64, with duplicate
+    columns, plus the two sides of the int64 bound itself."""
+    wide = 2 ** 61 + 1, 2 ** 62 + 3
+    return [
+        (Matrix([["1e400", "-1e400", 3, "1e400", 0], [1, 2, "-3e400", 2, "1e399"]]), 3,
+         ShapeFamily.all_shapes(5, 3)),
+        (Matrix([["1e400", 2, "1e400", -1]]), 2, ShapeFamily.explicit([(2, 2), (3, 1)], 4, 2)),
+        (Matrix([[Fraction(1, wide[0]), Fraction(1, wide[0]), Fraction(-5, wide[1]),
+                  Fraction(7, wide[0]), 0],
+                 [0, 0, 1, 0, Fraction(3, wide[1])]]), 3,
+         ShapeFamily.bounds([0, 1, 0], [3, 5, 2], 5)),
+        (Matrix([[2 ** 62, 2 ** 62 - 1, 0]]), 2, ShapeFamily.all_shapes(3, 2)),  # fits int64
+        (Matrix([[2 ** 62, 2 ** 62, 0]]), 2, ShapeFamily.all_shapes(3, 2)),  # does not
+    ]
+
+
+HUGE_PROBLEMS = _huge_problems()
+
+
 @st.composite
 def edge_problems(draw):
     """(A, p, family, linear cost) with k <= 2, n <= 6 and p <= 3, mixing in

@@ -148,6 +148,32 @@ def reference_p_partitions(masks, n, p, max_nodes=None):
     return {tuple(_mask_block(m) for m in vec) for vec in found}
 
 
+def reference_level_assembly(masks, n, p):
+    """The pure-Python level assembly over part pairs: one set of distinct
+    states per level, masks filtered by the forced bits. Returns the block
+    tuples sorted by blocks."""
+    pairs = [(r, s) for r in range(p) for s in range(r + 1, p)]
+    full = (1 << n) - 1
+    states = {(full,) * p}
+    for r, s in pairs:
+        children = set()
+        for allowed in states:
+            free = full
+            for t, mask in enumerate(allowed):
+                if t != r and t != s:
+                    free &= ~mask
+            need_r = free & ~allowed[s]
+            need = need_r | (free & ~allowed[r])
+            for first in masks:
+                if first & need == need_r:
+                    child = list(allowed)
+                    child[r] = allowed[r] & first
+                    child[s] = allowed[s] & ~first
+                    children.add(tuple(child))
+        states = children
+    return sorted(tuple(_mask_block(m) for m in vec) for vec in states)
+
+
 def reference_assemble(pair_partitions, n, p):
     """Blocks assembled from one 2-partition per part pair (r < s, in
     lexicographic order), or None when they do not cover the ground set."""
@@ -481,6 +507,74 @@ class TestPPartitions:
     def test_p_must_be_positive(self):
         with pytest.raises(DimensionError):
             enumerate_generic_p_partitions(perturbed([[1, 2]]), 0)
+
+
+class TestMultiWordMasks:
+    """n = 63, 64 and 65 hold each block in one, one (full) and two words."""
+
+    @pytest.mark.parametrize("n", [63, 64, 65])
+    def test_two_parts_match_reference(self, n):
+        rng = random.Random(n)
+        p = PerturbedMatrix(lift(Matrix([[rng.randint(-5, 5) for _ in range(n)]])))
+        masks = _two_partition_masks(p, EnumerationLimits())
+        result = enumerate_generic_p_partitions(p, 2, two_partition_masks=masks)
+        assert [pi.blocks for pi in result] == reference_level_assembly(masks, n, 2)
+        assert len(result) == n * (n - 1) + 2
+
+    @pytest.mark.parametrize("n", [63, 64, 65])
+    def test_three_parts_match_reference(self, n):
+        rng = random.Random(n)
+        p = PerturbedMatrix(lift(Matrix([[rng.randint(-5, 5) for _ in range(n)]])))
+        # k = 1 gives millions of generic 3-partitions at this n, so assemble
+        # from a complement-closed sample of its masks.
+        full = (1 << n) - 1
+        sample = _two_partition_masks(p, EnumerationLimits())[::150]
+        masks = sorted(set(sample) | {full ^ m for m in sample})
+        result = enumerate_generic_p_partitions(p, 3, two_partition_masks=masks)
+        expected = reference_level_assembly(masks, n, 3)
+        assert len(expected) > 100
+        assert [pi.blocks for pi in result] == expected
+
+    @pytest.mark.parametrize("n", [63, 64, 65])
+    def test_three_parts_on_a_line_match_reference(self, n):
+        # k = 0: the lifted points lie on a line, so the full generic set is small.
+        p = PerturbedMatrix(lift(Matrix([], ncols=n)))
+        masks = _two_partition_masks(p, EnumerationLimits())
+        result = enumerate_generic_p_partitions(p, 3, two_partition_masks=masks)
+        assert [pi.blocks for pi in result] == reference_level_assembly(masks, n, 3)
+
+
+class TestAssemblyNodeBoundary:
+    """One node is one (state, mask) pair; a level is charged in full before it
+    runs. The cumulative counts per level were read off the depth-first and
+    per-state guards of earlier versions, which trip at the same levels."""
+
+    CASES = [
+        ([[3, -1, 4, 1, -5]], 3, [22, 506, 11154], 183),
+        ([[3, -1, 4, 2]], 4, [14, 210, 2954, 41370, 56686, 65016], 244),
+    ]
+
+    @pytest.mark.parametrize("rows, p_count, cumulative, size", CASES)
+    def test_total_passes_one_less_trips(self, rows, p_count, cumulative, size):
+        p = PerturbedMatrix(lift(Matrix(rows)))
+        levels = len(cumulative)
+        limits = EnumerationLimits(max_assembly_nodes=cumulative[-1])
+        assert len(enumerate_generic_p_partitions(p, p_count, limits)) == size
+        for level, total in enumerate(cumulative, start=1):
+            with pytest.raises(CapacityError) as caught:
+                limits = EnumerationLimits(max_assembly_nodes=total - 1)
+                enumerate_generic_p_partitions(p, p_count, limits)
+            r, s = list(combinations(range(1, p_count + 1), 2))[level - 1]
+            assert str(caught.value) == (
+                f"capacity guard 'assembly-nodes' exceeded (limit {total - 1}; "
+                f"reached pair level {level} of {levels}, part pair ({r}, {s}))"
+            )
+        assert str(caught.value) == {
+            3: "capacity guard 'assembly-nodes' exceeded (limit 11153; "
+               "reached pair level 3 of 3, part pair (2, 3))",
+            4: "capacity guard 'assembly-nodes' exceeded (limit 65015; "
+               "reached pair level 6 of 6, part pair (3, 4))",
+        }[p_count]
 
 
 class TestDeterminism:

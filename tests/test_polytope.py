@@ -5,14 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import TRANSLATIONS, convex_combination_exists, edge_problems
+from conftest import HUGE_PROBLEMS, TRANSLATIONS, convex_combination_exists, edge_problems
 from shapedparts.brute import brute_solve, brute_vertices
 from shapedparts.errors import CapacityError, DimensionError
-from shapedparts.generic import EnumerationLimits
+from shapedparts.generic import EnumerationLimits, PerturbedMatrix, enumerate_generic_p_partitions
 from shapedparts.linalg import Matrix
 from shapedparts.objectives import LinearObjective
-from shapedparts.partitions import ShapeFamily, compositions
-from shapedparts.polytope import candidate_vertices, enumerate_vertices
+from shapedparts.partitions import ShapeFamily, compositions, lift, partition_matrix, shape_of
+from shapedparts.polytope import admissible_partitions, candidate_vertices, enumerate_vertices
 from shapedparts.solver import solve
 
 
@@ -23,6 +23,18 @@ def is_vertex(value, values):
 
 def random_matrix(rng, k, n):
     return Matrix([[rng.randint(-5, 5) for _ in range(n)] for _ in range(k)])
+
+
+def reference_candidates(a, p, family):
+    """Members and witnesses by the plain per-partition scan: one part-sum
+    matrix per admissible generic partition, grouped by its entries."""
+    grouped = {}
+    for pi in enumerate_generic_p_partitions(PerturbedMatrix(lift(a)), p):
+        if family.contains(shape_of(pi)):
+            matrix = partition_matrix(a, pi)
+            grouped.setdefault(matrix.flatten(), (matrix, []))[1].append(pi)
+    keys = sorted(grouped)
+    return [grouped[key][0] for key in keys], [tuple(grouped[key][1]) for key in keys]
 
 
 class TestCandidates:
@@ -60,6 +72,51 @@ class TestCandidates:
         limits = EnumerationLimits(max_candidates=2)
         with pytest.raises(CapacityError):
             candidate_vertices(Matrix([[1, 2, 3]]), 2, ShapeFamily.all_shapes(3, 2), limits)
+
+    @pytest.mark.parametrize("problem", HUGE_PROBLEMS)
+    def test_huge_part_sums_match_reference_scan(self, problem):
+        a, p, family = problem
+        cand = candidate_vertices(a, p, family)
+        members, witnesses = reference_candidates(a, p, family)
+        assert list(cand.members) == members
+        assert list(cand.witnesses) == witnesses
+        assert cand.admissible_count == sum(map(len, witnesses))
+
+
+class TestAdmissiblePartitions:
+    def test_predicate_asked_once_per_distinct_shape(self):
+        a = Matrix([[3, -1, 4, 1, -5, 2, 2]])
+        asked = []
+
+        def admits(shape):
+            return shape[0] <= shape[1] or shape[2] == 0
+
+        def counting(shape):
+            asked.append(shape)
+            return admits(shape)
+
+        generic_set = enumerate_generic_p_partitions(PerturbedMatrix(lift(a)), 3)
+        family = ShapeFamily.from_predicate(counting, 7, 3)
+        admissible = admissible_partitions(a, generic_set, family)
+        shapes = [shape_of(pi) for pi in generic_set]
+        assert len(asked) == len(set(asked)) == len(set(shapes)) < len(shapes)
+        assert set(asked) == set(shapes)
+        expected = [pi for pi in generic_set if admits(shape_of(pi))]
+        assert 0 < len(expected) < len(generic_set)
+        assert list(admissible.partitions()) == expected
+
+    def test_groups_number_matrices_by_first_occurrence(self):
+        a = Matrix([[2, -1, 2, 0, -1, 3], [1, 0, 1, 1, 0, -2]])  # columns 1 and 3, 2 and 5 repeat
+        generic_set = enumerate_generic_p_partitions(PerturbedMatrix(lift(a)), 3)
+        admissible = admissible_partitions(a, generic_set, ShapeFamily.all_shapes(6, 3))
+        seen = []
+        for pi, g in zip(admissible.partitions(), admissible.group):
+            matrix = partition_matrix(a, pi)
+            if matrix not in seen:
+                seen.append(matrix)
+            assert admissible.matrices[g] == matrix == seen[g]
+        assert admissible.matrices == seen
+        assert len(seen) < len(admissible)
 
 
 class TestIsVertex:

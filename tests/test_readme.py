@@ -49,3 +49,21 @@ class TestRuntimeDependencies:
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                              text=True, check=True).stdout
         assert out.strip() == "[]"
+
+    def test_cli_commands_load_no_numpy_ma(self, tmp_path):
+        problem = tmp_path / "problem.json"
+        problem.write_text(
+            '{"matrix": [[3, -1, 4, 1, -5]], "p": 3, "shapes": {"type": "all"}, '
+            '"objective": {"type": "sum_column_norm_pow", "q": 2}}'
+        )
+        probe = (
+            "import sys\n"
+            "from shapedparts.cli import main\n"
+            f"for argv in (['solve', {str(problem)!r}], ['vertices', '--with-partitions', {str(problem)!r}]):\n"
+            f"    assert main(argv + ['--output', {str(tmp_path / 'out.json')!r}]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(README.parent / "src"))
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "False"

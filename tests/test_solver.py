@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import TRANSLATIONS, edge_problems
+from conftest import HUGE_PROBLEMS, TRANSLATIONS, edge_problems
 from shapedparts.brute import brute_solve
 from shapedparts.errors import DimensionError
 from shapedparts.generic import PerturbedMatrix, enumerate_generic_p_partitions
@@ -251,6 +251,23 @@ class TestSolveInvariants:
             best = solve(a, p, family, objective).best_value
             report = enumerate_vertices(a, p, family)
             assert best == max(objective.evaluate(v) for v in report.vertices)
+
+
+class TestSolveLargeInputs:
+    def test_multi_word_masks_match_reference_scan(self):
+        rng = random.Random(65)
+        a = Matrix([[rng.randint(-5, 5) for _ in range(65)]])
+        family = ShapeFamily.all_shapes(65, 2)
+        objective = ColumnPowerObjective(2)
+        assert solve(a, 2, family, objective) == reference_solve(a, 2, family, objective)
+
+    @pytest.mark.parametrize("problem", HUGE_PROBLEMS)
+    @pytest.mark.parametrize("kind", ["linear", "column_power", "constant"])
+    def test_huge_part_sums_match_reference_scan(self, problem, kind):
+        a, p, family = problem
+        cost = Matrix([[(-1) ** (r + j) * (j + 1) for j in range(p)] for r in range(a.nrows)])
+        objective = edge_objective(kind, cost)
+        assert solve(a, p, family, objective) == reference_solve(a, p, family, objective)
 
 
 class TestExternalSolve:
