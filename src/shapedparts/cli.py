@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from typing import Sequence
 
 from .brute import brute_solve, brute_vertices
@@ -84,7 +85,10 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                              "during p-partition assembly")
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parse_args keeps no state
+    between calls (each returns a fresh namespace)."""
     parser = argparse.ArgumentParser(
         prog="shapedparts",
         description="Exact vertex enumeration and convex maximization over "

@@ -293,7 +293,7 @@ def _two_partition_masks(perturbed: PerturbedMatrix, limits: EnumerationLimits) 
             raise CapacityError("two-partitions", limits.max_two_partitions, count)
         return list(range(count))
     masks: set[int] = set()
-    for subset in combinations(range(n), d):
+    for index, subset in enumerate(combinations(range(n), d), start=1):
         below_mask = perturbed.below_mask(subset)
         for choice in range(1 << d):
             j_below = 0
@@ -304,7 +304,8 @@ def _two_partition_masks(perturbed: PerturbedMatrix, limits: EnumerationLimits) 
             masks.add(first)
             masks.add(full ^ first)
             if len(masks) > limits.max_two_partitions:
-                raise CapacityError("two-partitions", limits.max_two_partitions)
+                raise CapacityError("two-partitions", limits.max_two_partitions,
+                                    reached=f"d-subset {index} of {comb(n, d)}")
     return sorted(masks)
 
 

@@ -4,19 +4,28 @@ Membership of a point in the convex hull of finitely many generators is
 decided by one exact procedure: a phase-one simplex with Bland's rule on
 integers (``_integer_phase_one``). Every point set is lifted straight to
 integer rows, the coordinates with a leading 1 times the common denominator
-of the whole set, so no rational arithmetic is needed.
+of the whole set, so no rational arithmetic is needed. Only an exact basis of
+those lifted columns is kept (affine-hull coordinates): the projection is
+injective on the span of the lifted points, so it changes no verdict, and
+every simplex and proposal runs without the redundant coordinates.
 
-Floats only propose. A float phase-one simplex proposes either the support of
-a convex combination, on whose columns alone the integer simplex then runs,
-or a Farkas functional, whose strict separation is checked with one integer
-matmul (int64 when magnitude bounds allow, Python integers otherwise). When
-neither proposal holds, the integer simplex runs on all generators. Floats
-therefore only influence speed, never verdicts.
+Floats only propose. One float phase-one simplex, batched over a stack of
+right-hand sides against one generator matrix (``_float_phase_one``),
+proposes per target either the support of a convex combination, on whose
+columns alone the integer simplex then runs, or a Farkas functional, whose
+strict separation is checked with one integer matmul (int64 when magnitude
+bounds allow, Python integers otherwise). When neither proposal holds, the
+integer simplex runs on all generators. Floats therefore only influence
+speed, never verdicts.
 
 Vertex filtering starts from a float proposal too: the points that maximize
-one of a fixed set of directions (the coordinate axes both ways and a seeded
-random set). The proposal only orders the work; every point is kept or
-discarded by the exact membership test above.
+one of a fixed set of directions (a seeded random set and the coordinate axes
+both ways). Every other point is tested against the proposed set in one
+batched float pass and discarded only with an exactly verified support. A
+survivor is certified a vertex when the rounded direction that proposed it,
+or the Farkas functional that kept it, strictly separates it from the other
+survivors on integers. The membership test decides the rest, and a survivor
+it finds inside leaves at once, so the later tests run on fewer generators.
 """
 
 from __future__ import annotations
@@ -35,6 +44,8 @@ _FEASIBILITY_TOL = 1e-7
 _PIVOT_TOL = 1e-9
 _INT64_GUARD = 1 << 62
 _DIRECTION_SEED = 20240611
+# Bound on the entries of one chunk of float tableaux or integer scores.
+_CHUNK_ELEMENTS = 1 << 16
 
 
 def _safe_float(x) -> float:
@@ -97,150 +108,260 @@ def _integer_phase_one(rhs: Sequence[int], columns: Sequence[Sequence[int]]) -> 
         basis[leave] = enter
 
 
-def _float_phase_one(acols: np.ndarray, rhs: np.ndarray):
-    """Float phase-one simplex on  A x = b, x >= 0  with b >= 0.
+def _float_phase_one(acols: np.ndarray, rhs: np.ndarray) -> list:
+    """Batched float phase-one simplex: for each row b of rhs, is A x = b,
+    x >= 0 feasible, with A = acols?
 
-    Returns ("feasible", x) with a basic solution, ("infeasible", y) with a
+    Returns one outcome per row: ("feasible", support) with the sorted column
+    indices of a basic solution's positive entries, ("infeasible", y) with a
     Farkas functional satisfying y.A <= 0 < y.b approximately, or None when
-    the iteration cap or numerics give up.
+    the iteration cap or numerics give up. Every row runs its own simplex: its
+    own sign flips (so its right-hand side is nonnegative), basis and pivots
+    (entering by the most negative reduced cost, leaving by the first smallest
+    ratio). Rows that finish drop out, and the rows run in chunks of at most
+    _CHUNK_ELEMENTS tableau entries.
     """
     m, ng = acols.shape
-    tableau = np.hstack([acols, np.eye(m), rhs[:, None]])
-    cost = np.concatenate([np.zeros(ng), np.ones(m)])
-    basis = list(range(ng, ng + m))
-    for _ in range(60 + 12 * m):
-        reduced = cost[: ng + m] - cost[basis] @ tableau[:, : ng + m]
-        enter = int(np.argmin(reduced))
-        if reduced[enter] >= -_PIVOT_TOL:
-            if cost[basis] @ tableau[:, -1] < _FEASIBILITY_TOL:
-                x = np.zeros(ng)
-                for row, var in enumerate(basis):
-                    if var < ng:
-                        x[var] = tableau[row, -1]
-                return "feasible", x
-            return "infeasible", cost[basis] @ tableau[:, ng: ng + m]
-        col = tableau[:, enter]
-        positive = col > _PIVOT_TOL
-        if not positive.any():
-            return None
-        ratios = np.where(positive, tableau[:, -1] / np.where(positive, col, 1.0), np.inf)
-        leave = int(np.argmin(ratios))
-        tableau[leave] /= tableau[leave, enter]
-        eliminate = tableau[:, enter].copy()
-        eliminate[leave] = 0.0
-        tableau -= np.outer(eliminate, tableau[leave])
-        basis[leave] = enter
-    return None
+    width = ng + m + 1
+    outcomes: list = [None] * len(rhs)
+    step = max(1, _CHUNK_ELEMENTS // ((m + 1) * width))
+    for start in range(0, len(rhs), step):
+        chunk = rhs[start:start + step]
+        flip = np.where(chunk < 0, -1.0, 1.0)
+        # Row m of each tableau holds the phase-one reduced costs and, in its
+        # last entry, minus the sum of the artificials, which start basic.
+        tableau = np.zeros((len(chunk), m + 1, width))
+        tableau[:, :m, :ng] = flip[:, :, None] * acols
+        tableau[:, :m, ng:ng + m] = np.eye(m)
+        tableau[:, :m, -1] = flip * chunk
+        tableau[:, m] = -tableau[:, :m].sum(axis=1)
+        tableau[:, m, ng:ng + m] = 0.0
+        basis = np.tile(np.arange(ng, ng + m), (len(chunk), 1))
+        rows = np.arange(start, start + len(chunk))
+        for _ in range(60 + 12 * m):
+            if not len(rows):
+                break
+            at = np.arange(len(rows))
+            reduced = tableau[:, m, :-1]
+            enter = reduced.argmin(axis=1)
+            done = reduced[at, enter] >= -_PIVOT_TOL
+            for i in np.flatnonzero(done).tolist():
+                if -tableau[i, m, -1] < _FEASIBILITY_TOL:
+                    positive = (basis[i] < ng) & (tableau[i, :m, -1] > 1e-9)
+                    outcomes[rows[i]] = ("feasible", np.sort(basis[i, positive]))
+                else:
+                    outcomes[rows[i]] = ("infeasible", flip[i] * (1.0 - tableau[i, m, ng:ng + m]))
+            col = tableau[at, :m, enter]
+            positive = col > _PIVOT_TOL
+            ratios = np.where(positive, tableau[:, :m, -1] / np.where(positive, col, 1.0), np.inf)
+            live = ~done & positive.any(axis=1)  # no positive entry: give up on the row
+            if not live.all():
+                tableau, basis, rows, flip = tableau[live], basis[live], rows[live], flip[live]
+                enter, ratios = enter[live], ratios[live]
+                at = np.arange(len(rows))
+            leave = ratios.argmin(axis=1)
+            pivot_row = tableau[at, leave] / tableau[at, leave, enter][:, None]
+            factor = tableau[at, :, enter]
+            factor[at, leave] = 0.0
+            tableau -= factor[:, :, None] * pivot_row[:, None, :]
+            tableau[at, leave] = pivot_row
+            basis[at, leave] = enter
+    return outcomes
+
+
+def _pivot_columns(gram: list[list[int]]) -> list[int]:
+    """Columns of a square integer matrix that are not combinations of the
+    columns before them, by fraction-free elimination (Bareiss 1968) with row
+    swaps; every division is exact."""
+    rows = [list(row) for row in gram]
+    size = len(rows)
+    pivots: list[int] = []
+    previous = 1
+    for c in range(size):
+        r = len(pivots)
+        swap = next((i for i in range(r, size) if rows[i][c]), None)
+        if swap is None:
+            continue
+        rows[r], rows[swap] = rows[swap], rows[r]
+        pivot_row = rows[r]
+        pivot = pivot_row[c]
+        for row in rows[r + 1:]:
+            lead = row[c]
+            for j in range(c + 1, size):
+                row[j] = (row[j] * pivot - lead * pivot_row[j]) // previous
+        previous = pivot
+        pivots.append(c)
+    return pivots
 
 
 class _HullContext:
-    """Integer and float views of one point set.
+    """Integer and float views of one point set, in affine-hull coordinates.
 
-    int_rows: per point, the coordinates with a leading 1, all multiplied by
-        the common denominator of the whole set. The integer simplex decides
-        on these rows, and separating functionals are verified on them.
-    float_rows: the same rows unscaled as floats, from which the float simplex
-        proposes supports and separating functionals and the direction scan
-        proposes vertices.
+    Each point is lifted to its coordinates with a leading 1, all multiplied
+    by the common denominator of the whole set. Of those lifted columns only
+    an exact basis is kept: the pivot columns of the lifted rows' Gram matrix,
+    which has the same column dependencies. Every dropped column is a fixed
+    combination of the kept ones on the span of the lifted rows, so the
+    projection is injective there and hull membership and strict separation
+    are unchanged; the leading column is always kept.
+
+    int_rows: per point, the kept integer coordinates. The integer simplex
+        decides on these rows, and separating functionals are verified on them.
+    float_rows: the same coordinates unscaled as floats, from which the float
+        simplex proposes supports and separating functionals and the direction
+        scan proposes vertices.
     """
 
     def __init__(self, points: Sequence[Point]):
-        m = 1 + (len(points[0]) if points else 0)
-        self.float_rows = np.array([[1.0] + [_safe_float(x) for x in p] for p in points]) \
-            if points else np.zeros((0, m))
         common = lcm(*(x.denominator for p in points for x in p))
-        self.int_rows = [
+        lifted = [
             (common,) + tuple(x.numerator * (common // x.denominator) for x in p) for p in points
         ]
-        max_scaled = max((abs(v) for row in self.int_rows for v in row), default=0)
-        small = max_scaled * _FUNCTIONAL_SCALE * m < _INT64_GUARD
+        max_scaled = max((abs(v) for row in lifted for v in row), default=0)
+        exact = np.array(lifted, dtype=np.int64 if max_scaled ** 2 * len(lifted) < _INT64_GUARD
+                         else object)
+        pivots = _pivot_columns((exact.T @ exact).tolist())
+        self.int_rows = [tuple(row[j] for j in pivots) for row in lifted]
+        self.float_rows = np.array([[1.0] + [_safe_float(x) for x in p] for p in points])[:, pivots]
+        small = max_scaled * _FUNCTIONAL_SCALE * len(pivots) < _INT64_GUARD
         self._int_matrix = np.array(self.int_rows, dtype=np.int64 if small else object)
 
-    def _verify_separation(self, target: int, generator_indices: Sequence[int],
-                           functional: Sequence[int]) -> bool:
-        weights = np.array(functional, dtype=self._int_matrix.dtype)
-        scores = self._int_matrix[[target, *generator_indices]] @ weights
-        return bool((scores[1:] < scores[0]).all())
+    def _verify_separation(self, targets: Sequence[int], generator_indices: Sequence[int],
+                           functionals: np.ndarray) -> np.ndarray:
+        """Per target, exactly: does its integer functional score it strictly
+        above every generator other than the target itself?"""
+        weights = np.asarray(functionals, dtype=np.int64).astype(self._int_matrix.dtype)
+        generators = np.asarray(generator_indices, dtype=np.intp)
+        targets = np.asarray(targets, dtype=np.intp)
+        own = (self._int_matrix[targets] * weights).sum(axis=1)
+        separated = np.empty(len(targets), dtype=bool)
+        # targets at a time, so the score array stays within _CHUNK_ELEMENTS
+        step = max(1, _CHUNK_ELEMENTS // max(1, len(generators)))
+        for start in range(0, len(targets), step):
+            part = slice(start, start + step)
+            scores = self._int_matrix[generators] @ weights[part].T
+            beaten = (scores >= own[part]) & (generators[:, None] != targets[None, part])
+            separated[part] = ~beaten.any(axis=0)
+        return separated
 
     def _decide(self, target: int, generator_indices: Sequence[int]) -> bool:
         return _integer_phase_one(
             self.int_rows[target], [self.int_rows[g] for g in generator_indices]
         )
 
+    def certify(self, targets: Sequence[int],
+                generator_indices: Sequence[int]) -> tuple[list[bool], np.ndarray]:
+        """Float proposals for each target against the same generators.
+
+        Returns, per target, whether it is exactly certified to lie in their
+        hull (a float support checked by the integer simplex), and a rounded
+        integer functional: the float Farkas functional when the float simplex
+        found one, zero otherwise. Neither is a verdict on its own: False
+        means only that no certificate was found, and a functional separates
+        only once _verify_separation says so.
+        """
+        gen_idx = list(generator_indices)
+        inside = [False] * len(targets)
+        farkas = np.zeros((len(targets), self.float_rows.shape[1]))
+        if not gen_idx:
+            return inside, farkas
+        # Overflow and NaN in the float proposal only spoil a certificate,
+        # which then fails verification; numpy need not warn about them.
+        with np.errstate(all="ignore"):
+            outcomes = _float_phase_one(self.float_rows[gen_idx].T, self.float_rows[list(targets)])
+        for j, (target, outcome) in enumerate(zip(targets, outcomes)):
+            if outcome is None:
+                continue
+            status, payload = outcome
+            if status == "feasible":
+                inside[j] = self._decide(target, [gen_idx[i] for i in payload])
+            else:
+                farkas[j] = payload
+        return inside, _round_functionals(farkas)
+
     def membership(self, target: int, generator_indices: Sequence[int]) -> bool:
         """Exact verdict: is point[target] in the hull of the indexed generators?"""
         if not generator_indices:
             return False
         gen_idx = list(generator_indices)
-        rhs = self.float_rows[target].copy()
-        acols = self.float_rows[gen_idx].T.copy()
-        flip = rhs < 0
-        rhs[flip] = -rhs[flip]
-        acols[flip] = -acols[flip]
-
-        # Overflow and NaN in the float proposal only spoil a certificate,
-        # which then fails verification; numpy need not warn about them. The
-        # state is set here so that every caller of membership is covered.
-        with np.errstate(all="ignore"):
-            outcome = _float_phase_one(acols, rhs)
-        if outcome is not None:
-            status, payload = outcome
-            if status == "feasible":
-                support = [gen_idx[i] for i in np.nonzero(payload > 1e-9)[0]]
-                if self._decide(target, support):
-                    return True
-            else:
-                farkas = np.where(flip, -payload, payload)
-                peak = float(np.abs(farkas).max(initial=0.0))
-                if peak > 0 and np.isfinite(peak):
-                    functional = [round(float(x) * _FUNCTIONAL_SCALE / peak) for x in farkas]
-                    if self._verify_separation(target, gen_idx, functional):
-                        return False
+        inside, functional = self.certify([target], gen_idx)
+        if inside[0]:
+            return True
+        if self._verify_separation([target], gen_idx, functional)[0]:
+            return False
         return self._decide(target, gen_idx)
+
+
+def _round_functionals(vectors: np.ndarray) -> np.ndarray:
+    """Each row scaled to a largest entry of _FUNCTIONAL_SCALE and rounded to
+    integers (as floats); rows that are zero or not finite become zero."""
+    with np.errstate(all="ignore"):
+        peak = np.abs(vectors).max(axis=1, initial=0.0)
+        usable = (peak > 0) & np.isfinite(peak)
+        scaled = np.rint(vectors * (_FUNCTIONAL_SCALE / np.where(usable, peak, 1.0))[:, None])
+    scaled[~usable] = 0.0
+    return scaled
 
 
 @lru_cache(maxsize=None)
 def _directions(dim: int) -> np.ndarray:
-    """The fixed proposal directions in R^dim: the coordinate axes both ways,
-    then 64 * dim + 64 seeded Gaussian directions."""
+    """The fixed proposal directions in R^dim: 64 * dim + 64 seeded Gaussian
+    directions, then the coordinate axes both ways. The axes come last so that
+    the first direction a point maximizes is rarely one that ties on lattice
+    points; the set of maximizers does not depend on the order."""
     axes = np.eye(dim)
     rng = np.random.default_rng(_DIRECTION_SEED)
-    return np.vstack([axes, -axes, rng.standard_normal((64 * dim + 64, dim))])
+    return np.vstack([rng.standard_normal((64 * dim + 64, dim)), axes, -axes])
 
 
-def _propose_vertices(coords: np.ndarray) -> list[int]:
+def _propose_vertices(coords: np.ndarray) -> tuple[list[int], np.ndarray]:
     """Float guess at the hull vertices: each point that maximizes one of the
-    fixed directions. Correctness never depends on it."""
+    fixed directions, in index order, with the first direction it maximizes
+    (one row per pick). Correctness never depends on it."""
     directions = _directions(coords.shape[1])
-    picks: set[int] = set()
+    first: dict[int, int] = {}
     if len(coords):
         # 64 directions at a time, so the score array stays small for big sets.
         for start in range(0, len(directions), 64):
-            picks.update(np.argmax(coords @ directions[start:start + 64].T, axis=0).tolist())
-    return sorted(picks)
+            winners = np.argmax(coords @ directions[start:start + 64].T, axis=0)
+            for offset, pick in enumerate(winners.tolist()):
+                first.setdefault(pick, start + offset)
+    picks = sorted(first)
+    return picks, directions[[first[i] for i in picks]]
 
 
 def extreme_point_indices(points: Sequence[Point]) -> list[int]:
     """Indices of the points that are vertices of the convex hull of all points.
 
-    The points that maximize a fixed direction are proposed as vertices; every
-    other point is then discarded only with an exactly verified
-    convex-combination certificate against the current survivors, and a final
-    exact purge pass removes any proposed point that is not extreme after all.
-    The output is exact and independent of the proposal.
+    The points that maximize a fixed direction are proposed as vertices. Every
+    other point is tested against the proposed set in one batched float pass;
+    it is discarded only with an exactly verified convex-combination
+    certificate, and otherwise joins the survivors, which therefore hold every
+    vertex. A final exact purge pass keeps a survivor iff it is outside the
+    hull of the other survivors. It keeps one at once when a rounded float
+    functional strictly separates it from them on integers: for a proposed
+    point the direction that proposed it, for another survivor the Farkas
+    functional that kept it. The membership test decides the rest. The output
+    is exact and independent of the proposal.
     """
+    if not points:
+        return []
     context = _HullContext(list(points))
     with np.errstate(all="ignore"):
-        proposed = _propose_vertices(context.float_rows[:, 1:])
-    in_survivors = set(proposed)
-    survivors: list[int] = list(proposed)
-    for idx in range(len(points)):
-        if idx in in_survivors:
-            continue
-        if not context.membership(idx, survivors):
-            survivors.append(idx)
-            in_survivors.add(idx)
-    return sorted(
-        v for v in survivors
-        if not context.membership(v, [w for w in survivors if w != v])
-    )
+        proposed, directions = _propose_vertices(context.float_rows[:, 1:])
+    chosen = set(proposed)
+    rest = [i for i in range(len(points)) if i not in chosen]
+    inside, farkas = context.certify(rest, proposed)
+    survivors = proposed + [i for i, sure in zip(rest, inside) if not sure]
+    functionals = np.vstack([
+        _round_functionals(np.hstack([np.zeros((len(proposed), 1)), directions])),
+        farkas[[j for j, sure in enumerate(inside) if not sure]],
+    ])
+    certified = context._verify_separation(survivors, survivors, functionals)
+    # A survivor inside the hull of the others leaves at once: the hull stays
+    # the same, so every later test still sees all the vertices.
+    remaining = list(survivors)
+    for v, sure in zip(survivors, certified.tolist()):
+        if not sure and context.membership(v, [w for w in remaining if w != v]):
+            remaining.remove(v)
+    return sorted(remaining)

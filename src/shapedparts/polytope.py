@@ -172,7 +172,7 @@ def candidate_vertices(
     admissible = admissible_partitions(a, generic, family)
     matrices = admissible.matrices
     if len(matrices) > limits.max_candidates:
-        raise CapacityError("candidates", limits.max_candidates)
+        raise CapacityError("candidates", limits.max_candidates, len(matrices))
     grouped: list[list[Partition]] = [[] for _ in matrices]
     for pi, g in zip(admissible.partitions(), admissible.group):
         grouped[g].append(pi)

@@ -245,6 +245,17 @@ class TestLimitFlags:
         assert f"'{guard}'" in err
         assert all(f"'{other}'" not in err for other in self.GUARDS if other != guard)
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--max-two-partitions", "13",
+         "capacity guard 'two-partitions' exceeded (limit 13; reached d-subset 4 of 6)"),
+        ("--max-candidates", "3", "capacity guard 'candidates' exceeded (limit 3, needed 60)"),
+    ])
+    def test_guard_says_how_far_the_run_got(self, tmp_path, capsys, flag, value, message):
+        path = write_problem(tmp_path, {"matrix": [[1, 2, 3, 4]], "p": 3, "shapes": {"type": "all"}})
+        code, _, err = run_cli(["count", path, flag, value], capsys)
+        assert code == 3
+        assert err == f"error: {message}\n"
+
 
 class TestCount:
     def test_huge_entry_writes_no_warnings(self, tmp_path):
@@ -371,6 +382,21 @@ class TestConsoleEntry:
             cli.main(["count", str(DATA / "cube3.json"), "--threads", "1"])
         assert caught.value.code == 2
         assert "--threads" in capsys.readouterr().err
+
+    def test_consecutive_calls_share_no_state(self, tmp_path, capsys):
+        assert cli._build_parser() is cli._build_parser()
+        path = write_problem(tmp_path, {"matrix": [[1, 2, 3, 4]], "p": 3, "shapes": {"type": "all"}})
+        code, _, err = run_cli(["count", path, "--max-candidates", "3"], capsys)
+        assert code == 3 and "'candidates'" in err
+        code, out, _ = run_cli(["count", path], capsys)
+        assert code == 0
+        assert json.loads(out)["counts"]["candidates"] == 60
+        with pytest.raises(SystemExit) as caught:
+            cli.main(["count", path, "--bogus"])
+        assert caught.value.code == 2
+        assert "--bogus" in capsys.readouterr().err
+        code, out, _ = run_cli(["count", path], capsys)
+        assert code == 0 and json.loads(out)["counts"]["vertices"] == 3
 
     def test_module_invocation(self):
         result = subprocess.run(

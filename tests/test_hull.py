@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 from itertools import combinations
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +13,8 @@ from conftest import (
     reference_membership,
     solve_consistent,
 )
-from shapedparts.hull import _HullContext, _integer_phase_one, extreme_point_indices
+from shapedparts import hull
+from shapedparts.hull import _HullContext, _directions, _integer_phase_one, extreme_point_indices
 from shapedparts.linalg import Matrix
 
 
@@ -72,6 +74,9 @@ def membership_problems(draw):
 
 
 class TestIntegerKernel:
+    """The integer simplex on _HullContext.int_rows, which are affine-hull
+    coordinates: an exact basis of the lifted, integer-scaled coordinates."""
+
     @settings(max_examples=150, deadline=None, database=None)
     @given(membership_problems())
     def test_matches_fraction_simplex(self, problem):
@@ -80,6 +85,35 @@ class TestIntegerKernel:
         rows = _HullContext([target] + generators).int_rows
         assert _integer_phase_one(rows[0], rows[1:]) == expected
         assert convex_combination_exists(target, generators) == expected
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(membership_problems())
+    def test_rows_keep_the_rank_of_the_lifted_points(self, problem):
+        target, generators = problem
+        points = [target] + generators
+        rows = _HullContext(points).int_rows
+        full = rank(Matrix.from_columns([lift_point(x) for x in points]))
+        assert len(rows[0]) == rank(Matrix.from_columns(rows)) == full
+
+
+class TestFloatProposal:
+    def test_batched_rows_match_single_rows(self, monkeypatch):
+        # Targets inside and outside the hull of 12 lifted points in R^3, with
+        # negative coordinates so rows flip; chunks of a few rows each.
+        rng = np.random.default_rng(5)
+        points = np.hstack([np.ones((12, 1)), rng.normal(size=(12, 3))])
+        weights = rng.dirichlet(np.ones(12), size=20)
+        targets = np.vstack([weights @ points, points[:10] * [1, 3, -3, 2]])
+        monkeypatch.setattr(hull, "_CHUNK_ELEMENTS", 3 * 4 * (12 + 4 + 1))
+        batched = hull._float_phase_one(points.T, targets)
+        single = [hull._float_phase_one(points.T, row[None])[0] for row in targets]
+        assert [o[0] for o in batched[:20]] == ["feasible"] * 20
+        assert [o[0] for o in batched[20:]] == ["infeasible"] * 10
+        for got, want in zip(batched, single):
+            assert got[0] == want[0]
+            np.testing.assert_array_equal(got[1], want[1])
+        for (_, farkas), target in zip(batched[20:], targets[20:]):
+            assert (farkas @ points.T <= 1e-9).all() and farkas @ target > 0
 
 
 class TestMembership:
@@ -208,3 +242,51 @@ class TestExtremePoints:
                 if not reference_membership(pt, points[:i] + points[i + 1:])
             ]
             assert extreme_point_indices(points) == expected
+
+    def test_more_vertices_than_proposal_directions(self):
+        # 300 points of the parabola (t, t^2), mapped affinely into three
+        # coordinates: the affine hull is a plane, so the proposal has the
+        # directions of R^2, fewer than the vertices, and misses some of them.
+        points = [
+            (F(t, 2) + 1, F(t * t) - 3 * t, 2 * t + F(t * t, 3)) for t in range(-150, 150)
+        ]
+        assert len(_HullContext(points).int_rows[0]) == 3
+        assert len(_directions(2)) < len(points)
+        # The points are in convex position; the reference confirms a sample
+        # (it takes about a second per point in the middle).
+        for i in (0, 1, 37, 150, 299):
+            assert not reference_membership(points[i], points[:i] + points[i + 1:])
+        assert extreme_point_indices(points) == list(range(len(points)))
+
+    def test_tied_directions_fall_back_to_membership(self, monkeypatch):
+        # Past float range every point has the same float image, so every
+        # direction ties and only point 0, the centre of the square, is
+        # proposed. No functional separates it: the membership test decides.
+        big = F(10 ** 400, 3)
+        points = [(big + x, big + y) for x, y in ((1, 1), (0, 0), (2, 0), (0, 2), (2, 2), (1, 0))]
+        proposals, decided = [], []
+        propose, membership = hull._propose_vertices, _HullContext.membership
+
+        def spy_propose(coords):
+            proposals.append(propose(coords))
+            return proposals[-1]
+
+        def spy_membership(context, target, generator_indices):
+            decided.append(target)
+            return membership(context, target, generator_indices)
+
+        monkeypatch.setattr(hull, "_propose_vertices", spy_propose)
+        monkeypatch.setattr(_HullContext, "membership", spy_membership)
+        assert extreme_point_indices(points) == [1, 2, 3, 4]
+        assert proposals[0][0] == [0]
+        assert 0 in decided
+
+    def test_one_row_per_chunk_gives_the_same_output(self, monkeypatch):
+        rng = random.Random(31)
+        point_sets = [
+            list(dict.fromkeys(frac_points(rng, rng.randint(4, 30), rng.randint(1, 4))))
+            for _ in range(20)
+        ]
+        expected = [extreme_point_indices(points) for points in point_sets]
+        monkeypatch.setattr(hull, "_CHUNK_ELEMENTS", 1)
+        assert [extreme_point_indices(points) for points in point_sets] == expected
