@@ -56,8 +56,11 @@ def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ProblemError(f"cannot write {output}: {exc}") from exc
 
 
 def _emit_json(payload: dict, output: str | None) -> None:

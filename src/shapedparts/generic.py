@@ -13,10 +13,10 @@ The sign kernel works in integers only. The base is scaled once by the common
 denominator L of its entries; reading eps as L * eps multiplies every lifted
 determinant by L^d > 0, so no sign changes. For each sorted d-subset the
 cofactor vector of its lifted columns is computed at the nodes eps = 0..d by
-fraction-free elimination (Bareiss 1968), after which the determinant of the
-subset with any other column is one dot product per node. The fixed integer
-matrix d! * V^-1 turns those node values into d! times the polynomial's
-coefficients. No tolerance is tuned and no rational is built.
+the fraction-free elimination of ``linalg.py`` (Bareiss 1968), after which
+the determinant of the subset with any other column is one dot product per
+node. The fixed integer matrix d! * V^-1 turns those node values into d!
+times the polynomial's coefficients. No tolerance is tuned and no rational is built.
 
 Two-partitions come from separator triples: a sorted d-subset I spans an
 oriented hyperplane of the perturbed configuration, splitting the remaining
@@ -30,25 +30,26 @@ The assembly is whole-array numpy work. A partial assembly is a (p, W)
 uint64 array, each block a bitmask of W = ceil(n / 64) words, so every n
 takes the same path. A level tests all 2-partition masks against a bounded
 chunk of states at a time, builds the children with bitwise and, and drops
-duplicate rows with a lexsort and a row diff. The result is put in canonical
-order (sorted by blocks) once, and `GenericPartitionSet` keeps that array,
-building Partition objects only when they are asked for.
+duplicate rows with a lexsort and a row diff. These words stay inside the
+assembly: the covering assemblies are decoded once into an (N, p, n) 0/1
+block array and put in canonical order (sorted by blocks), and
+`GenericPartitionSet` keeps that array, building Partition objects only when
+they are asked for.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 from operator import mul
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, DimensionError
-from .linalg import Matrix
+from .linalg import Matrix, fraction_free_elimination, integer_rows
 from .partitions import Partition
 
 
@@ -69,28 +70,6 @@ class EnumerationLimits:
 DEFAULT_LIMITS = EnumerationLimits()
 
 
-def _bareiss_determinant(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free elimination
-    (Bareiss 1968); every division is exact. Overwrites rows."""
-    size = len(rows)
-    sign, previous = 1, 1
-    for k in range(size - 1):
-        if rows[k][k] == 0:
-            swap = next((r for r in range(k + 1, size) if rows[r][k]), None)
-            if swap is None:
-                return 0
-            rows[k], rows[swap] = rows[swap], rows[k]
-            sign = -sign
-        pivot_row = rows[k]
-        pivot = pivot_row[k]
-        for row in rows[k + 1:]:
-            lead = row[k]
-            for j in range(k + 1, size):
-                row[j] = (row[j] * pivot - lead * pivot_row[j]) // previous
-        previous = pivot
-    return sign * rows[-1][-1]
-
-
 def _cofactors(columns: Sequence[Sequence[int]]) -> list[int]:
     """Cofactors along the last column of the square matrix [columns | x].
 
@@ -99,10 +78,12 @@ def _cofactors(columns: Sequence[Sequence[int]]) -> list[int]:
     """
     d = len(columns)
     rows = list(zip(*columns))
-    return [
-        (-1) ** (r + d) * _bareiss_determinant([list(row) for row in rows[:r] + rows[r + 1:]])
-        for r in range(d + 1)
-    ]
+    cofactors = []
+    for r in range(d + 1):
+        minor = [list(row) for row in rows[:r] + rows[r + 1:]]
+        pivots, sign = fraction_free_elimination(minor)
+        cofactors.append((-1) ** (r + d) * sign * minor[-1][-1] if len(pivots) == d else 0)
+    return cofactors
 
 
 def _interpolation_weights(d: int) -> list[list[int]]:
@@ -137,9 +118,8 @@ class PerturbedMatrix:
             raise DimensionError("perturbation needs at least one row")
         self.d = d = base.nrows
         self.n = n = base.ncols
-        scale = lcm(*(x.denominator for x in base.flatten()))
-        integral = [[x.numerator * (scale // x.denominator) for x in row] for row in base.rows()]
-        # _nodes[e][c]: lifted column c (0-based) of scale * base at eps = e.
+        integral, _ = integer_rows(base.rows())
+        # _nodes[e][c]: lifted column c (0-based) of L * base at eps = e.
         self._nodes = [
             [
                 (1,) + tuple(integral[r][c] + e * (c + 1) ** (r + 1) for r in range(d))
@@ -180,17 +160,6 @@ class PerturbedMatrix:
             if lead < 0:
                 mask |= 1 << c
         return mask
-
-
-def _mask_block(mask: int) -> tuple[int, ...]:
-    block = []
-    i = 1
-    while mask:
-        if mask & 1:
-            block.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(block)
 
 
 _WORD_BITS = 64
@@ -238,33 +207,29 @@ def _distinct_rows(rows: np.ndarray) -> np.ndarray:
 class GenericPartitionSet:
     """Deduplicated set of generic partitions in canonical order (sorted by blocks).
 
-    states[i, j] is block j of partition i as a bitmask of W uint64 words,
-    word w holding bits 64w to 64w + 63 and bit c standing for element c + 1.
-    Partition objects are built on first use of `partitions`, iteration or
-    membership, and by `select`.
+    blocks is the (N, p, n) uint8 array of the set: blocks[i, j, c] is 1 iff
+    element c + 1 lies in block j of partition i. Partition objects are built
+    on first use of `partitions` or iteration, and by `select`.
     """
 
-    states: np.ndarray
+    blocks: np.ndarray
     d: int
     n: int
     p: int
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.blocks)
 
     def select(self, rows) -> tuple[Partition, ...]:
-        """The partitions at the given positions (any index of states' first
+        """The partitions at the given positions (any index of blocks' first
         axis), built now."""
-        return tuple(
-            Partition(
-                tuple(
-                    _mask_block(sum(w << (_WORD_BITS * i) for i, w in enumerate(block)))
-                    for block in state
-                ),
-                self.n,
-            )
-            for state in self.states[rows].tolist()
-        )
+        chosen = self.blocks[rows]
+        # the elements of every block in turn, cut at the running block sizes
+        elements = (np.nonzero(chosen)[2] + 1).tolist()
+        ends = np.cumsum(chosen.sum(axis=2).ravel()).tolist()
+        blocks = [tuple(elements[start:end]) for start, end in zip([0] + ends, ends)]
+        p = self.p
+        return tuple(Partition(tuple(blocks[i:i + p]), self.n) for i in range(0, len(blocks), p))
 
     @cached_property
     def partitions(self) -> tuple[Partition, ...]:
@@ -272,10 +237,6 @@ class GenericPartitionSet:
 
     def __iter__(self) -> Iterator[Partition]:
         return iter(self.partitions)
-
-    def __contains__(self, pi: Partition) -> bool:
-        at = bisect_left(self.partitions, pi.blocks, key=lambda q: q.blocks)
-        return at < len(self.partitions) and self.partitions[at] == pi
 
 
 def _two_partition_masks(perturbed: PerturbedMatrix, limits: EnumerationLimits) -> list[int]:
@@ -334,7 +295,7 @@ def enumerate_generic_p_partitions(
     width = max(1, -(-n // _WORD_BITS))
     full = _words([(1 << n) - 1], width)[0]
     if p == 1:
-        return GenericPartitionSet(full.reshape(1, 1, width), d, n, 1)
+        return GenericPartitionSet(np.ones((1, 1, n), dtype=np.uint8), d, n, 1)
 
     first = _words(
         two_partition_masks
@@ -372,13 +333,13 @@ def enumerate_generic_p_partitions(
             children.append(_distinct_rows(child.reshape(len(child), p * width)))
         states = _distinct_rows(np.concatenate(children)).reshape(-1, p, width)
 
-    if len(states) > 1:
+    blocks = _bits(states, n)
+    if len(blocks) > 1:
         # Position c of a block reads 1 if element c + 1 is in it, 2 if not but
         # a later element is, and 0 if no element at or past it is. Comparing
         # these codes position by position compares the blocks' sorted tuples,
-        # a proper prefix first, so one lexsort puts the states in block order.
-        bits = _bits(states, n)
-        at_or_past = np.maximum.accumulate(bits[..., ::-1], axis=-1)[..., ::-1]
-        codes = (2 * at_or_past - bits).reshape(len(states), p * n)
-        states = states[np.lexsort(codes.T[::-1])]
-    return GenericPartitionSet(states, d, n, p)
+        # a proper prefix first, so one lexsort puts the partitions in block order.
+        at_or_past = np.maximum.accumulate(blocks[..., ::-1], axis=-1)[..., ::-1]
+        codes = (2 * at_or_past - blocks).reshape(len(blocks), p * n)
+        blocks = blocks[np.lexsort(codes.T[::-1])]
+    return GenericPartitionSet(blocks, d, n, p)

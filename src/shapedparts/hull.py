@@ -32,17 +32,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Sequence
 
 import numpy as np
+
+from .linalg import fraction_free_elimination, integer_array, integer_rows
 
 Point = tuple[Fraction, ...]
 
 _FUNCTIONAL_SCALE = 1 << 24
 _FEASIBILITY_TOL = 1e-7
 _PIVOT_TOL = 1e-9
-_INT64_GUARD = 1 << 62
 _DIRECTION_SEED = 20240611
 # Bound on the entries of one chunk of float tableaux or integer scores.
 _CHUNK_ELEMENTS = 1 << 16
@@ -169,31 +169,6 @@ def _float_phase_one(acols: np.ndarray, rhs: np.ndarray) -> list:
     return outcomes
 
 
-def _pivot_columns(gram: list[list[int]]) -> list[int]:
-    """Columns of a square integer matrix that are not combinations of the
-    columns before them, by fraction-free elimination (Bareiss 1968) with row
-    swaps; every division is exact."""
-    rows = [list(row) for row in gram]
-    size = len(rows)
-    pivots: list[int] = []
-    previous = 1
-    for c in range(size):
-        r = len(pivots)
-        swap = next((i for i in range(r, size) if rows[i][c]), None)
-        if swap is None:
-            continue
-        rows[r], rows[swap] = rows[swap], rows[r]
-        pivot_row = rows[r]
-        pivot = pivot_row[c]
-        for row in rows[r + 1:]:
-            lead = row[c]
-            for j in range(c + 1, size):
-                row[j] = (row[j] * pivot - lead * pivot_row[j]) // previous
-        previous = pivot
-        pivots.append(c)
-    return pivots
-
-
 class _HullContext:
     """Integer and float views of one point set, in affine-hull coordinates.
 
@@ -213,18 +188,14 @@ class _HullContext:
     """
 
     def __init__(self, points: Sequence[Point]):
-        common = lcm(*(x.denominator for p in points for x in p))
-        lifted = [
-            (common,) + tuple(x.numerator * (common // x.denominator) for x in p) for p in points
-        ]
+        lifted, _ = integer_rows((1,) + p for p in points)
         max_scaled = max((abs(v) for row in lifted for v in row), default=0)
-        exact = np.array(lifted, dtype=np.int64 if max_scaled ** 2 * len(lifted) < _INT64_GUARD
-                         else object)
-        pivots = _pivot_columns((exact.T @ exact).tolist())
+        exact = integer_array(lifted, max_scaled ** 2 * len(lifted))
+        pivots, _ = fraction_free_elimination((exact.T @ exact).tolist())
         self.int_rows = [tuple(row[j] for j in pivots) for row in lifted]
         self.float_rows = np.array([[1.0] + [_safe_float(x) for x in p] for p in points])[:, pivots]
-        small = max_scaled * _FUNCTIONAL_SCALE * len(pivots) < _INT64_GUARD
-        self._int_matrix = np.array(self.int_rows, dtype=np.int64 if small else object)
+        self._int_matrix = integer_array(self.int_rows,
+                                         max_scaled * _FUNCTIONAL_SCALE * len(pivots))
 
     def _verify_separation(self, targets: Sequence[int], generator_indices: Sequence[int],
                            functionals: np.ndarray) -> np.ndarray:

@@ -1,11 +1,14 @@
-"""Exact rational scalars and matrices.
+"""Exact rational scalars and matrices, and the exact integer primitives.
 
 Every scalar is a ``fractions.Fraction``: arbitrary precision, always stored
 reduced with a positive denominator, so arithmetic and comparisons are exact.
 Problem entries, part-sum matrices and objective values are all exact
-rationals, which is why there is no floating-point mode. The generic-sign
-kernel in ``generic.py`` and the hull test in ``hull.py`` work in integers of
-their own.
+rationals, which is why there is no floating-point mode.
+
+The generic-sign kernel, the part sums and the hull test decide on integers
+instead: `integer_rows` scales rationals by their common denominator,
+`integer_array` holds integers as int64 exactly when no intermediate can
+overflow it, and `fraction_free_elimination` is the one exact elimination.
 """
 
 from __future__ import annotations
@@ -13,11 +16,15 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import DimensionError, ProblemError
 
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\Z")
+_INT64_MAX = (1 << 63) - 1
 
 
 def _exponent_too_large(text: str) -> bool:
@@ -157,3 +164,57 @@ class Matrix:
         body = "; ".join(" ".join(format_rational(x) for x in row) for row in self._rows)
         return f"Matrix({self.nrows}x{self.ncols}: {body})"
 
+
+def integer_rows(rows: Iterable[Iterable]) -> tuple[list[list[int]], int]:
+    """The rows of rationals (Fraction or int) times their common denominator
+    L, as integers, and L itself (1 when there are no entries)."""
+    rows = [list(row) for row in rows]
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
+
+
+def integer_array(values, bound: int) -> np.ndarray:
+    """values as an integer array: int64 when bound is at most 2^63 - 1,
+    Python integers (dtype=object) otherwise.
+
+    bound must bound the magnitude of every entry and of every intermediate
+    the caller computes from the array, so int64 arithmetic never overflows.
+    """
+    return np.array(values, dtype=np.int64 if bound <= _INT64_MAX else object)
+
+
+def fraction_free_elimination(rows: list[list[int]]) -> tuple[list[int], int]:
+    """Eliminate an integer matrix in place by fraction-free elimination
+    (Bareiss 1968) with row swaps; every division is exact.
+
+    Returns the pivot columns, which are the columns that are not
+    combinations of the columns before them, and the sign of the row
+    permutation the swaps applied. Afterwards rows[i][pivots[i]] is the
+    determinant of the leading i + 1 swapped rows at the first i + 1 pivot
+    columns, so a square matrix has determinant sign * rows[-1][-1] when
+    every column is a pivot and 0 otherwise. The entries below a pivot are
+    not cleared.
+    """
+    height = len(rows)
+    width = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    sign, previous = 1, 1
+    for c in range(width):
+        r = len(pivots)
+        if r == height:
+            break
+        if not rows[r][c]:
+            swap = next((i for i in range(r + 1, height) if rows[i][c]), None)
+            if swap is None:
+                continue
+            rows[r], rows[swap] = rows[swap], rows[r]
+            sign = -sign
+        pivot_row = rows[r]
+        pivot = pivot_row[c]
+        for row in rows[r + 1:]:
+            lead = row[c]
+            for j in range(c + 1, width):
+                row[j] = (row[j] * pivot - lead * pivot_row[j]) // previous
+        previous = pivot
+        pivots.append(c)
+    return pivots, sign

@@ -174,12 +174,6 @@ class ShapeFamily:
             return all(l <= x <= u for l, x, u in zip(self.lower, s, self.upper))
         return bool(self.predicate(s))
 
-    def enumerate(self) -> Iterator[Shape]:
-        """Every member shape exactly once, in lexicographic order."""
-        for s in compositions(self.n, self.p):
-            if self.contains(s):
-                yield s
-
     def __repr__(self) -> str:
         return f"ShapeFamily({self.kind}, n={self.n}, p={self.p})"
 

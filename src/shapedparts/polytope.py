@@ -9,7 +9,7 @@ guaranteed to appear among the candidates, so the filter is the whole story.
 
 The admissible filter, the part sums and their grouping form one stage,
 `admissible_partitions`, which `solver.solve` shares. It works on the
-generic set's bitmask array: shapes are popcounts, part sums are one integer
+generic set's 0/1 block array: shapes are row sums, part sums are one integer
 matrix product per chunk of partitions, and Partition objects are built only
 for the witnesses.
 """
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -30,13 +29,12 @@ from .generic import (
     GenericPartitionSet,
     PerturbedMatrix,
     _CHUNK_ELEMENTS,
-    _bits,
     _sort_rows,
     _two_partition_masks,
     enumerate_generic_p_partitions,
 )
 from .hull import extreme_point_indices
-from .linalg import Matrix
+from .linalg import Matrix, integer_array, integer_rows
 from .partitions import Partition, ShapeFamily, lift
 
 
@@ -123,9 +121,7 @@ def admissible_partitions(
     overflow it, Python integers (dtype=object) otherwise.
     """
     p = generic.p
-    bits = _bits(generic.states, a.ncols)
-
-    shapes = bits.sum(axis=2)
+    shapes = generic.blocks.sum(axis=2)
     order, new = _sort_rows(shapes)
     starts = np.flatnonzero(new).tolist()
     admitted = np.zeros(len(shapes), dtype=bool)
@@ -135,16 +131,14 @@ def admissible_partitions(
     rows = np.flatnonzero(admitted)
 
     k = a.nrows
-    scale = lcm(*(x.denominator for x in a.flatten()))
-    columns = [[x.numerator * (scale // x.denominator) for x in col] for col in a.columns()]
+    columns, scale = integer_rows(a.columns())
     bound = max((sum(map(abs, row)) for row in zip(*columns)), default=0)
-    dtype = np.int64 if bound <= np.iinfo(np.int64).max else object
-    scaled = np.array(columns, dtype=dtype).reshape(a.ncols, k)
+    scaled = integer_array(columns, bound).reshape(a.ncols, k)
     group: list[int] = []
     keys: dict[tuple, int] = {}
     step = max(1, _CHUNK_ELEMENTS // max(1, p * a.ncols))
     for start in range(0, len(rows), step):
-        sums = bits[rows[start:start + step]].astype(dtype) @ scaled
+        sums = generic.blocks[rows[start:start + step]].astype(scaled.dtype) @ scaled
         for key in map(tuple, sums.reshape(len(sums), p * k).tolist()):
             group.append(keys.setdefault(key, len(keys)))
     matrices = [

@@ -205,6 +205,14 @@ class TestInputErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "digits" in err
 
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_output_exit_2(self, tmp_path, capsys, where):
+        target = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+        code, out, err = run_cli(["count", str(DATA / "cube3.json"), "--output", str(target)],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("flag", ["--max-two-partitions", "--max-candidates", "--max-assembly-nodes"])
     def test_negative_limit_exit_2(self, tmp_path, capsys, flag):
         path = write_problem(tmp_path, {"matrix": [[1, 2, 3]], "p": 2, "shapes": {"type": "all"}})

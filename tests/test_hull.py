@@ -3,6 +3,7 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -242,6 +243,28 @@ class TestExtremePoints:
                 if not reference_membership(pt, points[:i] + points[i + 1:])
             ]
             assert extreme_point_indices(points) == expected
+
+    @pytest.mark.parametrize("largest, dtype", [(2 ** 30 - 1, np.int64), (2 ** 30, object)])
+    def test_at_the_int64_bound(self, monkeypatch, largest, dtype):
+        # With 8 lifted points in the plane, the Gram product's bound
+        # 8 * largest^2 is at most 2^63 - 1 exactly when largest < 2^30.
+        points = [(F(largest), F(0)), (F(0), F(largest)), (F(-largest), F(0)),
+                  (F(0), F(-largest)), (F(1), F(1)), (F(largest - 1), F(1)),
+                  (F(largest // 2), F(largest // 2)), (F(-3), F(largest - 7))]
+        arrays = []
+        integer_array = hull.integer_array
+
+        def spy(values, bound):
+            arrays.append(integer_array(values, bound))
+            return arrays[-1]
+
+        monkeypatch.setattr(hull, "integer_array", spy)
+        expected = [
+            i for i, pt in enumerate(points)
+            if not reference_membership(pt, points[:i] + points[i + 1:])
+        ]
+        assert extreme_point_indices(points) == expected
+        assert arrays[0].shape == (8, 3) and arrays[0].dtype == dtype
 
     def test_more_vertices_than_proposal_directions(self):
         # 300 points of the parabola (t, t^2), mapped affinely into three

@@ -1,13 +1,21 @@
 import sys
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rank, solve_consistent
 from shapedparts.errors import DimensionError, ProblemError
-from shapedparts.linalg import Matrix, as_rational, format_rational
+from shapedparts.linalg import (
+    Matrix,
+    as_rational,
+    format_rational,
+    fraction_free_elimination,
+    integer_array,
+    integer_rows,
+)
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -118,3 +126,51 @@ class TestSolveConsistent:
         solution = solve_consistent(m, [4])
         assert solution is not None
         assert solution[0] + solution[1] == 4
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer matrices of 1 to 4 rows and 1 to 5 columns, built column by
+    column from fresh columns, zero columns and copies or multiples of an
+    earlier column; entries reach past 2^64."""
+    height = draw(st.integers(1, 4))
+    entries = st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "copy"]))
+        if kind == "zero":
+            columns.append([0] * height)
+        elif kind == "copy" and columns:
+            factor = draw(st.sampled_from([1, -1, 2, 2 ** 65]))
+            columns.append([factor * x for x in draw(st.sampled_from(columns))])
+        else:
+            columns.append(draw(st.lists(entries, min_size=height, max_size=height)))
+    return [list(row) for row in zip(*columns)]
+
+
+class TestIntegerPrimitives:
+    def test_integer_rows_scale_by_the_common_denominator(self):
+        rows, scale = integer_rows([[F(1, 2), F(-1, 3)], [2, F(5, 6)]])
+        assert scale == 6
+        assert rows == [[3, -2], [12, 5]]
+        assert integer_rows([]) == ([], 1)
+
+    def test_integer_array_is_int64_up_to_the_largest_int64(self):
+        assert integer_array([1, 2], 2 ** 63 - 1).dtype == np.int64
+        assert integer_array([1, 2], 2 ** 63).dtype == object
+        assert integer_array([2 ** 70], 2 ** 70).tolist() == [2 ** 70]
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(integer_matrices())
+    def test_pivots_are_the_greedy_independent_columns(self, rows):
+        height, width = len(rows), len(rows[0])
+        columns = [[row[c] for row in rows] for c in range(width)]
+        expected = []
+        for c in range(width):
+            chosen = [columns[j] for j in expected + [c]]
+            if rank(Matrix.from_columns(chosen, nrows=height)) == len(expected) + 1:
+                expected.append(c)
+        eliminated = [list(row) for row in rows]
+        pivots, _ = fraction_free_elimination(eliminated)
+        assert pivots == expected
+        assert all(eliminated[i][c] for i, c in enumerate(pivots))

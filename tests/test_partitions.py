@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -140,21 +141,26 @@ class TestShapeFamily:
         family = ShapeFamily.from_predicate(lambda s: s[0] % 2 == 0, 4, 2)
         assert family.contains((2, 2))
         assert not family.contains((1, 3))
-        assert list(family.enumerate()) == [(0, 4), (2, 2), (4, 0)]
+        assert members(family) == [(0, 4), (2, 2), (4, 0)]
+
+
+def members(family):
+    """The family's shapes in lexicographic order, by membership."""
+    return [s for s in compositions(family.n, family.p) if family.contains(s)]
 
 
 class TestEnumerateShapes:
     def test_all_lexicographic(self):
         family = ShapeFamily.all_shapes(2, 2)
-        assert list(family.enumerate()) == [(0, 2), (1, 1), (2, 0)]
+        assert members(family) == [(0, 2), (1, 1), (2, 0)]
 
     def test_explicit_single(self):
         family = ShapeFamily.explicit([(1, 1)], 2, 2)
-        assert list(family.enumerate()) == [(1, 1)]
+        assert members(family) == [(1, 1)]
 
     def test_bounds_filtering(self):
         family = ShapeFamily.bounds([1, 1], [2, 2], 3)
-        assert list(family.enumerate()) == [(1, 2), (2, 1)]
+        assert members(family) == [(1, 2), (2, 1)]
 
     def test_composition_count(self):
         assert len(list(compositions(5, 3))) == 21
@@ -163,19 +169,20 @@ class TestEnumerateShapes:
     @given(st.integers(0, 6), st.integers(1, 3), st.integers(0, 100))
     def test_enumeration_matches_membership(self, n, p, seed):
         rng = random.Random(seed)
+        every = list(compositions(n, p))
+        assert every == sorted(set(every))
+        assert len(every) == comb(n + p - 1, p - 1)
         kind = rng.choice(["all", "bounds", "list"])
         if kind == "all":
             family = ShapeFamily.all_shapes(n, p)
+            expected = every
         elif kind == "bounds":
-            base = rng.choice(list(compositions(n, p)))
-            family = ShapeFamily.bounds(
-                [max(0, x - 1) for x in base], [x + 1 for x in base], n
-            )
+            base = rng.choice(every)
+            lower, upper = [max(0, x - 1) for x in base], [x + 1 for x in base]
+            family = ShapeFamily.bounds(lower, upper, n)
+            expected = [s for s in every if all(l <= x <= u for l, x, u in zip(lower, s, upper))]
         else:
-            all_shapes = list(compositions(n, p))
-            family = ShapeFamily.explicit(rng.sample(all_shapes, rng.randint(1, len(all_shapes))), n, p)
-        enumerated = list(family.enumerate())
-        assert enumerated == sorted(enumerated)
-        assert len(set(enumerated)) == len(enumerated)
-        expected = [s for s in compositions(n, p) if family.contains(s)]
-        assert enumerated == expected
+            chosen = rng.sample(every, rng.randint(1, len(every)))
+            family = ShapeFamily.explicit(chosen, n, p)
+            expected = sorted(chosen)
+        assert members(family) == expected
