@@ -2,8 +2,9 @@
 
 Partitions are enumerated exhaustively as assignment vectors, with no use of
 the generic-enumeration machinery; the only nontrivial code shared with the
-fast path is the exact convex-position test. Hard guards keep accidental
-exponential runs from happening; pass force=True to override them.
+fast path is the exact convex-position test, fed through `integer_rows`.
+Hard guards keep accidental exponential runs from happening; pass force=True
+to override them.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Iterator
 
 from .errors import CapacityError, DimensionError
 from .hull import extreme_point_indices
-from .linalg import Matrix
+from .linalg import Matrix, integer_rows
 from .objectives import Objective
 from .partitions import Partition, ShapeFamily, partition_matrix
 
@@ -61,7 +62,7 @@ def brute_vertices(
         matrix = partition_matrix(a, pi)
         unique.setdefault(matrix.flatten(), matrix)
     ordered = [unique[key] for key in sorted(unique)]
-    keep = extreme_point_indices([m.flatten() for m in ordered])
+    keep = extreme_point_indices(*integer_rows(m.flatten() for m in ordered))
     return [ordered[i] for i in keep]
 
 

@@ -47,7 +47,7 @@ def _counts_payload(report: VertexReport) -> dict:
         "two_partitions": candidates.two_partition_count,
         "generic_partitions": candidates.generic_count,
         "admissible_partitions": candidates.admissible_count,
-        "candidates": report.candidate_count,
+        "candidates": len(candidates),
         "vertices": report.vertex_count,
     }
 
@@ -128,6 +128,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_vertices(args) -> int:
+    if args.format == "csv" and args.with_partitions:
+        raise ProblemError("--with-partitions needs --format json")
     problem = load_problem(args.problem)
     report = enumerate_vertices(problem.matrix, problem.p, problem.family, _limits(args))
     if args.format == "csv":
@@ -190,8 +192,10 @@ def _check_one(problem: Problem, args) -> dict:
 
     fast_keys = [m.flatten() for m in report.vertices]
     brute_keys = [m.flatten() for m in reference]
-    candidate_keys = set(m.flatten() for m in report.candidates.members)
-    superset_ok = all(key in candidate_keys for key in brute_keys)
+    # a brute vertex is a candidate iff its entries times the scale are a key
+    admissible = report.candidates.admissible
+    candidate_keys, scale = set(admissible.keys), admissible.scale
+    superset_ok = all(tuple(x * scale for x in key) in candidate_keys for key in brute_keys)
     vertices_ok = fast_keys == brute_keys
 
     result = {

@@ -2,12 +2,13 @@
 
 Membership of a point in the convex hull of finitely many generators is
 decided by one exact procedure: a phase-one simplex with Bland's rule on
-integers (``_integer_phase_one``). Every point set is lifted straight to
-integer rows, the coordinates with a leading 1 times the common denominator
-of the whole set, so no rational arithmetic is needed. Only an exact basis of
-those lifted columns is kept (affine-hull coordinates): the projection is
-injective on the span of the lifted points, so it changes no verdict, and
-every simplex and proposal runs without the redundant coordinates.
+integers (``_integer_phase_one``). Points arrive as integer rows with one
+common positive scale, the pair ``linalg.integer_rows`` returns, and each
+point is its row divided by the scale. Every row is lifted by a leading
+scale, so no rational arithmetic is needed. Only an exact basis of those
+lifted columns is kept (affine-hull coordinates): the projection is injective
+on the span of the lifted points, so it changes no verdict, and every simplex
+and proposal runs without the redundant coordinates.
 
 Floats only propose. One float phase-one simplex, batched over a stack of
 right-hand sides against one generator matrix (``_float_phase_one``),
@@ -30,15 +31,12 @@ it finds inside leaves at once, so the later tests run on fewer generators.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .linalg import fraction_free_elimination, integer_array, integer_rows
-
-Point = tuple[Fraction, ...]
+from .linalg import fraction_free_elimination, integer_array
 
 _FUNCTIONAL_SCALE = 1 << 24
 _FEASIBILITY_TOL = 1e-7
@@ -48,10 +46,10 @@ _DIRECTION_SEED = 20240611
 _CHUNK_ELEMENTS = 1 << 16
 
 
-def _safe_float(x) -> float:
-    """Clamped float view; garbage proposals just fail verification later."""
+def _safe_ratio(x: int, scale: int) -> float:
+    """Clamped float view of x / scale; garbage proposals just fail verification later."""
     try:
-        return float(x)
+        return x / scale
     except OverflowError:
         return 1e300 if x > 0 else -1e300
 
@@ -172,28 +170,29 @@ def _float_phase_one(acols: np.ndarray, rhs: np.ndarray) -> list:
 class _HullContext:
     """Integer and float views of one point set, in affine-hull coordinates.
 
-    Each point is lifted to its coordinates with a leading 1, all multiplied
-    by the common denominator of the whole set. Of those lifted columns only
-    an exact basis is kept: the pivot columns of the lifted rows' Gram matrix,
-    which has the same column dependencies. Every dropped column is a fixed
-    combination of the kept ones on the span of the lifted rows, so the
+    Each integer row is lifted by a leading scale, which makes it the point's
+    coordinates with a leading 1, times the scale. Of those lifted columns
+    only an exact basis is kept: the pivot columns of the lifted rows' Gram
+    matrix, which has the same column dependencies. Every dropped column is a
+    fixed combination of the kept ones on the span of the lifted rows, so the
     projection is injective there and hull membership and strict separation
     are unchanged; the leading column is always kept.
 
     int_rows: per point, the kept integer coordinates. The integer simplex
         decides on these rows, and separating functionals are verified on them.
-    float_rows: the same coordinates unscaled as floats, from which the float
-        simplex proposes supports and separating functionals and the direction
-        scan proposes vertices.
+    float_rows: the same coordinates divided by the scale, as floats, from
+        which the float simplex proposes supports and separating functionals
+        and the direction scan proposes vertices.
     """
 
-    def __init__(self, points: Sequence[Point]):
-        lifted, _ = integer_rows((1,) + p for p in points)
+    def __init__(self, rows: Sequence[Sequence[int]], scale: int):
+        lifted = [[scale, *row] for row in rows]
         max_scaled = max((abs(v) for row in lifted for v in row), default=0)
         exact = integer_array(lifted, max_scaled ** 2 * len(lifted))
         pivots, _ = fraction_free_elimination((exact.T @ exact).tolist())
         self.int_rows = [tuple(row[j] for j in pivots) for row in lifted]
-        self.float_rows = np.array([[1.0] + [_safe_float(x) for x in p] for p in points])[:, pivots]
+        self.float_rows = np.array(
+            [[1.0] + [_safe_ratio(x, scale) for x in row] for row in rows])[:, pivots]
         self._int_matrix = integer_array(self.int_rows,
                                          max_scaled * _FUNCTIONAL_SCALE * len(pivots))
 
@@ -301,8 +300,9 @@ def _propose_vertices(coords: np.ndarray) -> tuple[list[int], np.ndarray]:
     return picks, directions[[first[i] for i in picks]]
 
 
-def extreme_point_indices(points: Sequence[Point]) -> list[int]:
-    """Indices of the points that are vertices of the convex hull of all points.
+def extreme_point_indices(rows: Sequence[Sequence[int]], scale: int) -> list[int]:
+    """Indices of the points that are vertices of the convex hull of all points,
+    where point i is rows[i] / scale (integer rows, a positive integer scale).
 
     The points that maximize a fixed direction are proposed as vertices. Every
     other point is tested against the proposed set in one batched float pass;
@@ -315,13 +315,13 @@ def extreme_point_indices(points: Sequence[Point]) -> list[int]:
     functional that kept it. The membership test decides the rest. The output
     is exact and independent of the proposal.
     """
-    if not points:
+    if not rows:
         return []
-    context = _HullContext(list(points))
+    context = _HullContext(rows, scale)
     with np.errstate(all="ignore"):
         proposed, directions = _propose_vertices(context.float_rows[:, 1:])
     chosen = set(proposed)
-    rest = [i for i in range(len(points)) if i not in chosen]
+    rest = [i for i in range(len(rows)) if i not in chosen]
     inside, farkas = context.certify(rest, proposed)
     survivors = proposed + [i for i, sure in zip(rest, inside) if not sure]
     functionals = np.vstack([

@@ -142,9 +142,6 @@ class Matrix:
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(r[j] for r in self._rows)
 
-    def columns(self) -> list[tuple[Fraction, ...]]:
-        return [self.column(j) for j in range(self.ncols)]
-
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         return self._rows
 

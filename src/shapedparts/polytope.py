@@ -9,16 +9,19 @@ guaranteed to appear among the candidates, so the filter is the whole story.
 
 The admissible filter, the part sums and their grouping form one stage,
 `admissible_partitions`, which `solver.solve` shares. It works on the
-generic set's 0/1 block array: shapes are row sums, part sums are one integer
-matrix product per chunk of partitions, and Partition objects are built only
-for the witnesses.
+generic set's 0/1 block array: shapes are row sums, and part sums are one
+integer matrix product per chunk of partitions. Each distinct part-sum
+matrix is held as one integer key, its row-major entries times the common
+denominator of the attribute matrix, and the hull filter takes those keys
+as they are. Matrix objects are built for the vertices and Partition
+objects for their witnesses only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from functools import cached_property
 
 import numpy as np
 
@@ -38,32 +41,57 @@ from .linalg import Matrix, integer_array, integer_rows
 from .partitions import Partition, ShapeFamily, lift
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    """Deduplicated candidate matrices with their generating partitions.
+@dataclass(frozen=True, eq=False)
+class AdmissiblePartitions:
+    """The admissible generic partitions, in canonical order, grouped by
+    part-sum matrix.
 
-    members are in row-major lexicographic order; witnesses[i] holds every
-    admissible generic partition whose part-sum matrix equals members[i], in
-    the generic set's order (sorted by blocks).
+    rows[i] is the position of admissible partition i in `generic`, and
+    group[i] numbers its part-sum matrix. keys[g] is matrix number g in
+    row-major order times scale, as integers; the keys are distinct and in
+    lexicographic order, which is also the order of the matrices.
     """
 
-    members: tuple[Matrix, ...]
-    witnesses: tuple[tuple[Partition, ...], ...]
+    generic: GenericPartitionSet
+    rows: np.ndarray
+    group: list[int]
+    keys: list[tuple[int, ...]]
+    scale: int
+
+    def __len__(self) -> int:
+        return len(self.group)
+
+    def matrix(self, g: int) -> Matrix:
+        """Part-sum matrix number g, built now."""
+        key, p = self.keys[g], self.generic.p
+        entries = [[Fraction(x, self.scale) for x in key[r:r + p]] for r in range(0, len(key), p)]
+        return Matrix(entries, ncols=p)
+
+
+@dataclass(frozen=True, eq=False)
+class CandidateSet:
+    """The candidate matrices, held as the integer keys of `admissible`, and
+    the pipeline counts. members, the matrices in row-major lexicographic
+    order, are built on first use."""
+
+    admissible: AdmissiblePartitions
     two_partition_count: int
     generic_count: int
     admissible_count: int
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.admissible.keys)
 
-    def __iter__(self) -> Iterator[Matrix]:
-        return iter(self.members)
+    @cached_property
+    def members(self) -> tuple[Matrix, ...]:
+        return tuple(map(self.admissible.matrix, range(len(self))))
 
 
 @dataclass(frozen=True)
 class VertexReport:
-    """Vertices in canonical order, their witnesses, and the candidate set
-    they were filtered from (which holds the earlier pipeline counts)."""
+    """Vertices in canonical order; witnesses[i], every admissible generic
+    partition with part-sum matrix vertices[i], in the generic set's order;
+    and the candidate set they were filtered from, with the earlier counts."""
 
     vertices: tuple[Matrix, ...]
     witnesses: tuple[tuple[Partition, ...], ...]
@@ -72,33 +100,6 @@ class VertexReport:
     @property
     def vertex_count(self) -> int:
         return len(self.vertices)
-
-    @property
-    def candidate_count(self) -> int:
-        return len(self.candidates)
-
-
-@dataclass(frozen=True)
-class AdmissiblePartitions:
-    """The admissible generic partitions, in canonical order, grouped by
-    part-sum matrix.
-
-    rows[i] is the position of admissible partition i in `generic`;
-    group[i] numbers its part-sum matrix by first occurrence, and
-    matrices[g] is matrix number g.
-    """
-
-    generic: GenericPartitionSet
-    rows: np.ndarray
-    group: list[int]
-    matrices: list[Matrix]
-
-    def __len__(self) -> int:
-        return len(self.group)
-
-    def partitions(self, indices: Sequence[int] | slice = slice(None)) -> tuple[Partition, ...]:
-        """The admissible partitions at the given indices, built now."""
-        return self.generic.select(self.rows[indices])
 
 
 def check_family(a: Matrix, p: int, family: ShapeFamily) -> None:
@@ -118,7 +119,9 @@ def admissible_partitions(
     The family is asked once per distinct shape, in lexicographic order of
     the shapes. Part sums are taken over a scaled by the common denominator
     of its entries, so they are exact integers: int64 when no sum can
-    overflow it, Python integers (dtype=object) otherwise.
+    overflow it, Python integers (dtype=object) otherwise. A positive scale
+    keeps the lexicographic order, so sorting the integer keys sorts the
+    matrices.
     """
     p = generic.p
     shapes = generic.blocks.sum(axis=2)
@@ -131,21 +134,18 @@ def admissible_partitions(
     rows = np.flatnonzero(admitted)
 
     k = a.nrows
-    columns, scale = integer_rows(a.columns())
-    bound = max((sum(map(abs, row)) for row in zip(*columns)), default=0)
-    scaled = integer_array(columns, bound).reshape(a.ncols, k)
-    group: list[int] = []
-    keys: dict[tuple, int] = {}
+    integral, scale = integer_rows(a.rows())
+    bound = max((sum(map(abs, row)) for row in integral), default=0)
+    scaled = integer_array(integral, bound).reshape(k, a.ncols)
+    found: list[tuple] = []
     step = max(1, _CHUNK_ELEMENTS // max(1, p * a.ncols))
     for start in range(0, len(rows), step):
-        sums = generic.blocks[rows[start:start + step]].astype(scaled.dtype) @ scaled
-        for key in map(tuple, sums.reshape(len(sums), p * k).tolist()):
-            group.append(keys.setdefault(key, len(keys)))
-    matrices = [
-        Matrix([[Fraction(key[j * k + r], scale) for j in range(p)] for r in range(k)], ncols=p)
-        for key in keys
-    ]
-    return AdmissiblePartitions(generic, rows, group, matrices)
+        blocks = generic.blocks[rows[start:start + step]].astype(scaled.dtype)
+        sums = scaled @ blocks.transpose(0, 2, 1)  # (chunk, k, p): row-major part sums
+        found += map(tuple, sums.reshape(len(sums), k * p).tolist())
+    keys = sorted(set(found))
+    number = {key: g for g, key in enumerate(keys)}
+    return AdmissiblePartitions(generic, rows, [number[key] for key in found], keys, scale)
 
 
 def candidate_vertices(
@@ -164,21 +164,9 @@ def candidate_vertices(
     masks = _two_partition_masks(perturbed, limits)
     generic = enumerate_generic_p_partitions(perturbed, p, limits, two_partition_masks=masks)
     admissible = admissible_partitions(a, generic, family)
-    matrices = admissible.matrices
-    if len(matrices) > limits.max_candidates:
-        raise CapacityError("candidates", limits.max_candidates, len(matrices))
-    grouped: list[list[Partition]] = [[] for _ in matrices]
-    for pi, g in zip(admissible.partitions(), admissible.group):
-        grouped[g].append(pi)
-
-    order = sorted(range(len(matrices)), key=lambda g: matrices[g].flatten())
-    return CandidateSet(
-        members=tuple(matrices[g] for g in order),
-        witnesses=tuple(tuple(grouped[g]) for g in order),
-        two_partition_count=len(masks),
-        generic_count=len(generic),
-        admissible_count=len(admissible),
-    )
+    if len(admissible.keys) > limits.max_candidates:
+        raise CapacityError("candidates", limits.max_candidates, len(admissible.keys))
+    return CandidateSet(admissible, len(masks), len(generic), len(admissible))
 
 
 def enumerate_vertices(
@@ -187,11 +175,19 @@ def enumerate_vertices(
     family: ShapeFamily,
     limits: EnumerationLimits = DEFAULT_LIMITS,
 ) -> VertexReport:
-    """All vertices of the shaped partition polytope, with witness partitions."""
+    """All vertices of the shaped partition polytope, with witness partitions.
+
+    The hull filter runs on the integer keys; the witnesses are built in one
+    selection from the generic set."""
     candidates = candidate_vertices(a, p, family, limits)
-    keep = extreme_point_indices([m.flatten() for m in candidates.members])
+    admissible = candidates.admissible
+    keep = extreme_point_indices(admissible.keys, admissible.scale)
+    witnesses: dict[int, list[Partition]] = {g: [] for g in keep}
+    chosen = [i for i, g in enumerate(admissible.group) if g in witnesses]
+    for i, pi in zip(chosen, admissible.generic.select(admissible.rows[chosen])):
+        witnesses[admissible.group[i]].append(pi)
     return VertexReport(
-        vertices=tuple(candidates.members[i] for i in keep),
-        witnesses=tuple(candidates.witnesses[i] for i in keep),
+        vertices=tuple(map(admissible.matrix, keep)),
+        witnesses=tuple(tuple(witnesses[g]) for g in keep),
         candidates=candidates,
     )

@@ -7,9 +7,9 @@ and evaluating the objective at each one's part-sum matrix finds a global
 maximizer. Ties go to the first maximizer in canonical enumeration order.
 
 The admissible generic partitions and their part-sum matrices come from
-`polytope.admissible_partitions`, the stage `candidate_vertices` uses too:
-one Matrix per distinct part-sum matrix, and a Partition object only for
-the winner.
+`polytope.admissible_partitions`, the stage `candidate_vertices` uses too.
+It holds each distinct part-sum matrix as an integer key; solve builds one
+Matrix per key, and a Partition object only for the winner.
 """
 
 from __future__ import annotations
@@ -52,14 +52,15 @@ def solve(
     admissible = admissible_partitions(a, generic, family)
     if not admissible:
         raise DimensionError("shape family admits no partition")
+    matrices = [admissible.matrix(g) for g in range(len(admissible.keys))]
     best_value = None
     for at, g in enumerate(admissible.group):
-        value = objective.evaluate(admissible.matrices[g])
+        value = objective.evaluate(matrices[g])
         if best_value is None or value > best_value:
             best_at, best_value = at, value
     return SolveReport(
-        best_partition=admissible.partitions([best_at])[0],
-        best_matrix=admissible.matrices[admissible.group[best_at]],
+        best_partition=generic.select(admissible.rows[[best_at]])[0],
+        best_matrix=matrices[admissible.group[best_at]],
         best_value=best_value,
         evaluations=len(admissible),
     )

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from shapedparts.errors import DimensionError
 from shapedparts.hull import _HullContext
-from shapedparts.linalg import Matrix, as_rational
+from shapedparts.linalg import Matrix, as_rational, integer_rows
 from shapedparts.partitions import ShapeFamily, compositions
 
 
@@ -233,7 +233,7 @@ def convex_combination_exists(target: Sequence[Fraction], generators: Sequence[S
     through the hull stage's certificate route."""
     if not generators:
         return False
-    context = _HullContext([tuple(target)] + [tuple(g) for g in generators])
+    context = _HullContext(*integer_rows([target, *generators]))
     return context.membership(0, list(range(1, len(generators) + 1)))
 
 

@@ -52,6 +52,13 @@ class TestVertices:
         assert sorted(lines) == lines
         assert lines[0] == "1,2,3"
 
+    def test_csv_with_partitions_exit_2(self, tmp_path, capsys):
+        path = write_problem(tmp_path, {"matrix": [[1, 2, 3]], "p": 2, "shapes": {"type": "all"}})
+        code, out, err = run_cli(["vertices", path, "--format", "csv", "--with-partitions"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "--with-partitions" in err
+
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"
         code, out, _ = run_cli(
@@ -370,6 +377,20 @@ class TestCheck:
         assert report["results"][0]["missing_from_fast"]
         assert report["results"][0]["extra_in_fast"]
 
+    @pytest.mark.parametrize("brute", [
+        [["1/20", "0"], ["0", "0"]],  # times the scale 10: not an integer tuple
+        [["0", "0"], ["0", "0"]],  # an integer tuple, but no candidate key
+    ])
+    def test_brute_vertex_outside_candidates_exit_5(self, capsys, monkeypatch, brute):
+        from shapedparts.linalg import Matrix
+
+        monkeypatch.setattr(cli, "brute_vertices", lambda *a, **kw: [Matrix(brute)])
+        code, out, _ = run_cli(["check", str(DATA / "splitting.json")], capsys)
+        assert code == 5
+        result = json.loads(out)["results"][0]
+        assert result["candidates_cover_brute"] is False
+        assert result["missing_from_fast"] == [brute]
+
 
 class TestDeterminism:
     def test_byte_identical_runs(self, tmp_path, capsys):
@@ -438,3 +459,25 @@ class TestConsoleEntry:
             capture_output=True, text=True,
         )
         assert result.returncode == 2
+
+
+REPORT_COMMANDS = {
+    "vertices.json": ["vertices", "--with-partitions"],
+    "vertices.csv": ["vertices", "--format", "csv"],
+    "count.json": ["count"],
+}
+
+
+class TestReportBytes:
+    """Reports pinned byte for byte in tests/data/reports, so that a change in
+    candidate order, witness grouping or formatting shows. The instances: the
+    two fixtures, splitting.json, a k = 2 instance with denominators up to 7
+    and a repeated column, and entries of 1e400 (part sums past int64)."""
+
+    @pytest.mark.parametrize("stem", ["cube3", "permutohedron3", "splitting", "rational2", "huge3"])
+    @pytest.mark.parametrize("report", sorted(REPORT_COMMANDS))
+    def test_bytes_match_the_recorded_report(self, tmp_path, capsys, stem, report):
+        target = tmp_path / report
+        args = REPORT_COMMANDS[report] + [str(DATA / f"{stem}.json"), "--output", str(target)]
+        assert run_cli(args, capsys)[0] == 0
+        assert target.read_bytes() == (DATA / "reports" / f"{stem}.{report}").read_bytes()

@@ -16,7 +16,7 @@ from conftest import (
 )
 from shapedparts import hull
 from shapedparts.hull import _HullContext, _directions, _integer_phase_one, extreme_point_indices
-from shapedparts.linalg import Matrix
+from shapedparts.linalg import Matrix, integer_rows
 
 
 def every_size_caratheodory(target, others):
@@ -83,7 +83,7 @@ class TestIntegerKernel:
     def test_matches_fraction_simplex(self, problem):
         target, generators = problem
         expected = reference_membership(target, generators)
-        rows = _HullContext([target] + generators).int_rows
+        rows = _HullContext(*integer_rows([target] + generators)).int_rows
         assert _integer_phase_one(rows[0], rows[1:]) == expected
         assert convex_combination_exists(target, generators) == expected
 
@@ -92,7 +92,7 @@ class TestIntegerKernel:
     def test_rows_keep_the_rank_of_the_lifted_points(self, problem):
         target, generators = problem
         points = [target] + generators
-        rows = _HullContext(points).int_rows
+        rows = _HullContext(*integer_rows(points)).int_rows
         full = rank(Matrix.from_columns([lift_point(x) for x in points]))
         assert len(rows[0]) == rank(Matrix.from_columns(rows)) == full
 
@@ -149,7 +149,7 @@ class TestMembership:
     def test_beyond_float_range(self):
         big = F(10 ** 400, 3)
         assert convex_combination_exists((big + 1,), [(big,), (big + 2,)])
-        assert extreme_point_indices([(big,), (big + 1,), (big + 2,)]) == [0, 2]
+        assert extreme_point_indices(*integer_rows([(big,), (big + 1,), (big + 2,)])) == [0, 2]
 
 
 class TestRouteAgreement:
@@ -183,20 +183,20 @@ class TestRouteAgreement:
 class TestExtremePoints:
     def test_segment_with_midpoint(self):
         points = [(F(0),), (F(1),), (F(2),)]
-        assert extreme_point_indices(points) == [0, 2]
+        assert extreme_point_indices(*integer_rows(points)) == [0, 2]
 
     def test_square_with_center(self):
         points = [
             (F(0), F(0)), (F(0), F(2)), (F(1), F(1)), (F(2), F(0)), (F(2), F(2)),
         ]
-        assert extreme_point_indices(points) == [0, 1, 3, 4]
+        assert extreme_point_indices(*integer_rows(points)) == [0, 1, 3, 4]
 
     def test_single_point(self):
-        assert extreme_point_indices([(F(5), F(7))]) == [0]
+        assert extreme_point_indices(*integer_rows([(F(5), F(7))])) == [0]
 
     def test_all_vertices_kept(self):
         points = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1))]
-        assert extreme_point_indices(points) == [0, 1, 2]
+        assert extreme_point_indices(*integer_rows(points)) == [0, 1, 2]
 
     def test_matches_filter_by_membership(self):
         rng = random.Random(13)
@@ -242,7 +242,7 @@ class TestExtremePoints:
                 i for i, pt in enumerate(points)
                 if not reference_membership(pt, points[:i] + points[i + 1:])
             ]
-            assert extreme_point_indices(points) == expected
+            assert extreme_point_indices(*integer_rows(points)) == expected
 
     @pytest.mark.parametrize("largest, dtype", [(2 ** 30 - 1, np.int64), (2 ** 30, object)])
     def test_at_the_int64_bound(self, monkeypatch, largest, dtype):
@@ -263,7 +263,7 @@ class TestExtremePoints:
             i for i, pt in enumerate(points)
             if not reference_membership(pt, points[:i] + points[i + 1:])
         ]
-        assert extreme_point_indices(points) == expected
+        assert extreme_point_indices(*integer_rows(points)) == expected
         assert arrays[0].shape == (8, 3) and arrays[0].dtype == dtype
 
     def test_more_vertices_than_proposal_directions(self):
@@ -273,13 +273,13 @@ class TestExtremePoints:
         points = [
             (F(t, 2) + 1, F(t * t) - 3 * t, 2 * t + F(t * t, 3)) for t in range(-150, 150)
         ]
-        assert len(_HullContext(points).int_rows[0]) == 3
+        assert len(_HullContext(*integer_rows(points)).int_rows[0]) == 3
         assert len(_directions(2)) < len(points)
         # The points are in convex position; the reference confirms a sample
         # (it takes about a second per point in the middle).
         for i in (0, 1, 37, 150, 299):
             assert not reference_membership(points[i], points[:i] + points[i + 1:])
-        assert extreme_point_indices(points) == list(range(len(points)))
+        assert extreme_point_indices(*integer_rows(points)) == list(range(len(points)))
 
     def test_tied_directions_fall_back_to_membership(self, monkeypatch):
         # Past float range every point has the same float image, so every
@@ -300,7 +300,7 @@ class TestExtremePoints:
 
         monkeypatch.setattr(hull, "_propose_vertices", spy_propose)
         monkeypatch.setattr(_HullContext, "membership", spy_membership)
-        assert extreme_point_indices(points) == [1, 2, 3, 4]
+        assert extreme_point_indices(*integer_rows(points)) == [1, 2, 3, 4]
         assert proposals[0][0] == [0]
         assert 0 in decided
 
@@ -310,6 +310,6 @@ class TestExtremePoints:
             list(dict.fromkeys(frac_points(rng, rng.randint(4, 30), rng.randint(1, 4))))
             for _ in range(20)
         ]
-        expected = [extreme_point_indices(points) for points in point_sets]
+        expected = [extreme_point_indices(*integer_rows(points)) for points in point_sets]
         monkeypatch.setattr(hull, "_CHUNK_ELEMENTS", 1)
-        assert [extreme_point_indices(points) for points in point_sets] == expected
+        assert [extreme_point_indices(*integer_rows(points)) for points in point_sets] == expected

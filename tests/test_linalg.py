@@ -107,7 +107,7 @@ class TestRank:
     def test_rank_of_transpose(self, rows):
         m = Matrix(rows)
         transpose = Matrix.from_columns(rows)
-        assert transpose.columns() == list(m.rows())
+        assert [transpose.column(j) for j in range(transpose.ncols)] == list(m.rows())
         assert rank(m) == rank(transpose)
 
 

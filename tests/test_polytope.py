@@ -6,12 +6,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import HUGE_PROBLEMS, TRANSLATIONS, convex_combination_exists, edge_problems
+from shapedparts import polytope
 from shapedparts.brute import brute_solve, brute_vertices
 from shapedparts.errors import CapacityError, DimensionError
 from shapedparts.generic import EnumerationLimits, PerturbedMatrix, enumerate_generic_p_partitions
 from shapedparts.linalg import Matrix
 from shapedparts.objectives import LinearObjective
-from shapedparts.partitions import ShapeFamily, compositions, lift, partition_matrix, shape_of
+from shapedparts.partitions import (
+    Partition,
+    ShapeFamily,
+    compositions,
+    lift,
+    partition_matrix,
+    shape_of,
+)
 from shapedparts.polytope import admissible_partitions, candidate_vertices, enumerate_vertices
 from shapedparts.solver import solve
 
@@ -39,15 +47,18 @@ def reference_candidates(a, p, family):
 
 class TestCandidates:
     def test_cube_candidates(self):
-        cand = candidate_vertices(Matrix.identity(3), 2, ShapeFamily.all_shapes(3, 2))
+        a, family = Matrix.identity(3), ShapeFamily.all_shapes(3, 2)
+        cand = candidate_vertices(a, 2, family)
         assert len(cand.members) == 8
         assert len({m.flatten() for m in cand.members}) == 8
-        for member, witnesses in zip(cand.members, cand.witnesses):
+        report = enumerate_vertices(a, 2, family)
+        assert report.vertices == cand.members
+        for vertex, witnesses in zip(report.vertices, report.witnesses):
             assert witnesses
             for pi in witnesses:
                 first = pi.blocks[0]
                 expected_col = [F(1) if i in first else F(0) for i in range(1, 4)]
-                assert list(member.column(0)) == expected_col
+                assert list(vertex.column(0)) == expected_col
 
     def test_permutation_candidates(self):
         cand = candidate_vertices(
@@ -74,13 +85,19 @@ class TestCandidates:
             candidate_vertices(Matrix([[1, 2, 3]]), 2, ShapeFamily.all_shapes(3, 2), limits)
 
     @pytest.mark.parametrize("problem", HUGE_PROBLEMS)
-    def test_huge_part_sums_match_reference_scan(self, problem):
+    def test_huge_part_sums_match_reference_scan(self, problem, monkeypatch):
         a, p, family = problem
         cand = candidate_vertices(a, p, family)
         members, witnesses = reference_candidates(a, p, family)
         assert list(cand.members) == members
-        assert list(cand.witnesses) == witnesses
         assert cand.admissible_count == sum(map(len, witnesses))
+        # With every candidate kept as a vertex, the report's witnesses are
+        # the whole grouping (and no slow exact hull runs on entries of 1e400).
+        monkeypatch.setattr(polytope, "extreme_point_indices",
+                            lambda rows, scale: list(range(len(rows))))
+        report = enumerate_vertices(a, p, family)
+        assert list(report.vertices) == members
+        assert list(report.witnesses) == witnesses
 
 
 class TestAdmissiblePartitions:
@@ -103,20 +120,49 @@ class TestAdmissiblePartitions:
         assert set(asked) == set(shapes)
         expected = [pi for pi in generic_set if admits(shape_of(pi))]
         assert 0 < len(expected) < len(generic_set)
-        assert list(admissible.partitions()) == expected
+        assert list(generic_set.select(admissible.rows)) == expected
 
-    def test_groups_number_matrices_by_first_occurrence(self):
-        a = Matrix([[2, -1, 2, 0, -1, 3], [1, 0, 1, 1, 0, -2]])  # columns 1 and 3, 2 and 5 repeat
+    def test_groups_number_matrices_in_lexicographic_order(self):
+        # columns 1 and 3, 2 and 5 repeat; the common denominator is 6
+        a = Matrix([[2, -1, 2, 0, -1, 3], [F(1, 2), 0, F(1, 2), 1, 0, F(-2, 3)]])
         generic_set = enumerate_generic_p_partitions(PerturbedMatrix(lift(a)), 3)
         admissible = admissible_partitions(a, generic_set, ShapeFamily.all_shapes(6, 3))
-        seen = []
-        for pi, g in zip(admissible.partitions(), admissible.group):
-            matrix = partition_matrix(a, pi)
-            if matrix not in seen:
-                seen.append(matrix)
-            assert admissible.matrices[g] == matrix == seen[g]
-        assert admissible.matrices == seen
-        assert len(seen) < len(admissible)
+        matrices = [partition_matrix(a, pi) for pi in generic_set.select(admissible.rows)]
+        distinct = sorted(set(matrices), key=Matrix.flatten)
+        assert len(distinct) < len(matrices)
+        assert [admissible.matrix(g) for g in admissible.group] == matrices
+        assert [admissible.matrix(g) for g in range(len(distinct))] == distinct
+        assert admissible.scale == 6
+        assert admissible.keys == [tuple(6 * x for x in m.flatten()) for m in distinct]
+
+
+class TestConstructions:
+    def test_objects_only_for_reported_vertices(self, monkeypatch):
+        # k = 2, n = 5, p = 3, a zero column and a repeated one: the vertices
+        # have several witnesses each, and most candidates are not vertices.
+        a = Matrix([[F(1, 2), -1, 0, F(1, 2), 3], [1, 0, 0, 1, F(2, 3)]])
+        family = ShapeFamily.all_shapes(5, 3)
+        built = []
+        matrix_init, partition_check = Matrix.__init__, Partition.__post_init__
+
+        def counting_init(self, *args, **kwargs):
+            matrix_init(self, *args, **kwargs)
+            built.append(self.shape)
+
+        def counting_check(self):
+            partition_check(self)
+            built.append("partition")
+
+        monkeypatch.setattr(Matrix, "__init__", counting_init)
+        monkeypatch.setattr(Partition, "__post_init__", counting_check)
+        cand = candidate_vertices(a, 3, family)
+        assert "partition" not in built and (2, 3) not in built
+        built.clear()
+        report = enumerate_vertices(a, 3, family)
+        witnesses = sum(map(len, report.witnesses))
+        assert built.count((2, 3)) == report.vertex_count < len(cand)
+        assert built.count("partition") == witnesses < cand.admissible_count
+        assert witnesses > report.vertex_count
 
 
 class TestIsVertex:
