@@ -1,16 +1,40 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction as F
+from itertools import product
 from math import factorial
+from pathlib import Path
 
 import pytest
 
 from shapedparts import cli
-from shapedparts.brute import brute_solve, brute_vertices, enumerate_all_partitions
-from shapedparts.errors import CapacityError
-from shapedparts.linalg import Matrix
-from shapedparts.objectives import ColumnPowerObjective, DiagonalPowerObjective, MaxCutObjective
-from shapedparts.partitions import ShapeFamily, compositions, shape_of
+from shapedparts.brute import (
+    _CHUNK_ELEMENTS,
+    _assignment_chunks,
+    brute_solve,
+    brute_vertices,
+    enumerate_all_partitions,
+)
+from shapedparts.errors import CapacityError, DimensionError
+from shapedparts.hull import extreme_point_indices
+from shapedparts.linalg import Matrix, integer_rows
+from shapedparts.objectives import (
+    ColumnPowerObjective,
+    DiagonalPowerObjective,
+    LinearObjective,
+    MaxCutObjective,
+)
+from shapedparts.partitions import (
+    ShapeFamily,
+    compositions,
+    ordered_partition,
+    partition_matrix,
+    shape_of,
+)
+from shapedparts.problems import load_problem
+
+DATA = Path(__file__).parent / "data"
 
 
 def multinomial(shape):
@@ -130,3 +154,97 @@ class TestBruteReport:
         result = check_result(tmp_path, {"matrix": [[1, 2]], "p": 2, "shapes": {"type": "all"}})
         assert result["brute_vertices"] == 2
         assert "brute_optimum" not in result
+
+
+def product_partitions(n, p, family):
+    """The admissible partitions by a plain loop over the assignment vectors."""
+    for assignment in product(range(p), repeat=n):
+        if family.contains(tuple(assignment.count(j) for j in range(p))):
+            yield ordered_partition(
+                [[i for i, part in enumerate(assignment, start=1) if part == j] for j in range(p)], n
+            )
+
+
+def reference(a, p, family, objective):
+    """brute_vertices and brute_solve by their definition: the part-sum matrix
+    of every admissible partition, the Fraction maximum of the objective over
+    them, and the hull of the distinct matrices."""
+    matrices = [partition_matrix(a, pi) for pi in product_partitions(a.ncols, p, family)]
+    distinct = {m.flatten(): m for m in matrices}
+    ordered = [distinct[key] for key in sorted(distinct)]
+    keep = extreme_point_indices(*integer_rows(m.flatten() for m in ordered))
+    return [ordered[i] for i in keep], max(objective.evaluate(m) for m in matrices)
+
+
+def random_problem(seed, k, n, p, family):
+    rng = random.Random(seed)
+    a = Matrix([[F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n)] for _ in range(k)])
+    cost = Matrix([[rng.randint(-3, 3) for _ in range(p)] for _ in range(k)])
+    return a, p, family, LinearObjective(cost)
+
+
+class TestChunkedWalk:
+    @pytest.mark.parametrize("stem", ["cube3", "huge3", "permutohedron3", "rational2", "splitting"])
+    def test_fixtures_match_definition(self, stem):
+        problem = load_problem(DATA / f"{stem}.json")
+        objective = problem.objective or ColumnPowerObjective(2)
+        a, p, family = problem.matrix, problem.p, problem.family
+        vertices, best = reference(a, p, family, objective)
+        assert brute_vertices(a, p, family) == vertices
+        assert brute_solve(a, p, family, objective) == best
+
+    @pytest.mark.parametrize("seed, k, n, p, family, force", [
+        (3, 1, 10, 2, ShapeFamily.all_shapes(10, 2), True),
+        (5, 1, 9, 3, ShapeFamily.bounds([1, 2, 0], [4, 5, 4], 9), False),
+    ])
+    def test_across_chunks_matches_definition(self, seed, k, n, p, family, force):
+        assert p ** n * p * n > 2 * _CHUNK_ELEMENTS
+        a, p, family, objective = random_problem(seed, k, n, p, family)
+        vertices, best = reference(a, p, family, objective)
+        assert brute_vertices(a, p, family, force=force) == vertices
+        assert brute_solve(a, p, family, objective, force=force) == best
+        walked = [pi.blocks for pi in enumerate_all_partitions(n, p, family, force=force)]
+        assert walked == [pi.blocks for pi in product_partitions(n, p, family)]
+
+    @pytest.mark.parametrize("n, p", [(0, 1), (0, 3), (1, 1), (6, 1), (4, 3), (7, 3), (10, 2)])
+    def test_chunks_are_the_assignments_in_order_and_bounded(self, n, p):
+        chunks = list(_assignment_chunks(n, p))
+        assert all(len(c) * p * n <= _CHUNK_ELEMENTS for c in chunks)
+        walked = [tuple(row) for chunk in chunks for row in chunk.tolist()]
+        assert walked == list(product(range(p), repeat=n))
+
+    def test_first_partition_past_a_machine_word(self):
+        family = ShapeFamily.all_shapes(70, 2)
+        first = next(enumerate_all_partitions(70, 2, family, force=True))
+        assert first.blocks == (tuple(range(1, 71)), ())
+
+    def test_predicate_asked_once_per_shape(self):
+        asked = Counter()
+
+        def predicate(shape):
+            asked[shape] += 1
+            return shape[0] != 2
+
+        a, p, family, objective = random_problem(
+            11, 1, 7, 3, ShapeFamily.from_predicate(predicate, 7, 3)
+        )
+        for run in (
+            lambda: brute_vertices(a, p, family),
+            lambda: brute_solve(a, p, family, objective),
+            lambda: list(enumerate_all_partitions(7, 3, family)),
+        ):
+            asked.clear()
+            run()
+            assert set(asked) == set(compositions(7, 3))
+            assert max(asked.values()) == 1
+
+    def test_empty_ground_set_and_empty_family(self):
+        empty = ShapeFamily.all_shapes(0, 3)
+        assert [pi.blocks for pi in enumerate_all_partitions(0, 3, empty)] == [((), (), ())]
+        assert brute_vertices(Matrix([[]], ncols=0), 3, empty) == [Matrix([[0, 0, 0]])]
+        nothing = ShapeFamily.from_predicate(lambda shape: False, 4, 2)
+        a = Matrix([[1, 2, 3, 4]])
+        assert list(enumerate_all_partitions(4, 2, nothing)) == []
+        assert brute_vertices(a, 2, nothing) == []
+        with pytest.raises(DimensionError):
+            brute_solve(a, 2, nothing, ColumnPowerObjective(2))
