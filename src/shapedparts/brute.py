@@ -4,15 +4,15 @@ Every assignment of the n elements to the p parts is tried, in lexicographic
 order of the assignment vectors, as one chunked walk over integer arrays: a
 chunk is an (N, n) digit array and its (N, p, n) 0/1 block array, the shapes
 are the block array's row sums, and the family is asked once per distinct
-shape. The part sums are one integer matrix product per chunk, over the
-attribute matrix times the common denominator of its entries, and each
-distinct part-sum matrix is kept as its row-major integer key.
+shape. Each distinct part-sum matrix is kept as its integer key of
+`partitions.PartSums`.
 
 The walk uses none of the generic-enumeration machinery (no perturbation, no
 separating hyperplanes, no assembly) and none of the admissible stage of
-`polytope`. What it shares with the fast path is the integer conversion of
-`linalg` (`integer_rows`, `integer_array`) and the exact convex-position test
-of `hull`, which takes the keys as they are.
+`polytope`. It shares with the fast path the formats of `partitions` (the
+part-sum keys of `PartSums` and the block decoding of
+`partitions_from_blocks`) and the exact convex-position test of `hull`,
+which takes the keys as they are.
 
 Hard guards keep accidental exponential runs from happening; pass force=True
 to override them. Either way a chunk holds at most _CHUNK_ELEMENTS block
@@ -23,16 +23,16 @@ little memory beyond the distinct part-sum matrices it keeps.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, islice, product
+from itertools import islice, product
 from typing import Iterator
 
 import numpy as np
 
 from .errors import CapacityError, DimensionError
 from .hull import extreme_point_indices
-from .linalg import Matrix, integer_array, integer_rows
+from .linalg import Matrix
 from .objectives import Objective
-from .partitions import Partition, ShapeFamily
+from .partitions import Partition, PartSums, ShapeFamily, partitions_from_blocks
 
 MAX_BRUTE_N = 9
 MAX_BRUTE_P = 4
@@ -96,40 +96,28 @@ def enumerate_all_partitions(
     Deterministic order: partitions appear by their assignment vector (the
     part index of each element) in lexicographic order.
     """
-    elements = range(1, n + 1)
     for blocks in _admissible_blocks(n, p, family, force):
-        for rows in blocks.tolist():
-            yield Partition(tuple(tuple(compress(elements, row)) for row in rows), n)
+        yield from partitions_from_blocks(blocks)
 
 
 def _part_sum_keys(
     a: Matrix, p: int, family: ShapeFamily, force: bool
-) -> tuple[list[tuple[int, ...]], int]:
-    """The distinct part-sum matrices of the admissible partitions, each in
-    row-major order times the common denominator L of a's entries, sorted;
-    and L. A positive L keeps the order, so the keys sort as the matrices."""
-    k, n = a.nrows, a.ncols
-    integral, scale = integer_rows(a.rows())
-    bound = max((sum(map(abs, row)) for row in integral), default=0)
-    scaled = integer_array(integral, bound).reshape(k, n)
+) -> tuple[list[tuple[int, ...]], PartSums]:
+    """The distinct part-sum keys of the admissible partitions, sorted, and
+    the PartSums that made them."""
+    sums = PartSums(a, p)
     found: set[tuple[int, ...]] = set()
-    for blocks in _admissible_blocks(n, p, family, force):
-        sums = scaled @ blocks.astype(scaled.dtype).transpose(0, 2, 1)  # (N, k, p)
-        found.update(map(tuple, sums.reshape(len(sums), k * p).tolist()))
-    return sorted(found), scale
-
-
-def _key_matrix(key: tuple[int, ...], scale: int, p: int) -> Matrix:
-    return Matrix([[Fraction(x, scale) for x in key[r:r + p]] for r in range(0, len(key), p)],
-                  ncols=p)
+    for blocks in _admissible_blocks(a.ncols, p, family, force):
+        found.update(sums.keys(blocks))
+    return sorted(found), sums
 
 
 def brute_vertices(
     a: Matrix, p: int, family: ShapeFamily, force: bool = False
 ) -> list[Matrix]:
     """Vertices of the hull of all admissible part-sum matrices, in canonical order."""
-    keys, scale = _part_sum_keys(a, p, family, force)
-    return [_key_matrix(keys[i], scale, p) for i in extreme_point_indices(keys, scale)]
+    keys, sums = _part_sum_keys(a, p, family, force)
+    return [sums.matrix(keys[i]) for i in extreme_point_indices(keys, sums.scale)]
 
 
 def brute_solve(
@@ -139,7 +127,7 @@ def brute_solve(
 
     The objective is a pure function of the part-sum matrix, so it is
     evaluated once per distinct matrix."""
-    keys, scale = _part_sum_keys(a, p, family, force)
+    keys, sums = _part_sum_keys(a, p, family, force)
     if not keys:
         raise DimensionError("shape family admits no partition")
-    return max(objective.evaluate(_key_matrix(key, scale, p)) for key in keys)
+    return max(objective.evaluate(sums.matrix(key)) for key in keys)

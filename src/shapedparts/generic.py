@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import CapacityError, DimensionError
 from .linalg import Matrix, fraction_free_elimination, integer_rows
-from .partitions import Partition
+from .partitions import Partition, partitions_from_blocks
 
 
 @dataclass(frozen=True)
@@ -223,13 +223,7 @@ class GenericPartitionSet:
     def select(self, rows) -> tuple[Partition, ...]:
         """The partitions at the given positions (any index of blocks' first
         axis), built now."""
-        chosen = self.blocks[rows]
-        # the elements of every block in turn, cut at the running block sizes
-        elements = (np.nonzero(chosen)[2] + 1).tolist()
-        ends = np.cumsum(chosen.sum(axis=2).ravel()).tolist()
-        blocks = [tuple(elements[start:end]) for start, end in zip([0] + ends, ends)]
-        p = self.p
-        return tuple(Partition(tuple(blocks[i:i + p]), self.n) for i in range(0, len(blocks), p))
+        return tuple(partitions_from_blocks(self.blocks[rows]))
 
     @cached_property
     def partitions(self) -> tuple[Partition, ...]:

@@ -31,8 +31,6 @@ _STDERR_TAIL = 500  # characters of a dead oracle's stderr quoted in the error
 class Objective:
     """Base class: a pure function of the queried matrix."""
 
-    kind = "abstract"
-
     def evaluate(self, matrix: Matrix) -> Fraction:
         raise NotImplementedError
 
@@ -45,8 +43,6 @@ class Objective:
 
 class LinearObjective(Objective):
     """Inner product with a fixed cost matrix: sum of C[i][j] * X[i][j]."""
-
-    kind = "linear"
 
     def __init__(self, cost: Matrix):
         self.cost = cost
@@ -70,8 +66,6 @@ class LinearObjective(Objective):
 class DiagonalPowerObjective(Objective):
     """Sum over i of |X[i][i]| ** q for a square matrix; q is an integer >= 1."""
 
-    kind = "sum_diag_pow"
-
     def __init__(self, q: int):
         if not isinstance(q, int) or q < 1:
             raise DimensionError(f"diagonal power needs an integer q >= 1, got {q!r}")
@@ -90,8 +84,6 @@ class DiagonalPowerObjective(Objective):
 class ColumnPowerObjective(Objective):
     """Sum over all entries of |X[i][j]| ** q; q is a positive even integer."""
 
-    kind = "sum_column_norm_pow"
-
     def __init__(self, q: int):
         if not isinstance(q, int) or q < 2 or q % 2:
             raise DimensionError(f"column power needs a positive even integer q, got {q!r}")
@@ -107,8 +99,6 @@ class MaxCutObjective(Objective):
     Requires the attribute matrix to be the n x n identity with p = 2, so the
     queried matrices have a 0/1 first column indicating part membership.
     """
-
-    kind = "max_cut"
 
     def __init__(self, edges: Sequence[Sequence[int]]):
         normalized = []
@@ -167,8 +157,6 @@ def parse_wire_scalar(text: str) -> Fraction:
 
 class ExternalOracle(Objective):
     """Objective values supplied by a subprocess, one query per distinct matrix."""
-
-    kind = "external"
 
     def __init__(self, command: Sequence[str]):
         if not command:

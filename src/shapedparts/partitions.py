@@ -1,5 +1,10 @@
 """Ordered partitions, shapes, shape families, and part-sum matrices.
 
+This module owns the formats the pipeline and the brute-force reference
+share: the (N, p, n) 0/1 block array of a set of partitions
+(`partitions_from_blocks` reads it back) and the integer part-sum keys
+(`PartSums`).
+
 Element indices are 1-based everywhere a user can see them, matching the
 ground set {1, ..., n}. A shape is a plain tuple of p nonnegative block sizes
 summing to n.
@@ -11,8 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import DimensionError
-from .linalg import Matrix
+from .linalg import Matrix, integer_array, integer_rows
 
 Shape = tuple[int, ...]
 
@@ -82,6 +89,47 @@ def partition_matrix(a: Matrix, pi: Partition) -> Matrix:
     return Matrix.from_columns(cols, nrows=a.nrows)
 
 
+class PartSums:
+    """The part sums of partitions over an attribute matrix, as integers.
+
+    The attribute matrix is held times the common denominator `scale` of
+    its entries: int64 when no part sum can overflow it, Python integers
+    (dtype=object) otherwise. A part-sum matrix is held as its key, its
+    row-major entries times scale. A positive scale keeps the lexicographic
+    order, so sorting the keys sorts the matrices. `partition_matrix` is the
+    Fraction definition these keys are checked against.
+    """
+
+    def __init__(self, a: Matrix, p: int):
+        integral, self.scale = integer_rows(a.rows())
+        bound = max((sum(map(abs, row)) for row in integral), default=0)
+        self.scaled = integer_array(integral, bound).reshape(a.nrows, a.ncols)
+        self.p = p
+
+    def keys(self, blocks: np.ndarray) -> list[tuple[int, ...]]:
+        """The key of each partition of an (N, p, n) 0/1 block array, by one
+        integer matrix product."""
+        sums = self.scaled @ blocks.astype(self.scaled.dtype).transpose(0, 2, 1)  # (N, k, p)
+        return list(map(tuple, sums.reshape(len(sums), len(self.scaled) * self.p).tolist()))
+
+    def matrix(self, key: Sequence[int]) -> Matrix:
+        """The part-sum matrix of a key."""
+        p, scale = self.p, self.scale
+        return Matrix([[Fraction(x, scale) for x in key[r:r + p]] for r in range(0, len(key), p)],
+                      ncols=p)
+
+
+def partitions_from_blocks(blocks: np.ndarray) -> list[Partition]:
+    """The partitions of an (N, p, n) 0/1 block array: element c + 1 lies in
+    block j of partition i iff blocks[i, j, c] is 1."""
+    n, p = blocks.shape[2], blocks.shape[1]
+    # the elements of every block in turn, cut at the running block sizes
+    elements = (np.nonzero(blocks)[2] + 1).tolist()
+    ends = np.cumsum(blocks.sum(axis=2).ravel()).tolist()
+    flat = [tuple(elements[start:end]) for start, end in zip([0] + ends, ends)]
+    return [Partition(tuple(flat[i:i + p]), n) for i in range(0, len(flat), p)]
+
+
 def lift(a: Matrix) -> Matrix:
     """Append the index row (1, 2, ..., n), making all columns distinct."""
     index_row = [Fraction(i) for i in range(1, a.ncols + 1)]
@@ -108,27 +156,21 @@ class ShapeFamily:
     Four kinds: every shape ("all"), an explicit list ("list"), componentwise
     bounds ("bounds"), and an arbitrary membership predicate ("predicate") for
     callers that want the pure oracle model. Only the first three can appear
-    in problem files. Families are validated nonempty at construction, except
-    the predicate kind, which cannot be inspected.
+    in problem files. Each constructor validates its input and builds the one
+    membership callable `admits`; families are validated nonempty, except the
+    predicate kind, which cannot be inspected.
     """
 
-    def __init__(self, kind: str, n: int, p: int, *,
-                 shapes: frozenset[Shape] | None = None,
-                 lower: Shape | None = None,
-                 upper: Shape | None = None,
-                 predicate: Callable[[Shape], bool] | None = None):
+    def __init__(self, kind: str, n: int, p: int, admits: Callable[[Shape], bool]):
         self.kind = kind
         self.n = n
         self.p = p
-        self.shapes = shapes
-        self.lower = lower
-        self.upper = upper
-        self.predicate = predicate
+        self.admits = admits
 
     @classmethod
     def all_shapes(cls, n: int, p: int) -> "ShapeFamily":
         _check_dims(n, p)
-        return cls("all", n, p)
+        return cls("all", n, p, lambda shape: True)
 
     @classmethod
     def explicit(cls, shapes: Iterable[Sequence[int]], n: int, p: int) -> "ShapeFamily":
@@ -138,7 +180,7 @@ class ShapeFamily:
             raise DimensionError("an explicit shape family must be nonempty")
         for s in normalized:
             _check_shape(s, n, p)
-        return cls("list", n, p, shapes=normalized)
+        return cls("list", n, p, normalized.__contains__)
 
     @classmethod
     def bounds(cls, lower: Sequence[int], upper: Sequence[int], n: int) -> "ShapeFamily":
@@ -152,7 +194,7 @@ class ShapeFamily:
             raise DimensionError("bounds must satisfy 0 <= lower <= upper")
         if sum(lo) > n or sum(hi) < n:
             raise DimensionError("bounds admit no shape: need sum(lower) <= n <= sum(upper)")
-        return cls("bounds", n, p, lower=lo, upper=hi)
+        return cls("bounds", n, p, lambda s: all(l <= x <= u for l, x, u in zip(lo, s, hi)))
 
     @classmethod
     def from_predicate(cls, predicate: Callable[[Shape], bool], n: int, p: int) -> "ShapeFamily":
@@ -160,19 +202,13 @@ class ShapeFamily:
         `vertices` and `solve` ask it once per distinct shape and apply the
         answer to every partition of that shape."""
         _check_dims(n, p)
-        return cls("predicate", n, p, predicate=predicate)
+        return cls("predicate", n, p, predicate)
 
     def contains(self, shape: Sequence[int]) -> bool:
         """Membership verdict for a p-shape of n; wrong arity or total is an error."""
         s = tuple(int(x) for x in shape)
         _check_shape(s, self.n, self.p)
-        if self.kind == "all":
-            return True
-        if self.kind == "list":
-            return s in self.shapes
-        if self.kind == "bounds":
-            return all(l <= x <= u for l, x, u in zip(self.lower, s, self.upper))
-        return bool(self.predicate(s))
+        return bool(self.admits(s))
 
     def __repr__(self) -> str:
         return f"ShapeFamily({self.kind}, n={self.n}, p={self.p})"

@@ -9,18 +9,15 @@ guaranteed to appear among the candidates, so the filter is the whole story.
 
 The admissible filter, the part sums and their grouping form one stage,
 `admissible_partitions`, which `solver.solve` shares. It works on the
-generic set's 0/1 block array: shapes are row sums, and part sums are one
-integer matrix product per chunk of partitions. Each distinct part-sum
-matrix is held as one integer key, its row-major entries times the common
-denominator of the attribute matrix, and the hull filter takes those keys
-as they are. Matrix objects are built for the vertices and Partition
-objects for their witnesses only.
+generic set's 0/1 block array: shapes are row sums, and each distinct
+part-sum matrix is held as one integer key of `partitions.PartSums`, which
+the hull filter takes as they are. Matrix objects are built for the
+vertices and Partition objects for their witnesses only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -37,8 +34,8 @@ from .generic import (
     enumerate_generic_p_partitions,
 )
 from .hull import extreme_point_indices
-from .linalg import Matrix, integer_array, integer_rows
-from .partitions import Partition, ShapeFamily, lift
+from .linalg import Matrix
+from .partitions import Partition, PartSums, ShapeFamily, lift
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,25 +44,23 @@ class AdmissiblePartitions:
     part-sum matrix.
 
     rows[i] is the position of admissible partition i in `generic`, and
-    group[i] numbers its part-sum matrix. keys[g] is matrix number g in
-    row-major order times scale, as integers; the keys are distinct and in
-    lexicographic order, which is also the order of the matrices.
+    group[i] numbers its part-sum matrix. keys[g] is the key of matrix
+    number g under `sums`; the keys are distinct and in lexicographic order,
+    which is also the order of the matrices.
     """
 
     generic: GenericPartitionSet
     rows: np.ndarray
     group: list[int]
     keys: list[tuple[int, ...]]
-    scale: int
+    sums: PartSums
 
     def __len__(self) -> int:
         return len(self.group)
 
     def matrix(self, g: int) -> Matrix:
         """Part-sum matrix number g, built now."""
-        key, p = self.keys[g], self.generic.p
-        entries = [[Fraction(x, self.scale) for x in key[r:r + p]] for r in range(0, len(key), p)]
-        return Matrix(entries, ncols=p)
+        return self.sums.matrix(self.keys[g])
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,17 +106,18 @@ def check_family(a: Matrix, p: int, family: ShapeFamily) -> None:
 
 
 def admissible_partitions(
-    a: Matrix, generic: GenericPartitionSet, family: ShapeFamily
+    a: Matrix,
+    generic: GenericPartitionSet,
+    family: ShapeFamily,
+    limits: EnumerationLimits = DEFAULT_LIMITS,
 ) -> AdmissiblePartitions:
     """Keep the generic partitions of lift(a) with an admissible shape and
     group them by part-sum matrix over a.
 
     The family is asked once per distinct shape, in lexicographic order of
-    the shapes. Part sums are taken over a scaled by the common denominator
-    of its entries, so they are exact integers: int64 when no sum can
-    overflow it, Python integers (dtype=object) otherwise. A positive scale
-    keeps the lexicographic order, so sorting the integer keys sorts the
-    matrices.
+    the shapes. The part sums are taken in chunks, one integer matrix
+    product each. More than limits.max_candidates distinct part-sum
+    matrices raise CapacityError.
     """
     p = generic.p
     shapes = generic.blocks.sum(axis=2)
@@ -133,19 +129,16 @@ def admissible_partitions(
             admitted[order[start:stop]] = True
     rows = np.flatnonzero(admitted)
 
-    k = a.nrows
-    integral, scale = integer_rows(a.rows())
-    bound = max((sum(map(abs, row)) for row in integral), default=0)
-    scaled = integer_array(integral, bound).reshape(k, a.ncols)
-    found: list[tuple] = []
+    sums = PartSums(a, p)
+    found: list[tuple[int, ...]] = []
     step = max(1, _CHUNK_ELEMENTS // max(1, p * a.ncols))
     for start in range(0, len(rows), step):
-        blocks = generic.blocks[rows[start:start + step]].astype(scaled.dtype)
-        sums = scaled @ blocks.transpose(0, 2, 1)  # (chunk, k, p): row-major part sums
-        found += map(tuple, sums.reshape(len(sums), k * p).tolist())
+        found += sums.keys(generic.blocks[rows[start:start + step]])
     keys = sorted(set(found))
+    if len(keys) > limits.max_candidates:
+        raise CapacityError("candidates", limits.max_candidates, len(keys))
     number = {key: g for g, key in enumerate(keys)}
-    return AdmissiblePartitions(generic, rows, [number[key] for key in found], keys, scale)
+    return AdmissiblePartitions(generic, rows, [number[key] for key in found], keys, sums)
 
 
 def candidate_vertices(
@@ -163,9 +156,7 @@ def candidate_vertices(
     perturbed = PerturbedMatrix(lift(a))
     masks = _two_partition_masks(perturbed, limits)
     generic = enumerate_generic_p_partitions(perturbed, p, limits, two_partition_masks=masks)
-    admissible = admissible_partitions(a, generic, family)
-    if len(admissible.keys) > limits.max_candidates:
-        raise CapacityError("candidates", limits.max_candidates, len(admissible.keys))
+    admissible = admissible_partitions(a, generic, family, limits)
     return CandidateSet(admissible, len(masks), len(generic), len(admissible))
 
 
@@ -181,7 +172,7 @@ def enumerate_vertices(
     selection from the generic set."""
     candidates = candidate_vertices(a, p, family, limits)
     admissible = candidates.admissible
-    keep = extreme_point_indices(admissible.keys, admissible.scale)
+    keep = extreme_point_indices(admissible.keys, admissible.sums.scale)
     witnesses: dict[int, list[Partition]] = {g: [] for g in keep}
     chosen = [i for i, g in enumerate(admissible.group) if g in witnesses]
     for i, pi in zip(chosen, admissible.generic.select(admissible.rows[chosen])):

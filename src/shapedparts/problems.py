@@ -156,7 +156,7 @@ def load_problem(path: str) -> Problem:
     return problem_from_dict(raw)
 
 
-def random_instance_dict(seed: int, index: int, with_objective: bool = True) -> dict:
+def random_instance_dict(seed: int, index: int) -> dict:
     """One deterministic random instance in problem-file form.
 
     Sizes stay within the brute-force guards (k <= 2, n <= 7, p <= 3), entries
@@ -185,10 +185,9 @@ def random_instance_dict(seed: int, index: int, with_objective: bool = True) -> 
         shapes = {"type": "bounds", "lower": lower, "upper": upper}
 
     instance = {"matrix": matrix, "p": p, "shapes": shapes}
-    if with_objective:
-        if index % 2 == 0:
-            cost = [[rng.randint(-5, 5) for _ in range(p)] for _ in range(k)]
-            instance["objective"] = {"type": "linear", "cost": cost}
-        else:
-            instance["objective"] = {"type": "sum_column_norm_pow", "q": rng.choice([2, 4])}
+    if index % 2 == 0:
+        cost = [[rng.randint(-5, 5) for _ in range(p)] for _ in range(k)]
+        instance["objective"] = {"type": "linear", "cost": cost}
+    else:
+        instance["objective"] = {"type": "sum_column_norm_pow", "q": rng.choice([2, 4])}
     return instance

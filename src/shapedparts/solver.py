@@ -45,11 +45,13 @@ def solve(
     The objective is evaluated once per admissible generic partition, in
     canonical order, one at a time; `evaluations` counts those partitions.
     Partitions with equal part sums share one part-sum matrix, built once.
+    More than limits.max_candidates distinct part-sum matrices raise
+    CapacityError.
     """
     check_family(a, p, family)
     objective.check_compatible(a, p)
     generic = enumerate_generic_p_partitions(PerturbedMatrix(lift(a)), p, limits)
-    admissible = admissible_partitions(a, generic, family)
+    admissible = admissible_partitions(a, generic, family, limits)
     if not admissible:
         raise DimensionError("shape family admits no partition")
     matrices = [admissible.matrix(g) for g in range(len(admissible.keys))]

@@ -247,15 +247,21 @@ class TestInputErrors:
 class TestLimitFlags:
     GUARDS = ("two-partitions", "candidates", "assembly-nodes")
 
-    @pytest.mark.parametrize("flag, value, guard", [
-        ("--max-two-partitions", "13", "two-partitions"),
-        ("--max-candidates", "3", "candidates"),
-        ("--max-assembly-nodes", "5", "assembly-nodes"),
+    @pytest.mark.parametrize("command, flag, value, guard", [
+        pytest.param("count", "--max-two-partitions", "13", "two-partitions",
+                     id="--max-two-partitions-13-two-partitions"),
+        pytest.param("count", "--max-candidates", "3", "candidates",
+                     id="--max-candidates-3-candidates"),
+        pytest.param("count", "--max-assembly-nodes", "5", "assembly-nodes",
+                     id="--max-assembly-nodes-5-assembly-nodes"),
+        pytest.param("solve", "--max-candidates", "3", "candidates",
+                     id="solve---max-candidates-3-candidates"),
     ])
-    def test_each_flag_trips_its_own_guard(self, tmp_path, capsys, flag, value, guard):
+    def test_each_flag_trips_its_own_guard(self, tmp_path, capsys, command, flag, value, guard):
         # 14 two-partitions, 60 candidates
-        path = write_problem(tmp_path, {"matrix": [[1, 2, 3, 4]], "p": 3, "shapes": {"type": "all"}})
-        code, _, err = run_cli(["count", path, flag, value], capsys)
+        path = write_problem(tmp_path, {"matrix": [[1, 2, 3, 4]], "p": 3, "shapes": {"type": "all"},
+                                        "objective": {"type": "linear", "cost": [[1, 0, -1]]}})
+        code, _, err = run_cli([command, path, flag, value], capsys)
         assert code == 3
         assert f"'{guard}'" in err
         assert all(f"'{other}'" not in err for other in self.GUARDS if other != guard)
@@ -472,7 +478,8 @@ class TestReportBytes:
     """Reports pinned byte for byte in tests/data/reports, so that a change in
     candidate order, witness grouping or formatting shows. The instances: the
     two fixtures, splitting.json, a k = 2 instance with denominators up to 7
-    and a repeated column, and entries of 1e400 (part sums past int64)."""
+    and a repeated column, and entries of 1e400 (part sums past int64); and
+    the solve report of splitting.json and the 50-instance seeded check."""
 
     @pytest.mark.parametrize("stem", ["cube3", "permutohedron3", "splitting", "rational2", "huge3"])
     @pytest.mark.parametrize("report", sorted(REPORT_COMMANDS))
@@ -481,3 +488,12 @@ class TestReportBytes:
         args = REPORT_COMMANDS[report] + [str(DATA / f"{stem}.json"), "--output", str(target)]
         assert run_cli(args, capsys)[0] == 0
         assert target.read_bytes() == (DATA / "reports" / f"{stem}.{report}").read_bytes()
+
+    @pytest.mark.parametrize("args, recorded", [
+        (["solve", str(DATA / "splitting.json")], "splitting.solve.json"),
+        (["check", "--random", "50", "--seed", "7"], "random7.check.json"),
+    ])
+    def test_more_commands_match_their_recorded_reports(self, tmp_path, capsys, args, recorded):
+        target = tmp_path / recorded
+        assert run_cli(args + ["--output", str(target)], capsys)[0] == 0
+        assert target.read_bytes() == (DATA / "reports" / recorded).read_bytes()

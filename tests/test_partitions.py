@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction as F
+from itertools import product
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,11 +12,13 @@ from shapedparts.errors import DimensionError
 from shapedparts.linalg import Matrix
 from shapedparts.partitions import (
     Partition,
+    PartSums,
     ShapeFamily,
     compositions,
     lift,
     ordered_partition,
     partition_matrix,
+    partitions_from_blocks,
     shape_of,
 )
 
@@ -82,6 +86,52 @@ class TestPartitionMatrix:
         assert sum(shape_of(pi)) == n
 
 
+def assignment_blocks(n, p):
+    """The (p^n, p, n) 0/1 block array of every assignment of n elements to p parts."""
+    digits = np.array(list(product(range(p), repeat=n)), dtype=np.int64).reshape(p ** n, n)
+    return (digits[:, None, :] == np.arange(p)[:, None]).astype(np.uint8)
+
+
+# (rows, columns, p, dtype of the scaled attribute matrix)
+EDGE_INSTANCES = {
+    "zero-and-duplicate-columns": ([[0, 3, F(1, 2), 3], [0, -1, F(-1, 3), -1]], 4, 2, np.int64),
+    "denominator-near-2^61": ([[F(1, 2 ** 61 - 1), 1, 2]], 3, 2, np.int64),
+    "denominators-near-2^61": ([[F(1, 2 ** 61 - 1), F(-3, 2 ** 61 + 1), 5]], 3, 3, object),
+    "1e400": ([["1e400", 2, "-1/3"], [1, "1e400", 0]], 3, 2, object),
+    "n=0": ([[]], 0, 2, np.int64),
+    "p>n": ([[F(2, 3), -4]], 2, 4, np.int64),
+    "k=0": ([], 3, 2, np.int64),
+}
+
+
+class TestSharedFormats:
+    """PartSums and partitions_from_blocks against the Fraction definitions."""
+
+    @pytest.mark.parametrize("name", sorted(EDGE_INSTANCES))
+    def test_keys_are_the_scaled_part_sum_matrices(self, name):
+        rows, ncols, p, dtype = EDGE_INSTANCES[name]
+        a = Matrix(rows, ncols=ncols)
+        blocks = assignment_blocks(ncols, p)
+        sums = PartSums(a, p)
+        assert sums.scaled.dtype == dtype
+        matrices = [partition_matrix(a, pi) for pi in partitions_from_blocks(blocks)]
+        keys = sums.keys(blocks)
+        assert keys == [tuple(sums.scale * x for x in m.flatten()) for m in matrices]
+        assert [sums.matrix(key) for key in keys] == matrices
+        assert sums.keys(blocks[:0]) == []
+
+    @pytest.mark.parametrize("n, p", [(0, 1), (0, 3), (1, 1), (2, 4), (3, 2), (4, 3)])
+    def test_partitions_read_back_the_blocks(self, n, p):
+        blocks = assignment_blocks(n, p)
+        expected = [
+            Partition(tuple(tuple(c + 1 for c in range(n) if row[c]) for row in rows), n)
+            for rows in blocks.tolist()
+        ]
+        assert partitions_from_blocks(blocks) == expected
+        assert partitions_from_blocks(blocks[::-1]) == expected[::-1]
+        assert partitions_from_blocks(blocks[:0]) == []
+
+
 class TestLift:
     def test_single_row(self):
         assert lift(Matrix([[5, 6]])) == Matrix([[5, 6], [1, 2]])
@@ -136,6 +186,11 @@ class TestShapeFamily:
             ShapeFamily.bounds([0, 0], [1, 1], 3)
         with pytest.raises(DimensionError):
             ShapeFamily.bounds([2, 1], [1, 2], 3)
+
+    def test_one_membership_callable(self):
+        family = ShapeFamily.bounds([0, 1], [2, 3], 3)
+        assert set(vars(family)) == {"kind", "n", "p", "admits"}
+        assert [family.admits(s) for s in [(0, 3), (3, 0)]] == [True, False]
 
     def test_predicate_oracle(self):
         family = ShapeFamily.from_predicate(lambda s: s[0] % 2 == 0, 4, 2)

@@ -132,7 +132,7 @@ class TestAdmissiblePartitions:
         assert len(distinct) < len(matrices)
         assert [admissible.matrix(g) for g in admissible.group] == matrices
         assert [admissible.matrix(g) for g in range(len(distinct))] == distinct
-        assert admissible.scale == 6
+        assert admissible.sums.scale == 6
         assert admissible.keys == [tuple(6 * x for x in m.flatten()) for m in distinct]
 
 
