@@ -192,7 +192,9 @@ def _check_one(problem: Problem, args) -> dict:
 
     fast_keys = [m.flatten() for m in report.vertices]
     brute_keys = [m.flatten() for m in reference]
-    superset_ok = set(reference) <= set(report.candidates.members)
+    scale = report.candidates.admissible.sums.scale
+    candidate_keys = set(report.candidates.admissible.keys)
+    superset_ok = all(tuple(x * scale for x in key) in candidate_keys for key in brute_keys)
     vertices_ok = fast_keys == brute_keys
 
     result = {

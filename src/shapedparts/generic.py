@@ -11,20 +11,29 @@ Simplicity" (1990).
 
 The sign kernel works in integers only. The base is scaled once by the common
 denominator L of its entries; reading eps as L * eps multiplies every lifted
-determinant by L^d > 0, so no sign changes. For each sorted d-subset the
-cofactor vector of its lifted columns is computed at the nodes eps = 0..d by
-the fraction-free elimination of ``linalg.py`` (Bareiss 1968), after which
-the determinant of the subset with any other column is one dot product per
-node. The fixed integer matrix d! * V^-1 turns those node values into d!
-times the polynomial's coefficients. No tolerance is tuned and no rational is built.
+determinant by L^d > 0, so no sign changes. A determinant's eps^0
+coefficient is its value at eps = 0, and where it is nonzero it is the sign.
+`_two_partition_masks` takes it for a chunk of sorted d-subsets and every
+column at once: an expansion by minors of the subsets' lifted columns at
+eps = 0, then one integer matrix product with all the columns, in int64 when
+a proven bound allows and in Python integers otherwise. Only the (subset,
+column) pairs whose eps^0 coefficient is 0, such as repeated or collinear
+columns, take the full polynomial path, `PerturbedMatrix.below_mask`: the
+cofactor vector of the subset's lifted columns is computed at the nodes
+eps = 0..d by the fraction-free elimination of ``linalg.py`` (Bareiss 1968),
+the determinant with a column is one dot product per node, and the fixed
+integer matrix d! * V^-1 turns those node values into d! times the
+polynomial's coefficients. No tolerance is tuned and no rational is built.
 
 Two-partitions come from separator triples: a sorted d-subset I spans an
 oriented hyperplane of the perturbed configuration, splitting the remaining
 columns by sign, and each two-sided split of I itself yields two associated
-ordered 2-partitions. p-partitions are assembled from one 2-partition per
-part pair, intersecting candidate blocks and keeping the assemblies whose
-blocks cover the ground set; the pairs are applied level by level and each
-distinct partial assembly is expanded once.
+ordered 2-partitions. The splits of a chunk of subsets are formed as uint64
+word arrays, one bitmask of W words per 2-partition, and kept in a set.
+p-partitions are assembled from one 2-partition per part pair, intersecting
+candidate blocks and keeping the assemblies whose blocks cover the ground
+set; the pairs are applied level by level and each distinct partial assembly
+is expanded once.
 
 The assembly is whole-array numpy work. A partial assembly is a (p, W)
 uint64 array, each block a bitmask of W = ceil(n / 64) words, so every n
@@ -40,16 +49,16 @@ they are asked for.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations
+from functools import cache, cached_property
+from itertools import combinations, islice
 from math import comb
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, DimensionError
-from .linalg import Matrix, fraction_free_elimination, integer_rows
+from .linalg import Matrix, fraction_free_elimination, integer_array, integer_rows
 from .partitions import Partition, partitions_from_blocks
 
 
@@ -116,32 +125,43 @@ class PerturbedMatrix:
     def __init__(self, base: Matrix):
         if base.nrows < 1:
             raise DimensionError("perturbation needs at least one row")
-        self.d = d = base.nrows
-        self.n = n = base.ncols
-        integral, _ = integer_rows(base.rows())
-        # _nodes[e][c]: lifted column c (0-based) of L * base at eps = e.
-        self._nodes = [
+        self.d = base.nrows
+        self.n = base.ncols
+        self._integral, _ = integer_rows(base.rows())
+
+    @cached_property
+    def _nodes(self) -> list[list[tuple[int, ...]]]:
+        """_nodes[e][c]: lifted column c (0-based) of L * base at eps = e."""
+        d, integral = self.d, self._integral
+        return [
             [
                 (1,) + tuple(integral[r][c] + e * (c + 1) ** (r + 1) for r in range(d))
-                for c in range(n)
+                for c in range(self.n)
             ]
             for e in range(d + 1)
         ]
-        self._weights = _interpolation_weights(d)
 
-    def below_mask(self, subset: Sequence[int]) -> int:
+    @cached_property
+    def _weights(self) -> list[list[int]]:
+        return _interpolation_weights(self.d)
+
+    def below_mask(self, subset: Sequence[int], columns: Iterable[int] | None = None) -> int:
         """Bitmask of the columns on the negative side of the hyperplane that
         the sorted d-subset of 0-based column indices spans.
 
         Column c outside subset lies there when the lifted determinant with
         the subset's columns in increasing order, then c, is negative for all
-        sufficiently small eps > 0. An all-zero determinant polynomial is
-        impossible (its leading coefficient is a Vandermonde determinant at
-        distinct indices) and raises AssertionError.
+        sufficiently small eps > 0. Only the given columns are decided
+        (default: every column outside subset). This is the full polynomial
+        path: `_two_partition_masks` decides most columns from the eps^0
+        coefficient alone and calls it only for the columns where that
+        coefficient is 0. An all-zero determinant polynomial is impossible
+        (its leading coefficient is a Vandermonde determinant at distinct
+        indices) and raises AssertionError.
         """
         node_cofactors = [_cofactors([node[i] for i in subset]) for node in self._nodes]
         mask = 0
-        for c in range(self.n):
+        for c in range(self.n) if columns is None else columns:
             if c in subset:
                 continue
             values = [
@@ -233,34 +253,126 @@ class GenericPartitionSet:
         return iter(self.partitions)
 
 
+# Bound on the elements of the arrays one chunk of the mask stage holds: per
+# d-subset, n values and at most (d + 1) * 2^(d + 1) minors, products or
+# mask words, counted width times.
+_SUBSET_CHUNK_ELEMENTS = 1 << 16
+
+
+@cache
+def _expansion(d: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Index tables of the expansion by minors of d columns of d + 1 rows.
+
+    Entry j serves column j: for the row sets of size j + 1 in lexicographic
+    order, the (C, j + 1) array of their rows, the position of each row set
+    less one of its rows among the row sets of size j, and the (j + 1, 1)
+    signs (-1)^(t + j) of expanding along column j at row position t.
+    """
+    tables = []
+    position = {(): 0}
+    for j in range(d):
+        sets = list(combinations(range(d + 1), j + 1))
+        smaller = [[position[rows[:t] + rows[t + 1:]] for t in range(j + 1)] for rows in sets]
+        signs = np.array([[(-1) ** (t + j)] for t in range(j + 1)], dtype=np.int64)
+        tables.append((np.array(sets), np.array(smaller), signs))
+        position = {rows: i for i, rows in enumerate(sets)}
+    return tables
+
+
+def _eps0_determinants(columns: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    """(S, n) array whose entry (s, c) is the lifted determinant at eps = 0
+    with the columns of subsets[s] in order, then column c: the eps^0
+    coefficient of the perturbed determinant.
+
+    columns is the (d + 1, n) integer array of the lifted columns at eps = 0
+    and subsets an (S, d) array of column indices. The minors of each
+    subset's columns are expanded one column at a time, all subsets at once:
+    the minor on a row set R and the first |R| columns is a signed sum of |R|
+    products of an entry and a smaller minor, with no division. The last
+    column, c, is one matrix product with the cofactors. With N the largest
+    column 1-norm, every minor, product and partial sum on j columns is at
+    most N^j in magnitude, so N^(d + 1) bounds every intermediate.
+    """
+    d = subsets.shape[1]
+    minors = np.ones((1, len(subsets)), dtype=columns.dtype)
+    for j, (rows, smaller, signs) in enumerate(_expansion(d)):
+        minors = (signs * columns[rows[..., None], subsets[:, j]] * minors[smaller]).sum(axis=1)
+    # The row sets of size d omit rows d, d - 1, ..., 0 in turn; the cofactor
+    # of row r is (-1)^(r + d) times the minor that omits it.
+    cofactors = minors[::-1] * np.array([[(-1) ** (r + d)] for r in range(d + 1)])
+    return cofactors.T @ columns
+
+
+def _mask_ints(words: np.ndarray) -> list[int]:
+    """The masks held as the rows of an (R, width) uint64 array, as Python ints."""
+    columns = words.T.tolist()
+    ints = columns[0]
+    for w, column in enumerate(columns[1:], start=1):
+        ints = [low | high << (_WORD_BITS * w) for low, high in zip(ints, column)]
+    return ints
+
+
 def _two_partition_masks(perturbed: PerturbedMatrix, limits: EnumerationLimits) -> list[int]:
     """Generic 2-partitions as first-block bitmasks, sorted and deduplicated.
 
     When n <= d the perturbed columns are affinely independent, so every
     2-partition qualifies. Otherwise each sorted d-subset is split once and
     all two-sided splits of it contribute both associated partitions.
+
+    The sorted d-subsets are taken in lexicographic chunks. A chunk's splits
+    come from one pass of `_eps0_determinants`: a nonzero eps^0 coefficient
+    is the sign. Only the (subset, column) pairs where it is 0 run the full
+    polynomial path, `PerturbedMatrix.below_mask`. The columns are held as
+    int64 when N^(d + 1) fits (see `_eps0_determinants`), as Python integers
+    otherwise. Each below mask is joined with every subset of its d-subset
+    as word arrays, and the masks and their complements go into one set.
+    More than limits.max_two_partitions distinct masks raise CapacityError
+    naming the first d-subset, in lexicographic order, after which the count
+    exceeds the limit.
     """
     d, n = perturbed.d, perturbed.n
-    full = (1 << n) - 1
     if n <= d:
         count = 1 << n
         if count > limits.max_two_partitions:
             raise CapacityError("two-partitions", limits.max_two_partitions, count)
         return list(range(count))
+    lifted = [[1] * n] + perturbed._integral
+    norm = max(sum(abs(row[c]) for row in lifted) for c in range(n))
+    columns = integer_array(lifted, norm ** (d + 1))
+    width = -(-n // _WORD_BITS)
+    unit = _words([1 << c for c in range(n)], width)  # the words of each single column
+    full = _words([(1 << n) - 1], width)[0]
+    zero = np.uint64(0)
+    # choices[i, pos]: split i of a d-subset puts its element pos below
+    choices = np.arange(1 << d)[:, None] >> np.arange(d) & 1 == 1
+    per = 2 << d  # masks per d-subset
+    total = comb(n, d)
+    step = max(1, _SUBSET_CHUNK_ELEMENTS // ((n + (d + 1) * per) * width))
+    remaining = combinations(range(n), d)
     masks: set[int] = set()
-    for index, subset in enumerate(combinations(range(n), d), start=1):
-        below_mask = perturbed.below_mask(subset)
-        for choice in range(1 << d):
-            j_below = 0
-            for pos, element in enumerate(subset):
-                if choice >> pos & 1:
-                    j_below |= 1 << element
-            first = below_mask | j_below
-            masks.add(first)
-            masks.add(full ^ first)
-            if len(masks) > limits.max_two_partitions:
-                raise CapacityError("two-partitions", limits.max_two_partitions,
-                                    reached=f"d-subset {index} of {comb(n, d)}")
+    for start in range(0, total, step):
+        subsets = np.array(list(islice(remaining, step)), dtype=np.intp)
+        values = _eps0_determinants(columns, subsets)
+        below = values < 0
+        # A subset's own d columns always give 0; any other 0 needs the fallback.
+        zeros = values == 0
+        for s in np.flatnonzero(zeros.sum(axis=1) > d).tolist():
+            subset = subsets[s].tolist()
+            open_columns = [c for c in np.flatnonzero(zeros[s]).tolist() if c not in subset]
+            mask = perturbed.below_mask(subset, open_columns)
+            below[s, open_columns] = [mask >> c & 1 for c in open_columns]
+        below_words = np.bitwise_or.reduce(np.where(below[..., None], unit, zero), axis=1)
+        chosen = np.bitwise_or.reduce(np.where(choices[..., None], unit[subsets][:, None], zero), axis=2)
+        first = below_words[:, None] | chosen  # (S, 2^d, width)
+        found = _mask_ints(np.concatenate([first, full ^ first], axis=1).reshape(-1, width))
+        fresh = set(found).difference(masks)
+        if len(masks) + len(fresh) > limits.max_two_partitions:
+            for offset in range(len(subsets)):
+                masks.update(found[offset * per:(offset + 1) * per])
+                if len(masks) > limits.max_two_partitions:
+                    raise CapacityError("two-partitions", limits.max_two_partitions,
+                                        reached=f"d-subset {start + offset + 1} of {total}")
+        masks |= fresh
     return sorted(masks)
 
 

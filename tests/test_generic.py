@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction as F
+from functools import cache
 from itertools import combinations, permutations, product
 from math import comb, factorial
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from shapedparts import generic
 from shapedparts.errors import CapacityError, DimensionError
 from shapedparts.generic import (
     EnumerationLimits,
@@ -201,6 +204,34 @@ def reference_assemble(pair_partitions, n, p):
     if union != full:
         return None
     return tuple(_mask_block(mask) for mask in allowed)
+
+
+def reference_two_partition_masks(p: PerturbedMatrix, limits: EnumerationLimits,
+                                   below_mask=None):
+    """The per-subset loop the batched mask stage replaced: the full
+    polynomial below mask of every sorted d-subset, then every split of the
+    subset, one mask at a time, with the guard checked after each."""
+    below_mask = below_mask or p.below_mask
+    d, n = p.d, p.n
+    full = (1 << n) - 1
+    if n <= d:
+        if 1 << n > limits.max_two_partitions:
+            raise CapacityError("two-partitions", limits.max_two_partitions, 1 << n)
+        return list(range(1 << n))
+    masks = set()
+    for index, subset in enumerate(combinations(range(n), d), start=1):
+        below = below_mask(subset)
+        for choice in range(1 << d):
+            first = below
+            for pos, element in enumerate(subset):
+                if choice >> pos & 1:
+                    first |= 1 << element
+            masks.add(first)
+            masks.add(full ^ first)
+            if len(masks) > limits.max_two_partitions:
+                raise CapacityError("two-partitions", limits.max_two_partitions,
+                                    reached=f"d-subset {index} of {comb(n, d)}")
+    return sorted(masks)
 
 
 class TestGenericSign:
@@ -576,6 +607,131 @@ class TestAssemblyNodeBoundary:
             4: "capacity guard 'assembly-nodes' exceeded (limit 65015; "
                "reached pair level 6 of 6, part pair (3, 4))",
         }[p_count]
+
+
+class TestBatchedMasks:
+    """The batched mask stage against the per-subset reference loop."""
+
+    @pytest.fixture
+    def fallback_calls(self, monkeypatch):
+        """Counts the calls of the full polynomial path made after it is
+        requested (the reference loop runs before)."""
+        calls = []
+        below_mask = PerturbedMatrix.below_mask
+
+        def spy(self, subset, columns=None):
+            calls.append((tuple(subset), columns))
+            return below_mask(self, subset, columns)
+
+        def install():
+            monkeypatch.setattr(PerturbedMatrix, "below_mask", spy)
+            return calls
+
+        return install
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(base_rows())
+    def test_matches_reference_loop(self, rows):
+        p = perturbed(rows)
+        limits = EnumerationLimits()
+        assert _two_partition_masks(p, limits) == reference_two_partition_masks(p, limits)
+
+    @pytest.mark.parametrize("base, vanishing", [
+        pytest.param(lift(Matrix([[0] * 6, [0] * 6])), True, id="all-zero-attribute-rows"),
+        pytest.param(Matrix([[0] * 5]), True, id="all-zero-base"),
+        pytest.param(Matrix([[1, 1, 2, 2, 3], [0, 0, 1, 1, 5]]), True, id="duplicate-columns"),
+        pytest.param(Matrix([[0, 1, 2, 3, 4, 5], [0, 2, 4, 6, 8, 10]]), True, id="collinear-columns"),
+        pytest.param(lift(Matrix([[1, 2, 3, 4, 5, 6]])), True, id="collinear-lifted"),
+        # the index row keeps every eps^0 value of the line nonzero
+        pytest.param(lift(Matrix([], ncols=7)), False, id="k0-line"),
+    ])
+    def test_degenerate_inputs_use_the_fallback(self, fallback_calls, base, vanishing):
+        p = PerturbedMatrix(base)
+        limits = EnumerationLimits()
+        expected = reference_two_partition_masks(p, limits)
+        calls = fallback_calls()
+        assert _two_partition_masks(p, limits) == expected
+        assert bool(calls) == vanishing
+        # the fallback decides only the columns whose eps^0 value vanished
+        assert all(columns and not set(columns) & set(subset) for subset, columns in calls)
+
+    @pytest.fixture
+    def column_dtypes(self, monkeypatch):
+        """The dtypes of the integer arrays the mask stage builds."""
+        dtypes = []
+        integer_array = generic.integer_array
+
+        def spy(values, bound):
+            array = integer_array(values, bound)
+            dtypes.append(array.dtype)
+            return array
+
+        monkeypatch.setattr(generic, "integer_array", spy)
+        return dtypes
+
+    @pytest.mark.parametrize("rows, dtype", [
+        ([[3, -1, 4, 1, -5], [2, 2, 0, -7, 1]], np.int64),
+        ([[F(1, 2 ** 61 + 1), F(1, 2 ** 61 + 1), 0, F(-3, 2 ** 62 + 5), 1]], object),
+        ([["1e400", "-1e400", 3, "1e400", 0], [1, 2, "-3e400", 2, "1e399"]], object),
+        ([[2 ** 40, -2 ** 40, 3, 2 ** 40, 5], [1, 2 ** 41, 0, 2, 2 ** 40]], object),
+    ], ids=["int64", "denominators-2^61", "1e400", "beyond-int64-bound"])
+    def test_int64_and_object_paths_match_reference(self, column_dtypes, rows, dtype):
+        p = PerturbedMatrix(lift(Matrix(rows)))
+        limits = EnumerationLimits()
+        assert _two_partition_masks(p, limits) == reference_two_partition_masks(p, limits)
+        assert column_dtypes == [dtype]
+
+    @pytest.mark.parametrize("rows", [[[3, -1], [0, 2]], [[2], [5]], [[1, 2, 3]] * 3])
+    def test_n_at_most_d(self, rows):
+        p = perturbed(rows)
+        limits = EnumerationLimits()
+        assert _two_partition_masks(p, limits) == reference_two_partition_masks(p, limits)
+
+    @pytest.mark.parametrize("n", [63, 64, 65])
+    @pytest.mark.parametrize("line", [False, True], ids=["repeated-entries", "k0-line"])
+    def test_multi_word_masks(self, fallback_calls, n, line):
+        # d = 1 keeps the reference cheap at this n. Entries in [-5, 5]
+        # repeat, so the fallback runs; on the line it never does.
+        rng = random.Random(n)
+        base = lift(Matrix([], ncols=n)) if line else Matrix([[rng.randint(-5, 5) for _ in range(n)]])
+        p = PerturbedMatrix(base)
+        limits = EnumerationLimits()
+        expected = reference_two_partition_masks(p, limits)
+        calls = fallback_calls()
+        assert _two_partition_masks(p, limits) == expected
+        assert bool(calls) != line
+        if n == 65 and not line:
+            assert any(max(columns) == 64 or subset == (64,) for subset, columns in calls)
+
+
+class TestMaskGuardParity:
+    """Every limit gives the reference loop's outcome: the same CapacityError
+    text, or the same masks. The chunk bound is varied so that the guard
+    trips inside a chunk and at chunk boundaries."""
+
+    # A bound of 1 gives one d-subset per chunk; 500 gives 15, 6 and 2 of
+    # them at k = 1, 2 and 3; the default takes all in one chunk.
+    @pytest.mark.parametrize("k, n, seed", [(1, 8, 1), (2, 8, 2), (3, 7, 3)])
+    @pytest.mark.parametrize("chunk_elements", [1, 500, None])
+    def test_every_limit(self, monkeypatch, k, n, seed, chunk_elements):
+        rng = random.Random(seed)
+        p = PerturbedMatrix(lift(Matrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(k)])))
+        if chunk_elements is not None:
+            monkeypatch.setattr(generic, "_SUBSET_CHUNK_ELEMENTS", chunk_elements)
+        below_mask = cache(p.below_mask)
+        full = reference_two_partition_masks(p, EnumerationLimits(), below_mask)
+        for limit in range(len(full) + 1):
+            limits = EnumerationLimits(max_two_partitions=limit)
+            try:
+                expected = reference_two_partition_masks(p, limits, below_mask)
+            except CapacityError as caught:
+                expected = str(caught)
+            try:
+                outcome = _two_partition_masks(p, limits)
+            except CapacityError as caught:
+                outcome = str(caught)
+            assert outcome == expected, limit
+        assert outcome == full
 
 
 class TestDeterminism:
