@@ -11,8 +11,8 @@ The walk uses none of the generic-enumeration machinery (no perturbation, no
 separating hyperplanes, no assembly) and none of the admissible stage of
 `polytope`. It shares with the fast path the formats of `partitions` (the
 part-sum keys of `PartSums` and the block decoding of
-`partitions_from_blocks`) and the exact convex-position test of `hull`,
-which takes the keys as they are.
+`partitions_from_blocks`), the exact convex-position test of `hull` and the
+objective's `evaluate_keys`, both of which take the keys as they are.
 
 Hard guards keep accidental exponential runs from happening; pass force=True
 to override them. Either way a chunk holds at most _CHUNK_ELEMENTS block
@@ -126,8 +126,11 @@ def brute_solve(
     """Exact maximum of the objective over all admissible partitions.
 
     The objective is a pure function of the part-sum matrix, so it is
-    evaluated once per distinct matrix."""
+    evaluated once per distinct matrix, through one `evaluate_keys` call on
+    the sorted distinct keys. The objective is checked against (a, p) before
+    the walk, as `solve` checks it."""
+    objective.check_compatible(a, p)
     keys, sums = _part_sum_keys(a, p, family, force)
     if not keys:
         raise DimensionError("shape family admits no partition")
-    return max(objective.evaluate(sums.matrix(key)) for key in keys)
+    return max(objective.evaluate_keys(keys, sums.scale, p))

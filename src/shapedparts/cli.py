@@ -194,7 +194,11 @@ def _check_one(problem: Problem, args) -> dict:
     brute_keys = [m.flatten() for m in reference]
     scale = report.candidates.admissible.sums.scale
     candidate_keys = set(report.candidates.admissible.keys)
-    superset_ok = all(tuple(x * scale for x in key) in candidate_keys for key in brute_keys)
+    # both sides share the PartSums scale, so every denominator divides it
+    superset_ok = all(
+        tuple(x.numerator * (scale // x.denominator) for x in key) in candidate_keys
+        for key in brute_keys
+    )
     vertices_ok = fast_keys == brute_keys
 
     result = {

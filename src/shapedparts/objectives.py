@@ -1,16 +1,32 @@
 """Convex objective oracles evaluated exactly at part-sum matrices.
 
-Built-in kinds cover the standard instances (linear functionals, diagonal
-power sums, column power sums, cut counting); arbitrary objectives run as an
-external subprocess speaking a line-delimited protocol: one query line holding
-the matrix as a JSON array of rows (entries are integers or "a/b" strings),
-one reply line holding a single rational (integer, decimal string, or "a/b"
-string). Replies are converted exactly; a missing or malformed reply raises
-OracleError. An objective is a pure function of the queried matrix, so an
-ExternalOracle keeps every reply and asks its subprocess once per distinct
-matrix; a repeated matrix is answered from that record, but only while the
-subprocess is still running. Convexity of external oracles is trusted, not
-verified; a non-convex oracle voids the optimality guarantee.
+An objective is a pure function of the queried matrix. `evaluate` gives its
+value at one Matrix; `evaluate_keys` gives its values at the part-sum
+matrices of a sequence of integer keys, in order. A key is the format of
+`partitions.PartSums`: a matrix with p columns, its entries in row-major order
+times a positive scale. `solve` and `brute_solve` evaluate through
+`evaluate_keys` only.
+
+The built-in kinds cover the standard instances (linear functionals, diagonal
+power sums, column power sums, cut counting). Each computes a batch of keys as
+one integer array, int64 exactly when `linalg.integer_array` proves that no
+key entry and no intermediate can overflow it, Python integers otherwise; its
+`evaluate` is the one-key case, with the key and scale of
+`linalg.integer_rows`. The tests hold these against the Fraction
+definitions.
+
+Every other objective, a user subclass or an external oracle, needs only
+`evaluate`: the base class builds the Matrix of each distinct key once and
+calls `evaluate` once per key, in the given order. Arbitrary objectives run
+as an external subprocess speaking a line-delimited protocol: one query line
+holding the matrix as a JSON array of rows (entries are integers or "a/b"
+strings), one reply line holding a single rational (integer, decimal string,
+or "a/b" string). Replies are converted exactly; a missing or malformed reply
+raises OracleError. An ExternalOracle keeps every reply and asks its
+subprocess once per distinct matrix; a repeated matrix is answered from that
+record, but only while the subprocess is still running. Convexity of external
+oracles is trusted, not verified; a non-convex oracle voids the optimality
+guarantee.
 """
 
 from __future__ import annotations
@@ -20,12 +36,16 @@ import os
 import subprocess
 import tempfile
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import DimensionError, OracleError
-from .linalg import Matrix, as_rational, format_rational
+from .linalg import Matrix, as_rational, format_rational, integer_array, integer_rows
 
 _STDERR_TAIL = 500  # characters of a dead oracle's stderr quoted in the error
+
+Key = tuple[int, ...]
 
 
 class Objective:
@@ -34,6 +54,24 @@ class Objective:
     def evaluate(self, matrix: Matrix) -> Fraction:
         raise NotImplementedError
 
+    def evaluate_keys(self, keys: Sequence[Key], scale: int, p: int) -> list[Fraction]:
+        """The values at the part-sum matrices of keys, in order.
+
+        This default builds the Matrix of each distinct key once and calls
+        evaluate once per key, in the given order.
+        """
+        matrices: dict[Key, Matrix] = {}
+        values = []
+        for key in keys:
+            matrix = matrices.get(key)
+            if matrix is None:
+                matrix = matrices[key] = Matrix(
+                    [[Fraction(x, scale) for x in key[r:r + p]] for r in range(0, len(key), p)],
+                    ncols=p,
+                )
+            values.append(self.evaluate(matrix))
+        return values
+
     def check_compatible(self, a: Matrix, p: int) -> None:
         """Raise DimensionError if this objective cannot be used with (a, p)."""
 
@@ -41,20 +79,55 @@ class Objective:
         """Release resources; a no-op for built-in kinds."""
 
 
-class LinearObjective(Objective):
-    """Inner product with a fixed cost matrix: sum of C[i][j] * X[i][j]."""
+def _stack(keys: Sequence[Key], bound: Callable[[int], int]) -> np.ndarray:
+    """The nonempty keys as one (N, width) integer array.
+
+    bound(m) must bound m, the largest magnitude of a key entry, and every
+    intermediate the caller computes from the array; `integer_array` picks
+    int64 exactly when it is at most 2^63 - 1.
+    """
+    width = len(keys[0])
+    largest = max(max(map(max, keys)), -min(map(min, keys))) if width else 0
+    return integer_array(keys, bound(largest)).reshape(len(keys), width)
+
+
+class _IntegerObjective(Objective):
+    """A built-in kind: evaluate_keys computes on the keys as integers, and
+    evaluate is its one-key case."""
+
+    def evaluate(self, matrix: Matrix) -> Fraction:
+        integral, scale = integer_rows(matrix.rows())
+        key = tuple(x for row in integral for x in row)
+        return self.evaluate_keys([key], scale, matrix.ncols)[0]
+
+
+class LinearObjective(_IntegerObjective):
+    """Inner product with a fixed cost matrix: sum of C[i][j] * X[i][j].
+
+    The cost is held as integers times its common denominator, so a key's
+    value is one integer dot product over scale times that denominator.
+    """
 
     def __init__(self, cost: Matrix):
         self.cost = cost
+        weights, self._denominator = integer_rows(cost.rows())
+        self._weights = [w for row in weights for w in row]
+        self._weight = sum(map(abs, self._weights))
 
-    def evaluate(self, matrix: Matrix) -> Fraction:
-        if matrix.shape != self.cost.shape:
-            raise DimensionError(f"cost is {self.cost.shape}, matrix is {matrix.shape}")
-        total = Fraction(0)
-        for i in range(matrix.nrows):
-            for j in range(matrix.ncols):
-                total += self.cost.entry(i, j) * matrix.entry(i, j)
-        return total
+    def evaluate_keys(self, keys: Sequence[Key], scale: int, p: int) -> list[Fraction]:
+        if not keys:
+            return []
+        if p != self.cost.ncols or len(keys[0]) != len(self._weights):
+            raise DimensionError(
+                f"cost is {self.cost.nrows}x{self.cost.ncols}, "
+                f"matrix has {len(keys[0])} entries in rows of {p}"
+            )
+        weight = self._weight
+        # the bound covers the weights too, so they share the keys' dtype
+        entries = _stack(keys, lambda m: max(m, weight, m * weight))
+        totals = entries @ np.array(self._weights, dtype=entries.dtype)
+        denominator = scale * self._denominator
+        return [Fraction(t, denominator) for t in totals.tolist()]
 
     def check_compatible(self, a: Matrix, p: int) -> None:
         if self.cost.shape != (a.nrows, p):
@@ -63,7 +136,7 @@ class LinearObjective(Objective):
             )
 
 
-class DiagonalPowerObjective(Objective):
+class DiagonalPowerObjective(_IntegerObjective):
     """Sum over i of |X[i][i]| ** q for a square matrix; q is an integer >= 1."""
 
     def __init__(self, q: int):
@@ -71,17 +144,22 @@ class DiagonalPowerObjective(Objective):
             raise DimensionError(f"diagonal power needs an integer q >= 1, got {q!r}")
         self.q = q
 
-    def evaluate(self, matrix: Matrix) -> Fraction:
-        if matrix.nrows != matrix.ncols:
+    def evaluate_keys(self, keys: Sequence[Key], scale: int, p: int) -> list[Fraction]:
+        if not keys:
+            return []
+        if len(keys[0]) != p * p:
             raise DimensionError("diagonal power sum needs a square matrix (k = p)")
-        return sum((abs(matrix.entry(i, i)) ** self.q for i in range(matrix.nrows)), Fraction(0))
+        q = self.q
+        diagonal = _stack(keys, lambda m: max(m, p * m ** q))[:, ::p + 1]
+        denominator = scale ** q
+        return [Fraction(t, denominator) for t in (abs(diagonal) ** q).sum(axis=1).tolist()]
 
     def check_compatible(self, a: Matrix, p: int) -> None:
         if a.nrows != p:
             raise DimensionError(f"diagonal power sum needs k = p, got k={a.nrows}, p={p}")
 
 
-class ColumnPowerObjective(Objective):
+class ColumnPowerObjective(_IntegerObjective):
     """Sum over all entries of |X[i][j]| ** q; q is a positive even integer."""
 
     def __init__(self, q: int):
@@ -89,15 +167,21 @@ class ColumnPowerObjective(Objective):
             raise DimensionError(f"column power needs a positive even integer q, got {q!r}")
         self.q = q
 
-    def evaluate(self, matrix: Matrix) -> Fraction:
-        return sum((x ** self.q for x in matrix.flatten()), Fraction(0))
+    def evaluate_keys(self, keys: Sequence[Key], scale: int, p: int) -> list[Fraction]:
+        if not keys:
+            return []
+        q, width = self.q, len(keys[0])
+        entries = _stack(keys, lambda m: max(m, width * m ** q))
+        denominator = scale ** q
+        return [Fraction(t, denominator) for t in (entries ** q).sum(axis=1).tolist()]
 
 
-class MaxCutObjective(Objective):
+class MaxCutObjective(_IntegerObjective):
     """Number of edges cut by the first part, read off an indicator matrix.
 
     Requires the attribute matrix to be the n x n identity with p = 2, so the
-    queried matrices have a 0/1 first column indicating part membership.
+    queried matrices have a 0/1 first column indicating part membership: each
+    first-column key entry is 0 or scale.
     """
 
     def __init__(self, edges: Sequence[Sequence[int]]):
@@ -113,13 +197,17 @@ class MaxCutObjective(Objective):
             seen.add(key)
             normalized.append(key)
         self.edges = tuple(normalized)
+        self._ends = np.array(self.edges, dtype=np.intp).reshape(len(self.edges), 2) - 1
 
-    def evaluate(self, matrix: Matrix) -> Fraction:
-        indicator = matrix.column(0)
-        if any(x != 0 and x != 1 for x in indicator):
+    def evaluate_keys(self, keys: Sequence[Key], scale: int, p: int) -> list[Fraction]:
+        if not keys:
+            return []
+        # scale is compared with the entries, so it must fit their dtype too
+        column = _stack(keys, lambda m: max(m, scale))[:, ::p]
+        if ((column != 0) & (column != scale)).any():
             raise DimensionError("cut counting needs a 0/1 first column")
-        cut = sum(1 for u, v in self.edges if indicator[u - 1] != indicator[v - 1])
-        return Fraction(cut)
+        cuts = (column[:, self._ends[:, 0]] != column[:, self._ends[:, 1]]).sum(axis=1)
+        return [Fraction(cut) for cut in cuts.tolist()]
 
     def check_compatible(self, a: Matrix, p: int) -> None:
         if p != 2:

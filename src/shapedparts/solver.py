@@ -8,8 +8,12 @@ maximizer. Ties go to the first maximizer in canonical enumeration order.
 
 The admissible generic partitions and their part-sum matrices come from
 `polytope.admissible_partitions`, the stage `candidate_vertices` uses too.
-It holds each distinct part-sum matrix as an integer key; solve builds one
-Matrix per key, and a Partition object only for the winner.
+It holds each distinct part-sum matrix as an integer key. solve hands the
+key of every admissible partition, in canonical order, to the objective's
+`evaluate_keys` in one call, and builds a Matrix and a Partition object for
+the winner only. A built-in objective computes the batch on integers; any
+other objective gets one `evaluate` call per partition, on a Matrix built
+once per distinct key.
 """
 
 from __future__ import annotations
@@ -43,10 +47,9 @@ def solve(
     """Return a shape-admissible partition maximizing the objective.
 
     The objective is evaluated once per admissible generic partition, in
-    canonical order, one at a time; `evaluations` counts those partitions.
-    Partitions with equal part sums share one part-sum matrix, built once.
-    More than limits.max_candidates distinct part-sum matrices raise
-    CapacityError.
+    canonical order, through one `evaluate_keys` call; `evaluations` counts
+    those partitions. More than limits.max_candidates distinct part-sum
+    matrices raise CapacityError.
     """
     check_family(a, p, family)
     objective.check_compatible(a, p)
@@ -54,15 +57,12 @@ def solve(
     admissible = admissible_partitions(a, generic, family, limits)
     if not admissible:
         raise DimensionError("shape family admits no partition")
-    matrices = [admissible.matrix(g) for g in range(len(admissible.keys))]
-    best_value = None
-    for at, g in enumerate(admissible.group):
-        value = objective.evaluate(matrices[g])
-        if best_value is None or value > best_value:
-            best_at, best_value = at, value
+    keys = admissible.keys
+    values = objective.evaluate_keys([keys[g] for g in admissible.group], admissible.sums.scale, p)
+    best_at = max(range(len(values)), key=values.__getitem__)  # the first maximizer
     return SolveReport(
         best_partition=generic.select(admissible.rows[[best_at]])[0],
-        best_matrix=matrices[admissible.group[best_at]],
-        best_value=best_value,
+        best_matrix=admissible.matrix(admissible.group[best_at]),
+        best_value=values[best_at],
         evaluations=len(admissible),
     )

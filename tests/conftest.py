@@ -9,6 +9,12 @@ from hypothesis import strategies as st
 from shapedparts.errors import DimensionError
 from shapedparts.hull import _HullContext
 from shapedparts.linalg import Matrix, as_rational, integer_rows
+from shapedparts.objectives import (
+    ColumnPowerObjective,
+    DiagonalPowerObjective,
+    LinearObjective,
+    MaxCutObjective,
+)
 from shapedparts.partitions import ShapeFamily, compositions
 
 
@@ -161,6 +167,30 @@ def reference_membership(target: Sequence[Fraction], generators: Sequence[Sequen
         basis[leave] = enter
 
     return obj_value == 0
+
+
+def objective_definition(objective, matrix: Matrix) -> Fraction:
+    """A built-in objective's value at one matrix by its Fraction definition:
+    the reference the integer keys of `evaluate_keys` are held against, as
+    `partition_matrix` is for `PartSums`."""
+    entries = matrix.flatten()
+    if isinstance(objective, LinearObjective):
+        if matrix.shape != objective.cost.shape:
+            raise DimensionError(f"cost is {objective.cost.shape}, matrix is {matrix.shape}")
+        return sum((c * x for c, x in zip(objective.cost.flatten(), entries)), Fraction(0))
+    if isinstance(objective, DiagonalPowerObjective):
+        if matrix.nrows != matrix.ncols:
+            raise DimensionError("diagonal power sum needs a square matrix (k = p)")
+        return sum((abs(matrix.entry(i, i)) ** objective.q for i in range(matrix.nrows)),
+                   Fraction(0))
+    if isinstance(objective, ColumnPowerObjective):
+        return sum((x ** objective.q for x in entries), Fraction(0))
+    if isinstance(objective, MaxCutObjective):
+        indicator = matrix.column(0)
+        if any(x != 0 and x != 1 for x in indicator):
+            raise DimensionError("cut counting needs a 0/1 first column")
+        return Fraction(sum(1 for u, v in objective.edges if indicator[u - 1] != indicator[v - 1]))
+    raise TypeError(f"no definition for {type(objective).__name__}")
 
 
 # small rationals plus ones whose denominators reach past 2^61

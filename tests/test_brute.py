@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import objective_definition
 from shapedparts import cli
 from shapedparts.brute import (
     _CHUNK_ELEMENTS,
@@ -173,7 +174,7 @@ def reference(a, p, family, objective):
     distinct = {m.flatten(): m for m in matrices}
     ordered = [distinct[key] for key in sorted(distinct)]
     keep = extreme_point_indices(*integer_rows(m.flatten() for m in ordered))
-    return [ordered[i] for i in keep], max(objective.evaluate(m) for m in matrices)
+    return [ordered[i] for i in keep], max(objective_definition(objective, m) for m in matrices)
 
 
 def random_problem(seed, k, n, p, family):

@@ -4,7 +4,11 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import HUGE_PROBLEMS, edge_problems, objective_definition
+from shapedparts.brute import enumerate_all_partitions
 from shapedparts.errors import DimensionError, OracleError, ProblemError
 from shapedparts.linalg import Matrix
 from shapedparts.objectives import (
@@ -13,9 +17,11 @@ from shapedparts.objectives import (
     ExternalOracle,
     LinearObjective,
     MaxCutObjective,
+    Objective,
     encode_wire_scalar,
     parse_wire_scalar,
 )
+from shapedparts.partitions import PartSums, ShapeFamily, partition_matrix
 
 ORACLE = [sys.executable, str(Path(__file__).parent / "data" / "square_oracle.py")]
 
@@ -95,6 +101,170 @@ class TestMaxCut:
     def test_non_indicator_rejected(self):
         with pytest.raises(DimensionError):
             MaxCutObjective([(1, 2)]).evaluate(Matrix([[2, 0], [0, 1]]))
+
+
+# key entries and scales past int64, and costs with denominators past 2^61
+ENTRIES = st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70))
+SCALES = st.one_of(st.integers(1, 6), st.integers(2 ** 61, 2 ** 64))
+COSTS = st.one_of(
+    st.integers(-3, 3),
+    st.builds(F, st.integers(-2 ** 64, 2 ** 64), st.integers(2 ** 61, 2 ** 62)),
+)
+
+
+def key_matrix(key, scale, k, p):
+    """The k x p matrix of a key, by definition."""
+    return Matrix([[F(x, scale) for x in key[r * p:(r + 1) * p]] for r in range(k)], ncols=p)
+
+
+@st.composite
+def key_batches(draw):
+    """(keys, scale, k, p, cost): up to five keys of k x p matrices, k = 0
+    included, and a k x p cost."""
+    k = draw(st.integers(0, 3))
+    p = draw(st.integers(1, 3))
+    scale = draw(SCALES)
+    keys = draw(st.lists(st.tuples(*[ENTRIES] * (k * p)), max_size=5))
+    cost = Matrix([draw(st.lists(COSTS, min_size=p, max_size=p)) for _ in range(k)], ncols=p)
+    return keys, scale, k, p, cost
+
+
+@st.composite
+def indicator_batches(draw):
+    """(keys, scale, n, edges): keys of n x 2 matrices whose first column
+    is 0/1, and a graph on [n]."""
+    n = draw(st.integers(0, 5))
+    scale = draw(SCALES)
+    row = st.tuples(st.sampled_from([0, scale]), ENTRIES)
+    keys = draw(st.lists(st.lists(row, min_size=n, max_size=n), max_size=5))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return [tuple(x for pair in key for x in pair) for key in keys], scale, n, edges
+
+
+def builtin_objectives(cost):
+    k, p = cost.shape
+    zero = Matrix([[0] * p for _ in range(k)], ncols=p)
+    return [
+        LinearObjective(cost), LinearObjective(zero),
+        ColumnPowerObjective(2), ColumnPowerObjective(4),
+        DiagonalPowerObjective(1), DiagonalPowerObjective(3),
+    ]
+
+
+def assert_batch_matches_definition(objective, keys, scale, p, matrices):
+    """evaluate_keys gives the Fraction definition at every matrix, or the
+    DimensionError that the definition raises."""
+    try:
+        expected = [objective_definition(objective, m) for m in matrices]
+    except DimensionError:
+        with pytest.raises(DimensionError):
+            objective.evaluate_keys(keys, scale, p)
+    else:
+        assert objective.evaluate_keys(keys, scale, p) == expected
+
+
+def admissible_keys(a, p, family):
+    """The keys, scale and Fraction part-sum matrices of every admissible
+    partition, in the brute-force walk's order."""
+    scale = PartSums(a, p).scale
+    matrices = [partition_matrix(a, pi) for pi in enumerate_all_partitions(a.ncols, p, family)]
+    keys = [tuple(x.numerator * (scale // x.denominator) for x in m.flatten()) for m in matrices]
+    return keys, scale, matrices
+
+
+class RecordingObjective(Objective):
+    """A user objective: records every matrix it is asked about."""
+
+    def __init__(self):
+        self.queried = []
+
+    def evaluate(self, matrix):
+        self.queried.append(matrix)
+        return F(len(self.queried))
+
+
+class TestEvaluateKeys:
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(key_batches())
+    @example(([(2 ** 70, -2 ** 70)], 2 ** 61, 1, 2, Matrix([[0, 0]])))
+    # each of these fits int64 entrywise, but its sum or product does not
+    @example(([(2 ** 62, 2 ** 62)], 1, 1, 2, Matrix([[3, 3]])))
+    @example(([(3037000499, -3037000499)], 1, 1, 2, Matrix([[1, 1]])))
+    @example(([(2 ** 21 - 1, 0, 0, 2 ** 21 - 1)], 1, 2, 2, Matrix([[1, 0], [0, 1]])))
+    @example(([], 3, 2, 2, Matrix([[1, 0], [0, 1]])))
+    @example(([(), ()], 5, 0, 3, Matrix([], ncols=3)))
+    def test_builtins_match_definition(self, batch):
+        keys, scale, k, p, cost = batch
+        matrices = [key_matrix(key, scale, k, p) for key in keys]
+        for objective in builtin_objectives(cost):
+            assert_batch_matches_definition(objective, keys, scale, p, matrices)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(edge_problems())
+    @example((Matrix([[]], ncols=0), 3, ShapeFamily.all_shapes(0, 3), Matrix([[1, -2, 3]])))
+    def test_builtins_match_definition_on_part_sums(self, problem):
+        a, p, family, cost = problem
+        keys, scale, matrices = admissible_keys(a, p, family)
+        for objective in builtin_objectives(cost):
+            assert_batch_matches_definition(objective, keys, scale, p, matrices)
+
+    @pytest.mark.parametrize("problem", HUGE_PROBLEMS)
+    def test_builtins_match_definition_past_int64(self, problem):
+        a, p, family = problem
+        cost = Matrix([[(-1) ** (r + j) * (j + 1) for j in range(p)] for r in range(a.nrows)])
+        keys, scale, matrices = admissible_keys(a, p, family)
+        for objective in builtin_objectives(cost):
+            assert_batch_matches_definition(objective, keys, scale, p, matrices)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(indicator_batches())
+    def test_max_cut_matches_definition(self, batch):
+        keys, scale, n, edges = batch
+        matrices = [key_matrix(key, scale, n, 2) for key in keys]
+        objective = MaxCutObjective(edges)
+        assert objective.evaluate_keys(keys, scale, 2) == [
+            objective_definition(objective, m) for m in matrices
+        ]
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_max_cut_matches_definition_on_part_sums(self, n):
+        edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if (u + v) % 3]
+        objective = MaxCutObjective(edges)
+        keys, scale, matrices = admissible_keys(Matrix.identity(n), 2, ShapeFamily.all_shapes(n, 2))
+        assert objective.evaluate_keys(keys, scale, 2) == [
+            objective_definition(objective, m) for m in matrices
+        ]
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(indicator_batches(), st.data())
+    def test_max_cut_rejects_a_first_column_that_is_not_0_1(self, batch, data):
+        keys, scale, n, edges = batch
+        if not keys or not n:
+            keys, n = [(0, 0)], 1
+        bad = data.draw(ENTRIES.filter(lambda x: x not in (0, scale)))
+        which = data.draw(st.integers(0, len(keys) - 1))
+        row = data.draw(st.integers(0, n - 1))
+        key = list(keys[which])
+        key[2 * row] = bad
+        keys = keys[:which] + [tuple(key)] + keys[which + 1:]
+        objective = MaxCutObjective(edges)
+        with pytest.raises(DimensionError, match="0/1 first column"):
+            objective_definition(objective, key_matrix(key, scale, n, 2))
+        with pytest.raises(DimensionError, match="0/1 first column"):
+            objective.evaluate_keys(keys, scale, 2)
+
+    def test_empty_key_list(self):
+        for objective in builtin_objectives(Matrix([[1, 2]])) + [MaxCutObjective([(1, 2)])]:
+            assert objective.evaluate_keys([], 7, 2) == []
+        assert RecordingObjective().evaluate_keys([], 7, 2) == []
+
+    def test_default_asks_evaluate_once_per_key_in_order(self):
+        objective = RecordingObjective()
+        assert objective.evaluate_keys([(1, 2), (3, 4), (1, 2)], 2, 2) == [1, 2, 3]
+        assert objective.queried == [Matrix([["1/2", 1]]), Matrix([["3/2", 2]]),
+                                     Matrix([["1/2", 1]])]
+        assert objective.queried[0] is objective.queried[2]  # built once
 
 
 class TestWireScalars:

@@ -21,7 +21,14 @@ from shapedparts.objectives import (
     MaxCutObjective,
     Objective,
 )
-from shapedparts.partitions import ShapeFamily, compositions, lift, partition_matrix, shape_of
+from shapedparts.partitions import (
+    PartSums,
+    ShapeFamily,
+    compositions,
+    lift,
+    partition_matrix,
+    shape_of,
+)
 from shapedparts.polytope import candidate_vertices, enumerate_vertices
 from shapedparts.solver import SolveReport, solve
 
@@ -251,6 +258,62 @@ class TestSolveInvariants:
             best = solve(a, p, family, objective).best_value
             report = enumerate_vertices(a, p, family)
             assert best == max(objective.evaluate(v) for v in report.vertices)
+
+
+class TestBatchEvaluation:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The keys of every part-sum Matrix built, in order."""
+        keys = []
+        matrix = PartSums.matrix
+
+        def spy(sums, key):
+            keys.append(key)
+            return matrix(sums, key)
+
+        monkeypatch.setattr(PartSums, "matrix", spy)
+        return keys
+
+    @pytest.mark.parametrize("a, p, objective", [
+        (Matrix([[1, 2, -3, 2, 0]]), 2, LinearObjective(Matrix([[1, -1]]))),
+        (Matrix([["1/2", 2, -3, 2]]), 3, ColumnPowerObjective(2)),
+        (Matrix([[1, 0, 2, -1], [0, "1/3", 1, 1]]), 2, DiagonalPowerObjective(3)),
+        (Matrix.identity(4), 2, MaxCutObjective([(1, 2), (2, 3), (3, 4)])),
+    ])
+    def test_builtins_build_the_winner_only(self, built, a, p, objective):
+        family = ShapeFamily.all_shapes(a.ncols, p)
+        report = solve(a, p, family, objective)
+        assert report.evaluations > 1
+        assert len(built) == 1 and PartSums(a, p).matrix(built[0]) == report.best_matrix
+        built.clear()
+        assert brute_solve(a, p, family, objective) == report.best_value
+        assert built == []
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(edge_problems())
+    def test_zero_cost_ties_go_to_the_first_admissible_partition(self, problem):
+        a, p, family, _ = problem
+        zero = Matrix([[0] * p for _ in range(a.nrows)], ncols=p)
+        first = admissible_scan(a, p, family)[0]
+        for objective in (LinearObjective(zero), ConstantObjective()):
+            report = solve(a, p, family, objective)
+            assert report.best_partition == first
+            assert report.best_matrix == partition_matrix(a, first)
+
+    @pytest.mark.parametrize("a, p, objective", [
+        (Matrix([[0, 1], [1, 0]]), 2, MaxCutObjective([(1, 2)])),
+        (Matrix([[1, 2, 3]]), 2, DiagonalPowerObjective(2)),
+        (Matrix([[1, 2]]), 2, LinearObjective(Matrix([[1, 0], [0, 1]]))),
+    ])
+    def test_incompatible_objective_fails_alike_on_both_sides(self, a, p, objective):
+        asked = []
+        family = ShapeFamily.from_predicate(lambda shape: asked.append(shape) or True, a.ncols, p)
+        with pytest.raises(DimensionError) as fast:
+            solve(a, p, family, objective)
+        with pytest.raises(DimensionError) as brute:
+            brute_solve(a, p, family, objective)
+        assert str(fast.value) == str(brute.value)
+        assert asked == []  # both refuse before enumerating
 
 
 class TestSolveLargeInputs:
