@@ -11,19 +11,20 @@ Simplicity" (1990).
 
 The sign kernel works in integers only. The base is scaled once by the common
 denominator L of its entries; reading eps as L * eps multiplies every lifted
-determinant by L^d > 0, so no sign changes. A determinant's eps^0
-coefficient is its value at eps = 0, and where it is nonzero it is the sign.
-`_two_partition_masks` takes it for a chunk of sorted d-subsets and every
-column at once: an expansion by minors of the subsets' lifted columns at
-eps = 0, then one integer matrix product with all the columns, in int64 when
-a proven bound allows and in Python integers otherwise. Only the (subset,
-column) pairs whose eps^0 coefficient is 0, such as repeated or collinear
-columns, take the full polynomial path, `PerturbedMatrix.below_mask`: the
-cofactor vector of the subset's lifted columns is computed at the nodes
-eps = 0..d by the fraction-free elimination of ``linalg.py`` (Bareiss 1968),
-the determinant with a column is one dot product per node, and the fixed
-integer matrix d! * V^-1 turns those node values into d! times the
-polynomial's coefficients. No tolerance is tuned and no rational is built.
+determinant by L^d > 0, so no sign changes. Entry (r, c) of the lifted matrix
+is then ``column + eps * shift``: the integer lifted entry, and the shift
+(c + 1)^r of the 0-based column c (row 0, the ones, has shift 0). One function,
+`_determinant_polynomials`, computes the determinant polynomials of a chunk of
+sorted d-subsets with every column at once, truncated at a given degree: an
+expansion by minors of the subsets' columns in which every product of an entry
+and a smaller minor also adds the shift times the minor's coefficient one
+degree below, then one integer matrix product with all the columns. It runs in
+int64 when a proven bound allows and in Python integers otherwise.
+`_two_partition_masks` runs it at degree 0 on every chunk, where the eps^0
+coefficient decides almost every sign, and once more at degree d on the
+subsets that have an eps^0 zero outside themselves, such as repeated or
+collinear columns; there the sign is that of the first nonzero coefficient. No
+tolerance is tuned, no rational is built and no polynomial is interpolated.
 
 Two-partitions come from separator triples: a sorted d-subset I spans an
 oriented hyperplane of the perturbed configuration, splitting the remaining
@@ -52,13 +53,12 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations, islice
 from math import comb
-from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, DimensionError
-from .linalg import Matrix, fraction_free_elimination, integer_array, integer_rows
+from .linalg import Matrix, integer_array, integer_rows
 from .partitions import Partition, partitions_from_blocks
 
 
@@ -79,47 +79,14 @@ class EnumerationLimits:
 DEFAULT_LIMITS = EnumerationLimits()
 
 
-def _cofactors(columns: Sequence[Sequence[int]]) -> list[int]:
-    """Cofactors along the last column of the square matrix [columns | x].
-
-    columns are d integer vectors of length d + 1; the determinant of the
-    matrix with x as its last column is the dot product of x with the result.
-    """
-    d = len(columns)
-    rows = list(zip(*columns))
-    cofactors = []
-    for r in range(d + 1):
-        minor = [list(row) for row in rows[:r] + rows[r + 1:]]
-        pivots, sign = fraction_free_elimination(minor)
-        cofactors.append((-1) ** (r + d) * sign * minor[-1][-1] if len(pivots) == d else 0)
-    return cofactors
-
-
-def _interpolation_weights(d: int) -> list[list[int]]:
-    """d! times the inverse of the Vandermonde matrix V[e][j] = e^j, e, j = 0..d.
-
-    By Lagrange interpolation at the nodes 0..d, row j, column e is
-    (-1)^(d-e) * C(d, e) * [x^j] prod_{m != e} (x - m): an integer matrix that
-    maps a polynomial's values at the nodes to d! times its coefficients.
-    """
-    weights = [[0] * (d + 1) for _ in range(d + 1)]
-    for e in range(d + 1):
-        product = [1]  # coefficients of prod_{m != e} (x - m), lowest first
-        for m in range(d + 1):
-            if m != e:
-                product = [high - m * low for high, low in zip([0] + product, product + [0])]
-        scale = (-1) ** (d - e) * comb(d, e)
-        for j, coefficient in enumerate(product):
-            weights[j][e] = scale * coefficient
-    return weights
-
-
 class PerturbedMatrix:
     """A base matrix accessed only through the signs of its perturbed lifted
     determinants.
 
     The moment-curve dimension always equals the base row count, so a lifted
-    matrix is perturbed in lifted space.
+    matrix is perturbed in lifted space. _lifted holds the d + 1 rows of the
+    lifted columns of L * base and _shifts the d + 1 rows of their moment-curve
+    shifts: row 0 is 0 and row r holds (c + 1)^r for the 0-based column c.
     """
 
     def __init__(self, base: Matrix):
@@ -127,59 +94,10 @@ class PerturbedMatrix:
             raise DimensionError("perturbation needs at least one row")
         self.d = base.nrows
         self.n = base.ncols
-        self._integral, _ = integer_rows(base.rows())
-
-    @cached_property
-    def _nodes(self) -> list[list[tuple[int, ...]]]:
-        """_nodes[e][c]: lifted column c (0-based) of L * base at eps = e."""
-        d, integral = self.d, self._integral
-        return [
-            [
-                (1,) + tuple(integral[r][c] + e * (c + 1) ** (r + 1) for r in range(d))
-                for c in range(self.n)
-            ]
-            for e in range(d + 1)
-        ]
-
-    @cached_property
-    def _weights(self) -> list[list[int]]:
-        return _interpolation_weights(self.d)
-
-    def below_mask(self, subset: Sequence[int], columns: Iterable[int] | None = None) -> int:
-        """Bitmask of the columns on the negative side of the hyperplane that
-        the sorted d-subset of 0-based column indices spans.
-
-        Column c outside subset lies there when the lifted determinant with
-        the subset's columns in increasing order, then c, is negative for all
-        sufficiently small eps > 0. Only the given columns are decided
-        (default: every column outside subset). This is the full polynomial
-        path: `_two_partition_masks` decides most columns from the eps^0
-        coefficient alone and calls it only for the columns where that
-        coefficient is 0. An all-zero determinant polynomial is impossible
-        (its leading coefficient is a Vandermonde determinant at distinct
-        indices) and raises AssertionError.
-        """
-        node_cofactors = [_cofactors([node[i] for i in subset]) for node in self._nodes]
-        mask = 0
-        for c in range(self.n) if columns is None else columns:
-            if c in subset:
-                continue
-            values = [
-                sum(map(mul, cofactors, node[c]))
-                for cofactors, node in zip(node_cofactors, self._nodes)
-            ]
-            for weights in self._weights:
-                lead = sum(map(mul, weights, values))
-                if lead:
-                    break
-            else:
-                raise AssertionError(
-                    f"determinant polynomial vanished identically for columns {subset} and {c}; "
-                    "the Vandermonde leading coefficient makes this impossible"
-                )
-            if lead < 0:
-                mask |= 1 << c
-        return mask
+        integral, _ = integer_rows(base.rows())
+        self._lifted = [[1] * self.n] + integral
+        self._shifts = [[(c + 1) ** r if r else 0 for c in range(self.n)]
+                        for r in range(self.d + 1)]
 
 
 _WORD_BITS = 64
@@ -255,7 +173,8 @@ class GenericPartitionSet:
 
 # Bound on the elements of the arrays one chunk of the mask stage holds: per
 # d-subset, n values and at most (d + 1) * 2^(d + 1) minors, products or
-# mask words, counted width times.
+# mask words, counted width times. The degree-d pass holds d + 1 times the
+# values, minors and products for the subsets it takes.
 _SUBSET_CHUNK_ELEMENTS = 1 << 16
 
 
@@ -279,28 +198,50 @@ def _expansion(d: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     return tables
 
 
-def _eps0_determinants(columns: np.ndarray, subsets: np.ndarray) -> np.ndarray:
-    """(S, n) array whose entry (s, c) is the lifted determinant at eps = 0
-    with the columns of subsets[s] in order, then column c: the eps^0
-    coefficient of the perturbed determinant.
+def _determinant_polynomials(
+    columns: np.ndarray, shifts: np.ndarray | None, subsets: np.ndarray, degree: int
+) -> np.ndarray:
+    """(degree + 1, S, n) array whose entry (t, s, c) is the eps^t coefficient
+    of the lifted determinant with the columns of subsets[s] in order, then
+    column c, where entry (r, c) is columns[r, c] + eps * shifts[r, c].
 
-    columns is the (d + 1, n) integer array of the lifted columns at eps = 0
-    and subsets an (S, d) array of column indices. The minors of each
-    subset's columns are expanded one column at a time, all subsets at once:
-    the minor on a row set R and the first |R| columns is a signed sum of |R|
-    products of an entry and a smaller minor, with no division. The last
-    column, c, is one matrix product with the cofactors. With N the largest
-    column 1-norm, every minor, product and partial sum on j columns is at
-    most N^j in magnitude, so N^(d + 1) bounds every intermediate.
+    columns and shifts are (d + 1, n) integer arrays of one dtype and subsets
+    an (S, d) array of column indices. shifts is not read at degree 0, which
+    gives the determinants at eps = 0. The minors of each subset's columns are
+    expanded one column at a time, all subsets at once: the minor on a row
+    set R and the first |R| columns is a signed sum of |R| products of an
+    entry a + eps * b and a smaller minor, with no division, and coefficient
+    t of such a product is a times the minor's coefficient t plus b times
+    its coefficient t - 1. Coefficients above degree are dropped, which
+    changes none below it. The last column, c, is one matrix product with
+    the cofactors per coefficient.
+
+    Bound: write |P| for the sum of the magnitudes of a polynomial's
+    coefficients, so |P Q| <= |P| |Q|. Let N be the largest column 1-norm of
+    columns and M the largest column 1-norm of shifts. A column's entries
+    then have |.| summing to at most N + M, and by induction on j every
+    minor on j columns, and every coefficient, product and partial sum that
+    forms it, is at most (N + M)^j in magnitude. The product with column c
+    is the step j = d + 1, so (N + M)^(d + 1) bounds every intermediate, and
+    N^(d + 1) does at degree 0.
     """
     d = subsets.shape[1]
-    minors = np.ones((1, len(subsets)), dtype=columns.dtype)
+    minors = np.zeros((degree + 1, 1, len(subsets)), dtype=columns.dtype)
+    minors[0] = 1
     for j, (rows, smaller, signs) in enumerate(_expansion(d)):
-        minors = (signs * columns[rows[..., None], subsets[:, j]] * minors[smaller]).sum(axis=1)
+        at = rows[..., None], subsets[:, j]
+        terms = signs * minors[:, smaller]  # (degree + 1, C, j + 1, S)
+        minors = (columns[at] * terms).sum(axis=2)
+        if degree:
+            minors[1:] += (shifts[at] * terms[:-1]).sum(axis=2)
     # The row sets of size d omit rows d, d - 1, ..., 0 in turn; the cofactor
     # of row r is (-1)^(r + d) times the minor that omits it.
-    cofactors = minors[::-1] * np.array([[(-1) ** (r + d)] for r in range(d + 1)])
-    return cofactors.T @ columns
+    parity = np.array([[(-1) ** (r + d)] for r in range(d + 1)])
+    cofactors = (minors[:, ::-1] * parity).swapaxes(1, 2)  # (degree + 1, S, d + 1)
+    values = cofactors @ columns
+    if degree:
+        values[1:] += cofactors[:-1] @ shifts
+    return values
 
 
 def _mask_ints(words: np.ndarray) -> list[int]:
@@ -320,15 +261,19 @@ def _two_partition_masks(perturbed: PerturbedMatrix, limits: EnumerationLimits) 
     all two-sided splits of it contribute both associated partitions.
 
     The sorted d-subsets are taken in lexicographic chunks. A chunk's splits
-    come from one pass of `_eps0_determinants`: a nonzero eps^0 coefficient
-    is the sign. Only the (subset, column) pairs where it is 0 run the full
-    polynomial path, `PerturbedMatrix.below_mask`. The columns are held as
-    int64 when N^(d + 1) fits (see `_eps0_determinants`), as Python integers
-    otherwise. Each below mask is joined with every subset of its d-subset
-    as word arrays, and the masks and their complements go into one set.
-    More than limits.max_two_partitions distinct masks raise CapacityError
-    naming the first d-subset, in lexicographic order, after which the count
-    exceeds the limit.
+    come from `_determinant_polynomials` at degree 0, where a nonzero eps^0
+    coefficient is the sign, and at degree d on the subsets of the chunk
+    with an eps^0 zero outside themselves, where the first nonzero
+    coefficient is. Each pass holds its integers as int64 when its bound
+    fits (N^(d + 1) and (N + M)^(d + 1), see `_determinant_polynomials`), as
+    Python integers otherwise; the degree-d arrays are built on first use.
+    Only a subset's own columns may have an all-zero polynomial: any other
+    raises AssertionError, since the eps^d coefficient is a Vandermonde
+    determinant at distinct column indices. Each below mask is joined with
+    every subset of its d-subset as word arrays, and the masks and their
+    complements go into one set. More than limits.max_two_partitions
+    distinct masks raise CapacityError naming the first d-subset, in
+    lexicographic order, after which the count exceeds the limit.
     """
     d, n = perturbed.d, perturbed.n
     if n <= d:
@@ -336,9 +281,10 @@ def _two_partition_masks(perturbed: PerturbedMatrix, limits: EnumerationLimits) 
         if count > limits.max_two_partitions:
             raise CapacityError("two-partitions", limits.max_two_partitions, count)
         return list(range(count))
-    lifted = [[1] * n] + perturbed._integral
-    norm = max(sum(abs(row[c]) for row in lifted) for c in range(n))
+    lifted, shifts = perturbed._lifted, perturbed._shifts
+    norm = max(sum(map(abs, column)) for column in zip(*lifted))
     columns = integer_array(lifted, norm ** (d + 1))
+    wide = None  # the lifted columns and shifts for the degree-d pass
     width = -(-n // _WORD_BITS)
     unit = _words([1 << c for c in range(n)], width)  # the words of each single column
     full = _words([(1 << n) - 1], width)[0]
@@ -352,15 +298,26 @@ def _two_partition_masks(perturbed: PerturbedMatrix, limits: EnumerationLimits) 
     masks: set[int] = set()
     for start in range(0, total, step):
         subsets = np.array(list(islice(remaining, step)), dtype=np.intp)
-        values = _eps0_determinants(columns, subsets)
+        values = _determinant_polynomials(columns, None, subsets, 0)[0]
         below = values < 0
-        # A subset's own d columns always give 0; any other 0 needs the fallback.
-        zeros = values == 0
-        for s in np.flatnonzero(zeros.sum(axis=1) > d).tolist():
-            subset = subsets[s].tolist()
-            open_columns = [c for c in np.flatnonzero(zeros[s]).tolist() if c not in subset]
-            mask = perturbed.below_mask(subset, open_columns)
-            below[s, open_columns] = [mask >> c & 1 for c in open_columns]
+        # A subset's own d columns always give 0; any other 0 needs degree d.
+        again = np.flatnonzero((values == 0).sum(axis=1) > d)
+        if len(again):
+            if wide is None:
+                shift = max(map(sum, zip(*shifts)))
+                wide = integer_array([lifted, shifts], (norm + shift) ** (d + 1))
+            polynomials = _determinant_polynomials(*wide, subsets[again], d)
+            nonzero = polynomials != 0
+            # Only a subset's own d columns may have an all-zero polynomial.
+            live = nonzero.any(axis=0).sum(axis=1)
+            if live.min() < n - d:
+                raise AssertionError(
+                    "determinant polynomial vanished identically for d-subset "
+                    f"{subsets[again[live.argmin()]].tolist()} and a column outside it; "
+                    "the Vandermonde leading coefficient makes this impossible"
+                )
+            leading = np.take_along_axis(polynomials, nonzero.argmax(axis=0)[None], axis=0)[0]
+            below[again] = leading < 0
         below_words = np.bitwise_or.reduce(np.where(below[..., None], unit, zero), axis=1)
         chosen = np.bitwise_or.reduce(np.where(choices[..., None], unit[subsets][:, None], zero), axis=2)
         first = below_words[:, None] | chosen  # (S, 2^d, width)

@@ -8,7 +8,8 @@ rationals, which is why there is no floating-point mode.
 The generic-sign kernel, the part sums and the hull test decide on integers
 instead: `integer_rows` scales rationals by their common denominator,
 `integer_array` holds integers as int64 exactly when no intermediate can
-overflow it, and `fraction_free_elimination` is the one exact elimination.
+overflow it, and `fraction_free_elimination` is the one exact elimination,
+called only by the hull.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 import random
 from fractions import Fraction as F
-from functools import cache
+from functools import cache, partial
 from itertools import combinations, permutations, product
-from math import comb, factorial
+from math import comb
 
 import numpy as np
 import pytest
@@ -15,11 +15,11 @@ from shapedparts.generic import (
     EnumerationLimits,
     GenericPartitionSet,
     PerturbedMatrix,
-    _interpolation_weights,
+    _determinant_polynomials,
     _two_partition_masks,
     enumerate_generic_p_partitions,
 )
-from shapedparts.linalg import Matrix, fraction_free_elimination
+from shapedparts.linalg import Matrix, fraction_free_elimination, integer_rows
 from shapedparts.partitions import lift, ordered_partition
 
 
@@ -51,13 +51,8 @@ def _block_mask(block):
     return mask
 
 
-def side(p: PerturbedMatrix, subset, c):
-    """Generic sign of 0-based column c against the sorted 0-based subset."""
-    return -1 if p.below_mask(subset) >> c & 1 else 1
-
-
 def _poly_mul(a, b):
-    out = [F(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
@@ -68,17 +63,18 @@ def reference_determinant_polynomial(rows, columns):
     """Coefficients in eps, lowest first, of the lifted perturbed determinant
     whose columns are the listed 0-based columns of the base rows, in order.
 
-    Expanded term by term (Leibniz) over Fraction polynomials: entry (r, c)
-    for r >= 1 is rows[r - 1][c] + eps * (c + 1)^r, and row 0 is all ones.
+    Expanded term by term (Leibniz) over polynomials with exact (int or
+    Fraction) coefficients: entry (r, c) for r >= 1 is
+    rows[r - 1][c] + eps * (c + 1)^r, and row 0 is all ones.
     """
     size = len(columns)
-    entries = [[[F(1)] for _ in columns]] + [
-        [[F(row[c]), F((c + 1) ** r)] for c in columns] for r, row in enumerate(rows, start=1)
+    entries = [[[1] for _ in columns]] + [
+        [[row[c], (c + 1) ** r] for c in columns] for r, row in enumerate(rows, start=1)
     ]
-    total = [F(0)] * size
+    total = [0] * size
     for perm in permutations(range(size)):
         inversions = sum(perm[i] > perm[j] for i in range(size) for j in range(i + 1, size))
-        term = [F((-1) ** inversions)]
+        term = [(-1) ** inversions]
         for i, j in enumerate(perm):
             term = _poly_mul(term, entries[i][j])
         for e, x in enumerate(term):
@@ -90,6 +86,35 @@ def reference_side(rows, subset, c):
     """Sign for small eps > 0 of the determinant on subset then column c."""
     lead = next(x for x in reference_determinant_polynomial(rows, list(subset) + [c]) if x)
     return 1 if lead > 0 else -1
+
+
+def reference_below_mask(p: PerturbedMatrix, subset):
+    """Bitmask of the 0-based columns outside the sorted d-subset that lie on
+    the negative side of its hyperplane, by the Leibniz expansion of the
+    integer base (L times the base: every sign is kept)."""
+    integral = p._lifted[1:]
+    mask = 0
+    for c in range(p.n):
+        if c not in subset and reference_side(integral, subset, c) < 0:
+            mask |= 1 << c
+    return mask
+
+
+def side(p: PerturbedMatrix, subset, c):
+    """Generic sign of 0-based column c against the sorted 0-based subset."""
+    return -1 if reference_below_mask(p, subset) >> c & 1 else 1
+
+
+def polynomial_arrays(p: PerturbedMatrix):
+    """The lifted columns and shifts of p as Python-integer arrays."""
+    return np.array(p._lifted, dtype=object), np.array(p._shifts, dtype=object)
+
+
+def kernel_side(p: PerturbedMatrix, subset, c):
+    """The package kernel's sign for column c against the sorted subset: its
+    first nonzero coefficient at degree d (StopIteration if all are zero)."""
+    polynomial = _determinant_polynomials(*polynomial_arrays(p), np.array([subset]), p.d)[:, 0, c]
+    return 1 if next(x for x in polynomial if x) > 0 else -1
 
 
 _entries = st.one_of(
@@ -208,10 +233,10 @@ def reference_assemble(pair_partitions, n, p):
 
 def reference_two_partition_masks(p: PerturbedMatrix, limits: EnumerationLimits,
                                    below_mask=None):
-    """The per-subset loop the batched mask stage replaced: the full
-    polynomial below mask of every sorted d-subset, then every split of the
-    subset, one mask at a time, with the guard checked after each."""
-    below_mask = below_mask or p.below_mask
+    """The per-subset loop the batched mask stage replaced: the Leibniz
+    below mask of every sorted d-subset, then every split of the subset, one
+    mask at a time, with the guard checked after each."""
+    below_mask = below_mask or partial(reference_below_mask, p)
     d, n = p.d, p.n
     full = (1 << n) - 1
     if n <= d:
@@ -253,7 +278,7 @@ class TestGenericSign:
         assert reference_determinant_polynomial(rows, [0, 2]) == [3, 2]
 
     def test_never_zero_on_random_queries(self):
-        # below_mask raises AssertionError on an all-zero polynomial.
+        # kernel_side raises StopIteration on an all-zero polynomial.
         rng = random.Random(11)
         for _ in range(60):
             d = rng.randint(1, 3)
@@ -261,7 +286,7 @@ class TestGenericSign:
             rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)]
             subset = tuple(sorted(rng.sample(range(n), d)))
             c = rng.choice([i for i in range(n) if i not in subset])
-            assert side(perturbed(rows), subset, c) == reference_side(rows, subset, c)
+            assert kernel_side(perturbed(rows), subset, c) == reference_side(rows, subset, c)
 
     def test_swapping_two_columns_flips_orientation(self):
         # For a sorted (d+1)-set U and u in U, the query (U - u, u) orders U
@@ -275,7 +300,7 @@ class TestGenericSign:
             p = perturbed([[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)])
             members = sorted(rng.sample(range(n), d + 1))
             orientations = {
-                side(p, tuple(v for v in members if v != u), u) * (-1) ** (d - at)
+                kernel_side(p, tuple(v for v in members if v != u), u) * (-1) ** (d - at)
                 for at, u in enumerate(members)
             }
             assert len(orientations) == 1
@@ -285,14 +310,20 @@ class TestGenericSign:
     @example([[F(1, 2 ** 61 + 1), F(1, 2 ** 61 + 1), 0, F(-3, 2 ** 62 + 5)]])
     @example([[0, 0, 0, 0], [1, 1, 1, 1], [F(2, 3), F(2, 3), 0, F(2, 3)]])
     def test_matches_leibniz_expansion(self, rows):
+        # The kernel works on L times the base and reads eps as L * eps, so
+        # its coefficient t is L^(d - t) times the Leibniz one.
         p = perturbed(rows)
         d, n = len(rows), len(rows[0])
-        for subset in combinations(range(n), d):
-            expected = 0
+        _, scale = integer_rows(rows)
+        subsets = np.array(list(combinations(range(n), d)))
+        polynomials = _determinant_polynomials(*polynomial_arrays(p), subsets, d)
+        assert polynomials.shape == (d + 1, len(subsets), n)
+        for s, subset in enumerate(subsets.tolist()):
             for c in range(n):
-                if c not in subset and reference_side(rows, subset, c) < 0:
-                    expected |= 1 << c
-            assert p.below_mask(subset) == expected
+                expected = reference_determinant_polynomial(rows, subset + [c])
+                assert polynomials[:, s, c].tolist() == [
+                    scale ** (d - t) * x for t, x in enumerate(expected)
+                ]
 
 
 class TestSignKernelParts:
@@ -320,23 +351,34 @@ class TestSignKernelParts:
         assert _determinant([[0, 1], [0, 1]]) == 0
 
     @pytest.mark.parametrize("d", range(6))
-    def test_weights_invert_vandermonde_times_factorial(self, d):
-        weights = _interpolation_weights(d)
-        for j in range(d + 1):
-            for i in range(d + 1):
-                entry = sum(weights[j][e] * e ** i for e in range(d + 1))
-                assert entry == (factorial(d) if i == j else 0)
+    def test_leading_coefficient_is_vandermonde(self, d):
+        # The eps^d coefficient takes row 0 from the ones and rows 1..d from
+        # the shifts (c + 1)^r: the Vandermonde determinant at the columns'
+        # indices, whatever the base.
+        rng = random.Random(d)
+        n = d + 3
+        columns = np.array([[1] * n] + [[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)])
+        shifts = np.array([[(c + 1) ** r if r else 0 for c in range(n)] for r in range(d + 1)])
+        subsets = np.array(list(combinations(range(n), d)))
+        leading = _determinant_polynomials(columns, shifts, subsets, d)[d]
+        for s, subset in enumerate(subsets.tolist()):
+            for c in range(n):
+                indices = subset + [c]
+                expected = 1
+                for i, j in combinations(range(d + 1), 2):
+                    expected *= indices[j] - indices[i]
+                assert leading[s, c] == expected
 
 
 class TestSplitByHyperplane:
     def test_all_above(self):
-        assert perturbed([[2, 2, 5]]).below_mask((0,)) == 0
+        assert reference_below_mask(perturbed([[2, 2, 5]]), (0,)) == 0
 
     def test_all_below(self):
-        assert perturbed([[1, 2]]).below_mask((1,)) == 0b01
+        assert reference_below_mask(perturbed([[1, 2]]), (1,)) == 0b01
 
     def test_single_above(self):
-        assert perturbed([[1, 2]]).below_mask((0,)) == 0
+        assert reference_below_mask(perturbed([[1, 2]]), (0,)) == 0
 
 
 class TestPartitionsFromTriple:
@@ -614,17 +656,22 @@ class TestBatchedMasks:
 
     @pytest.fixture
     def fallback_calls(self, monkeypatch):
-        """Counts the calls of the full polynomial path made after it is
-        requested (the reference loop runs before)."""
+        """Records, per subset handed to the degree-d pass after it is
+        requested, the subset and its columns outside it whose eps^0 value
+        is 0 (the reference loop runs before)."""
         calls = []
-        below_mask = PerturbedMatrix.below_mask
+        determinant_polynomials = generic._determinant_polynomials
 
-        def spy(self, subset, columns=None):
-            calls.append((tuple(subset), columns))
-            return below_mask(self, subset, columns)
+        def spy(columns, shifts, subsets, degree):
+            if degree:
+                values = determinant_polynomials(columns, shifts, subsets, 0)[0]
+                for subset, row in zip(subsets.tolist(), values):
+                    zeros = np.flatnonzero(row == 0).tolist()
+                    calls.append((tuple(subset), [c for c in zeros if c not in subset]))
+            return determinant_polynomials(columns, shifts, subsets, degree)
 
         def install():
-            monkeypatch.setattr(PerturbedMatrix, "below_mask", spy)
+            monkeypatch.setattr(generic, "_determinant_polynomials", spy)
             return calls
 
         return install
@@ -652,12 +699,13 @@ class TestBatchedMasks:
         calls = fallback_calls()
         assert _two_partition_masks(p, limits) == expected
         assert bool(calls) == vanishing
-        # the fallback decides only the columns whose eps^0 value vanished
-        assert all(columns and not set(columns) & set(subset) for subset, columns in calls)
+        # the degree-d pass gets only subsets with an eps^0 zero outside them
+        assert all(columns for subset, columns in calls)
 
     @pytest.fixture
     def column_dtypes(self, monkeypatch):
-        """The dtypes of the integer arrays the mask stage builds."""
+        """The dtypes of the integer arrays the mask stage builds: one for the
+        eps^0 pass, then one for the degree-d pass if any subset needs it."""
         dtypes = []
         integer_array = generic.integer_array
 
@@ -669,17 +717,24 @@ class TestBatchedMasks:
         monkeypatch.setattr(generic, "integer_array", spy)
         return dtypes
 
-    @pytest.mark.parametrize("rows, dtype", [
-        ([[3, -1, 4, 1, -5], [2, 2, 0, -7, 1]], np.int64),
-        ([[F(1, 2 ** 61 + 1), F(1, 2 ** 61 + 1), 0, F(-3, 2 ** 62 + 5), 1]], object),
-        ([["1e400", "-1e400", 3, "1e400", 0], [1, 2, "-3e400", 2, "1e399"]], object),
-        ([[2 ** 40, -2 ** 40, 3, 2 ** 40, 5], [1, 2 ** 41, 0, 2, 2 ** 40]], object),
-    ], ids=["int64", "denominators-2^61", "1e400", "beyond-int64-bound"])
-    def test_int64_and_object_paths_match_reference(self, column_dtypes, rows, dtype):
+    @pytest.mark.parametrize("rows, dtypes", [
+        ([[3, -1, 4, 1, -5], [2, 2, 0, -7, 1]], [np.int64]),
+        ([[F(1, 2 ** 61 + 1), F(1, 2 ** 61 + 1), 0, F(-3, 2 ** 62 + 5), 1]], [object]),
+        ([["1e400", "-1e400", 3, "1e400", 0], [1, 2, "-3e400", 2, "1e399"]], [object]),
+        ([[2 ** 40, -2 ** 40, 3, 2 ** 40, 5], [1, 2 ** 41, 0, 2, 2 ** 40]], [object]),
+        # lifted columns 1, 2 and 3 are collinear; (N + M)^3 = 40^3
+        ([[1, 2, 3, 5, 4]], [np.int64, np.int64]),
+        # d = 5: lifted columns 1, 4 and 7 are collinear. N^6 = 20^6 fits, but
+        # (N + M)^6 does not: M = 7 + 7^2 + ... + 7^5 = 19,607.
+        ([[3, -1, 4, 4, -5, 3, 5], [2, 2, 0, 3, 1, 2, 4], [1, 0, -2, 0, 4, 1, -1], [0, 5, 1, 1, 2, 0, 2]],
+         [np.int64, object]),
+    ], ids=["int64", "denominators-2^61", "1e400", "beyond-int64-bound", "collinear-int64",
+            "degree-d-object"])
+    def test_int64_and_object_paths_match_reference(self, column_dtypes, rows, dtypes):
         p = PerturbedMatrix(lift(Matrix(rows)))
         limits = EnumerationLimits()
         assert _two_partition_masks(p, limits) == reference_two_partition_masks(p, limits)
-        assert column_dtypes == [dtype]
+        assert column_dtypes == dtypes
 
     @pytest.mark.parametrize("rows", [[[3, -1], [0, 2]], [[2], [5]], [[1, 2, 3]] * 3])
     def test_n_at_most_d(self, rows):
@@ -718,7 +773,7 @@ class TestMaskGuardParity:
         p = PerturbedMatrix(lift(Matrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(k)])))
         if chunk_elements is not None:
             monkeypatch.setattr(generic, "_SUBSET_CHUNK_ELEMENTS", chunk_elements)
-        below_mask = cache(p.below_mask)
+        below_mask = cache(partial(reference_below_mask, p))
         full = reference_two_partition_masks(p, EnumerationLimits(), below_mask)
         for limit in range(len(full) + 1):
             limits = EnumerationLimits(max_two_partitions=limit)
