@@ -84,8 +84,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         metavar="N", help="cap on enumerated candidate sets")
     parser.add_argument("--max-assembly-nodes", type=int, default=defaults.max_assembly_nodes,
                         metavar="N",
-                        help="cap on (partial assembly, 2-partition) pairs examined "
-                             "during p-partition assembly")
+                        help="cap on (partial assembly, other part, word of 64 "
+                             "2-partitions) tests during p-partition assembly")
 
 
 @cache

@@ -30,21 +30,24 @@ Two-partitions come from separator triples: a sorted d-subset I spans an
 oriented hyperplane of the perturbed configuration, splitting the remaining
 columns by sign, and each two-sided split of I itself yields two associated
 ordered 2-partitions. The splits of a chunk of subsets are formed as uint64
-word arrays, one bitmask of W words per 2-partition, and kept in a set.
-p-partitions are assembled from one 2-partition per part pair, intersecting
-candidate blocks and keeping the assemblies whose blocks cover the ground
-set; the pairs are applied level by level and each distinct partial assembly
-is expanded once.
+word arrays, one bitmask of W = ceil(n / 64) words per 2-partition, and kept
+in a set.
 
-The assembly is whole-array numpy work. A partial assembly is a (p, W)
-uint64 array, each block a bitmask of W = ceil(n / 64) words, so every n
-takes the same path. A level tests all 2-partition masks against a bounded
-chunk of states at a time, builds the children with bitwise and, and drops
-duplicate rows with a lexsort and a row diff. These words stay inside the
-assembly: the covering assemblies are decoded once into an (N, p, n) 0/1
-block array and put in canonical order (sorted by blocks), and
-`GenericPartitionSet` keeps that array, building Partition objects only when
-they are asked for.
+A generic p-partition is an ordered partition whose every part pair r < s is
+separated by a 2-partition holding block r in its first block and block s in
+its second. At p = 2 these are the 2-partitions themselves. For larger p they
+are assembled element by element: a prefix state places elements 1..e, and
+a child places element e + 1 in some part r. Each state keeps, per part, the
+bitsets over the 2-partitions that hold all of the block or none of it, so
+a pair's witnesses are one bitwise and; the child is tested on the pairs of
+r only, since no other pair changes. The test is monotone, so a prefix
+without a witness for some pair is dropped with everything below it, and
+every kept prefix is a distinct ordered partition. The work is whole-array
+numpy on (p, V, N) uint64 arrays, V words of 2-partition bits per bitset and
+N prefixes, tested in bounded chunks. The finished labels are decoded once
+into an (N, p, n) 0/1 block array and put in canonical order (sorted by
+blocks), and `GenericPartitionSet` keeps that array, building Partition
+objects only when they are asked for.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations, islice
-from math import comb
+from math import comb, factorial, prod
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -101,7 +104,8 @@ class PerturbedMatrix:
 
 
 _WORD_BITS = 64
-# Bound on the states x masks x words elements of one chunk of the mask test.
+# Bound on the elements of one chunk's temporaries: prefixes x p x p x mask
+# words in the assembly test, partitions x p x n in the part sums.
 _CHUNK_ELEMENTS = 1 << 12
 
 
@@ -123,22 +127,6 @@ def _bits(words: np.ndarray, n: int) -> np.ndarray:
         word = words[..., c // _WORD_BITS] >> np.uint64(c % _WORD_BITS)
         bits[..., c] = word & np.uint64(1)
     return bits
-
-
-def _sort_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The permutation that sorts the rows of a 2-d array lexicographically,
-    and a flag per sorted row: whether it differs from the row before it."""
-    order = np.lexsort(rows.T[::-1])
-    rows = rows[order]
-    new = np.ones(len(rows), dtype=bool)
-    np.any(rows[1:] != rows[:-1], axis=1, out=new[1:])
-    return order, new
-
-
-def _distinct_rows(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows of a 2-d array, in lexicographic order."""
-    order, new = _sort_rows(rows)
-    return rows[order[new]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,14 +204,35 @@ def _determinant_polynomials(
     changes none below it. The last column, c, is one matrix product with
     the cofactors per coefficient.
 
-    Bound: write |P| for the sum of the magnitudes of a polynomial's
-    coefficients, so |P Q| <= |P| |Q|. Let N be the largest column 1-norm of
-    columns and M the largest column 1-norm of shifts. A column's entries
-    then have |.| summing to at most N + M, and by induction on j every
-    minor on j columns, and every coefficient, product and partial sum that
-    forms it, is at most (N + M)^j in magnitude. The product with column c
-    is the step j = d + 1, so (N + M)^(d + 1) bounds every intermediate, and
-    N^(d + 1) does at degree 0.
+    Bounds: write |P| for the sum of the magnitudes of a polynomial's
+    coefficients, so |P + Q| <= |P| + |Q|, |P Q| <= |P| |Q| and every
+    coefficient of P is at most |P| in magnitude.
+
+    Degree d. Let R_r = max_c (|columns[r, c]| + |shifts[r, c]|), so every
+    entry of row r has |.| <= R_r. By induction on j, the minor on a row
+    set R of size j and the first j columns has |.| <= j! prod_{r in R} R_r:
+    it is a signed sum over the rows t of R of the entry of row t times the
+    minor on R - {t}, and each such product has |.| <= R_t (j - 1)!
+    prod_{R - {t}} R_r = (j - 1)! prod_R R_r. The code forms coefficient i
+    of the minor as a sum, over the rows u of R, of the terms a_u m_u[i] and
+    b_u m_u[i - 1], where a_u + eps b_u is the entry of row u and m_u the
+    coefficients of the minor on R - {u} (the signs only flip terms). Since
+    |m_u[i]| and |m_u[i - 1]| are at most |m_u|, every term, every partial
+    sum of them in any order, and the coefficient itself is at most
+    sum_u (|a_u| + |b_u|) |m_u| <= j! prod_R R_r; a coefficient above
+    degree is dropped and enters nothing. The product with
+    column c is the same step with R all d + 1 rows and the cofactors, the
+    signed minors on d rows, in place of the smaller minors, so
+    (d + 1)! prod_(r = 0..d) R_r bounds every minor, product, partial sum
+    and value. Each R_r is at least 1 (row 0 holds ones, and the shift of
+    row r >= 1 is at least 1), so it bounds every entry as well.
+
+    Degree 0. Let N be the largest column 1-norm of columns. A minor on j
+    columns expanded along its last column is a sum of entries of that
+    column times minors on j - 1 columns, so by induction every minor, and
+    every product and partial sum that forms it, is at most N^j; the
+    product with column c is the step j = d + 1, so N^(d + 1) bounds every
+    intermediate.
     """
     d = subsets.shape[1]
     minors = np.zeros((degree + 1, 1, len(subsets)), dtype=columns.dtype)
@@ -265,8 +274,8 @@ def _two_partition_masks(perturbed: PerturbedMatrix, limits: EnumerationLimits) 
     coefficient is the sign, and at degree d on the subsets of the chunk
     with an eps^0 zero outside themselves, where the first nonzero
     coefficient is. Each pass holds its integers as int64 when its bound
-    fits (N^(d + 1) and (N + M)^(d + 1), see `_determinant_polynomials`), as
-    Python integers otherwise; the degree-d arrays are built on first use.
+    fits (N^(d + 1) and (d + 1)! prod_r R_r, see `_determinant_polynomials`),
+    as Python integers otherwise; the degree-d arrays are built on first use.
     Only a subset's own columns may have an all-zero polynomial: any other
     raises AssertionError, since the eps^d coefficient is a Vandermonde
     determinant at distinct column indices. Each below mask is joined with
@@ -304,8 +313,9 @@ def _two_partition_masks(perturbed: PerturbedMatrix, limits: EnumerationLimits) 
         again = np.flatnonzero((values == 0).sum(axis=1) > d)
         if len(again):
             if wide is None:
-                shift = max(map(sum, zip(*shifts)))
-                wide = integer_array([lifted, shifts], (norm + shift) ** (d + 1))
+                # R_r of every row: the shifts are nonnegative
+                rows = (max(abs(a) + b for a, b in zip(*pair)) for pair in zip(lifted, shifts))
+                wide = integer_array([lifted, shifts], factorial(d + 1) * prod(rows))
             polynomials = _determinant_polynomials(*wide, subsets[again], d)
             nonzero = polynomials != 0
             # Only a subset's own d columns may have an all-zero polynomial.
@@ -333,70 +343,100 @@ def _two_partition_masks(perturbed: PerturbedMatrix, limits: EnumerationLimits) 
     return sorted(masks)
 
 
+def _assemble(held: np.ndarray, p: int, limits: EnumerationLimits) -> np.ndarray:
+    """The (N, n) part labels of every ordered p-partition whose blocks B
+    have, for each part pair r < s, a mask that holds all of B_r and none
+    of B_s; label c is the 0-based part of element c + 1. held is the
+    (masks, n) 0/1 array of the masks: held[f, c] is 1 iff mask f holds
+    element c + 1.
+
+    Elements are placed one at a time. A prefix state holds, per part t, the
+    bitsets of the masks that hold all of block t (within) and none of it
+    (apart), V words each, stored (p, V, N) so that every operation runs
+    along the prefixes; a pair (r, s) is witnessed by the masks in
+    within_r & apart_s. Placing the next element in part r narrows only
+    within_r and apart_r, so a child is tested on the pairs of r alone. A
+    pair that has no witness keeps none as blocks grow, so every prefix with
+    a witness for each pair is kept and every other one dropped. Distinct
+    label rows are distinct partitions, so there is nothing to deduplicate.
+    Before each element the prefixes times p times (p - 1) times V, every
+    (child, other part, mask word) triple the element tests, are charged to
+    limits.max_assembly_nodes, and nothing of size p is built before the
+    first charge has passed.
+    """
+    count, n = held.shape
+    # row 0: every mask; row c + 1: the masks that hold element c + 1
+    table = np.zeros((n + 1, -(-count // _WORD_BITS) * _WORD_BITS), dtype=np.uint8)
+    table[0, :count] = 1
+    table[1:, :count] = held.T
+    table = np.packbits(table, axis=1, bitorder="little").view("<u8")[..., None]  # (n + 1, V, 1)
+    words = table.shape[1]
+    labels = np.zeros((1, n), dtype=np.min_scalar_type(p - 1))
+    nodes = 0
+    for e in range(n):
+        nodes += len(labels) * p * (p - 1) * words
+        if nodes > limits.max_assembly_nodes:
+            raise CapacityError("assembly-nodes", limits.max_assembly_nodes,
+                                reached=f"element {e + 1} of {n}")
+        if e == 0:
+            within = apart = np.broadcast_to(table[0], (p, words, 1))  # (p, V, N)
+            rank = np.arange(p)
+            upper = (rank[:, None] < rank)[..., None, None]  # [r, s]: s > r
+            itself = (rank[:, None] == rank)[..., None]
+            # prefixes tested at once: a bounded (p, p, V, step) temporary
+            step = max(1, _CHUNK_ELEMENTS // max(1, p * p * words))
+        inside = table[e + 1]  # the masks that hold the element
+        outside = ~inside
+        fits = np.empty((p, len(labels)), dtype=bool)
+        for start in range(0, len(labels), step):
+            chunk = slice(start, start + step)
+            into, away = within[..., chunk], apart[..., chunk]
+            # entry [r, s]: the witnesses of pair (r, s) once the element is in r
+            witnesses = np.where(upper, (into & inside)[:, None] & away,
+                                 into & (away & outside)[:, None])
+            found = np.bitwise_or.reduce(witnesses, axis=2) != 0
+            fits[:, chunk] = (found | itself).all(axis=1)
+        part, state = np.nonzero(fits)
+        child = np.arange(len(state))
+        labels = labels[state]
+        labels[:, e] = part
+        within = within[..., state]
+        within[part, :, child] &= inside[:, 0]
+        apart = apart[..., state]
+        apart[part, :, child] &= outside[:, 0]
+    return labels
+
+
 def enumerate_generic_p_partitions(
     perturbed: PerturbedMatrix,
     p: int,
     limits: EnumerationLimits = DEFAULT_LIMITS,
     two_partition_masks: list[int] | None = None,
 ) -> GenericPartitionSet:
-    """All generic p-partitions, assembled level by level over part pairs.
+    """All generic p-partitions: the ordered p-partitions whose every part
+    pair r < s is separated by a generic 2-partition, block r in its first
+    block and block s in its second.
 
-    A state holds, per part, the elements it may still take. Level l applies
-    pair (r, s): a 2-partition mask keeps its first block for part r and its
-    second block for part s. The distinct states of a level are kept, so
-    masks that lead to the same child are expanded once. A mask survives only
-    if every element stays in some block: of the elements no other part can
-    take, those s cannot take must lie in the first block and those r cannot
-    take must lie outside it. The states left after the last pair are exactly
-    the covering assemblies. Each level charges its states times the masks,
-    every (state, mask) pair it examines, to limits.max_assembly_nodes before
-    it runs.
+    At p = 2 these are the 2-partitions themselves, one per mask, charged
+    one assembly node each. For p > 2 `_assemble` places the elements one at
+    a time.
     """
     d, n = perturbed.d, perturbed.n
     if p < 1:
         raise DimensionError(f"need p >= 1, got p={p}")
-    width = max(1, -(-n // _WORD_BITS))
-    full = _words([(1 << n) - 1], width)[0]
     if p == 1:
         return GenericPartitionSet(np.ones((1, 1, n), dtype=np.uint8), d, n, 1)
 
-    first = _words(
-        two_partition_masks
-        if two_partition_masks is not None
-        else _two_partition_masks(perturbed, limits),
-        width,
-    )
-    second = full & ~first
-    pairs = list(combinations(range(p), 2))
-    states = np.tile(full, (1, p, 1))
-    # masks tested against one chunk of states: a bounded temporary
-    step = max(1, _CHUNK_ELEMENTS // max(1, len(first) * width))
-    nodes = 0
-    for level, (r, s) in enumerate(pairs, start=1):
-        nodes += len(states) * len(first)
-        if nodes > limits.max_assembly_nodes:
-            raise CapacityError(
-                "assembly-nodes", limits.max_assembly_nodes,
-                reached=f"pair level {level} of {len(pairs)}, part pair ({r + 1}, {s + 1})",
-            )
-        others = [t for t in range(p) if t != r and t != s]
-        free = full & ~np.bitwise_or.reduce(states[:, others], axis=1)
-        # need_r and the rest of need are disjoint: every element of a state
-        # lies in some part.
-        need_r = free & ~states[:, s]
-        need = need_r | (free & ~states[:, r])
-        children = [np.empty((0, p * width), dtype=np.uint64)]
-        for start in range(0, len(states), step):
-            chunk = slice(start, start + step)
-            fits = ((first & need[chunk, None]) == need_r[chunk, None]).all(axis=2)
-            state_at, mask_at = np.nonzero(fits)
-            child = states[chunk][state_at]
-            child[:, r] &= first[mask_at]
-            child[:, s] &= second[mask_at]
-            children.append(_distinct_rows(child.reshape(len(child), p * width)))
-        states = _distinct_rows(np.concatenate(children)).reshape(-1, p, width)
-
-    blocks = _bits(states, n)
+    masks = (two_partition_masks if two_partition_masks is not None
+             else _two_partition_masks(perturbed, limits))
+    held = _bits(_words(masks, max(1, -(-n // _WORD_BITS))), n)
+    if p == 2:
+        if len(masks) > limits.max_assembly_nodes:
+            raise CapacityError("assembly-nodes", limits.max_assembly_nodes, len(masks))
+        labels = 1 - held  # an element outside the mask goes to part 2
+    else:
+        labels = _assemble(held, p, limits)
+    blocks = (labels[:, None, :] == np.arange(p, dtype=labels.dtype)[:, None]).view(np.uint8)
     if len(blocks) > 1:
         # Position c of a block reads 1 if element c + 1 is in it, 2 if not but
         # a later element is, and 0 if no element at or past it is. Comparing

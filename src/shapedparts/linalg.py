@@ -91,10 +91,12 @@ class Matrix:
     """Immutable dense matrix of exact rationals.
 
     Zero-row matrices are supported (the column count must then be given
-    explicitly), because lifting a 0 x n matrix is well defined.
+    explicitly), because lifting a 0 x n matrix is well defined. The hash is
+    computed on first use and kept, so a matrix that serves as a dict key
+    again and again hashes its Fractions once.
     """
 
-    __slots__ = ("nrows", "ncols", "_rows")
+    __slots__ = ("nrows", "ncols", "_rows", "_hash")
 
     def __init__(self, rows: Iterable[Iterable], ncols: int | None = None):
         data = tuple(tuple(as_rational(x) for x in row) for row in rows)
@@ -111,6 +113,7 @@ class Matrix:
         self.nrows = len(data)
         self.ncols = width
         self._rows = data
+        self._hash: int | None = None
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -156,7 +159,9 @@ class Matrix:
         return self.shape == other.shape and self._rows == other._rows
 
     def __hash__(self) -> int:
-        return hash((self.nrows, self.ncols, self._rows))
+        if self._hash is None:
+            self._hash = hash((self.nrows, self.ncols, self._rows))
+        return self._hash
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(format_rational(x) for x in row) for row in self._rows)

@@ -24,9 +24,11 @@ strings), one reply line holding a single rational (integer, decimal string,
 or "a/b" string). Replies are converted exactly; a missing or malformed reply
 raises OracleError. An ExternalOracle keeps every reply and asks its
 subprocess once per distinct matrix; a repeated matrix is answered from that
-record, but only while the subprocess is still running. Convexity of external
-oracles is trusted, not verified; a non-convex oracle voids the optimality
-guarantee.
+record, but only while the subprocess is still running. The record is keyed
+by the Matrix, whose hash is kept, so the Matrix that `evaluate_keys` builds
+once per distinct key is hashed once however often its key repeats.
+Convexity of external oracles is trusted, not verified; a non-convex oracle
+voids the optimality guarantee.
 """
 
 from __future__ import annotations
@@ -252,7 +254,7 @@ class ExternalOracle(Objective):
         self.command = tuple(str(c) for c in command)
         self._process: subprocess.Popen | None = None
         self._stderr = None
-        self._replies: dict[tuple, Fraction] = {}  # queried matrix rows -> reply
+        self._replies: dict[Matrix, Fraction] = {}  # queried matrix -> reply
 
     def _ensure_process(self) -> subprocess.Popen:
         """The oracle process, started on first use and never restarted.
@@ -286,7 +288,7 @@ class ExternalOracle(Objective):
 
     def evaluate(self, matrix: Matrix) -> Fraction:
         process = self._ensure_process()
-        known = self._replies.get(matrix.rows())
+        known = self._replies.get(matrix)
         if known is not None:
             return known
         query = json.dumps(
@@ -306,7 +308,7 @@ class ExternalOracle(Objective):
             value = parse_wire_scalar(reply)
         except ValueError as exc:
             raise OracleError(f"oracle {self.command} replied with garbage: {reply!r}") from exc
-        self._replies[matrix.rows()] = value
+        self._replies[matrix] = value
         return value
 
     def _death_note(self) -> str:

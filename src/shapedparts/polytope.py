@@ -29,7 +29,6 @@ from .generic import (
     GenericPartitionSet,
     PerturbedMatrix,
     _CHUNK_ELEMENTS,
-    _sort_rows,
     _two_partition_masks,
     enumerate_generic_p_partitions,
 )
@@ -95,6 +94,16 @@ class VertexReport:
     @property
     def vertex_count(self) -> int:
         return len(self.vertices)
+
+
+def _sort_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The permutation that sorts the rows of a 2-d array lexicographically,
+    and a flag per sorted row: whether it differs from the row before it."""
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    np.any(rows[1:] != rows[:-1], axis=1, out=new[1:])
+    return order, new
 
 
 def check_family(a: Matrix, p: int, family: ShapeFamily) -> None:

@@ -187,6 +187,23 @@ def reference_p_partitions(masks, n, p, max_nodes=None):
     return {tuple(_mask_block(m) for m in vec) for vec in found}
 
 
+def reference_pairwise_partitions(masks, j, p):
+    """Every ordered p-partition of elements 1..j whose part pairs r < s each
+    have a mask holding all of block r and none of block s, by trying all
+    p^j labelings. Returns the set of block-mask tuples; at j = n these are
+    the generic p-partitions, and at j < n the prefixes the element assembly
+    keeps before placing element j + 1."""
+    found = set()
+    for labels in product(range(p), repeat=j):
+        blocks = [0] * p
+        for c, r in enumerate(labels):
+            blocks[r] |= 1 << c
+        if all(any(f & blocks[r] == blocks[r] and not f & blocks[s] for f in masks)
+               for r in range(p) for s in range(r + 1, p)):
+            found.add(tuple(blocks))
+    return found
+
+
 def reference_level_assembly(masks, n, p):
     """The pure-Python level assembly over part pairs: one set of distinct
     states per level, masks filtered by the forced bits. Returns the block
@@ -559,6 +576,23 @@ class TestPPartitions:
             assume(False)
         assert blocks(enumerate_generic_p_partitions(p, p_count)) == expected
 
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        st.integers(1, 3), st.integers(1, 5), st.integers(2, 5),
+        st.randoms(use_true_random=False),
+    )
+    def test_matches_depth_first_reference_up_to_five_parts(self, d, n, p_count, rng):
+        # The depth-first reference runs out of budget on most p = 5 draws;
+        # the brute-force labelings, which it confirms, cover every draw.
+        p = perturbed([[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)])
+        masks = _two_partition_masks(p, EnumerationLimits())
+        expected = {tuple(map(_mask_block, vec)) for vec in reference_pairwise_partitions(masks, n, p_count)}
+        try:
+            assert reference_p_partitions(masks, n, p_count, max_nodes=300_000) == expected
+        except _ReferenceBudget:
+            pass
+        assert blocks(enumerate_generic_p_partitions(p, p_count)) == expected
+
     def test_five_parts_within_default_limits(self):
         a = Matrix([[3, -1, 4, 2]])
         result = enumerate_generic_p_partitions(PerturbedMatrix(lift(a)), 5)
@@ -570,7 +604,45 @@ class TestPPartitions:
         with pytest.raises(CapacityError) as caught:
             enumerate_generic_p_partitions(perturbed([[1, 2, 3, 4]]), 3, limits)
         assert caught.value.bound_name == "assembly-nodes"
-        assert "pair level 1 of 3" in str(caught.value)
+        assert "element 1 of 4" in str(caught.value)
+
+    def test_two_parts_charge_one_node_per_mask(self):
+        p = perturbed([[1, 3, 2]])
+        count = len(_two_partition_masks(p, EnumerationLimits()))
+        assert len(enumerate_generic_p_partitions(p, 2, EnumerationLimits(max_assembly_nodes=count))) == count
+        with pytest.raises(CapacityError) as caught:
+            enumerate_generic_p_partitions(p, 2, EnumerationLimits(max_assembly_nodes=count - 1))
+        assert str(caught.value) == (
+            f"capacity guard 'assembly-nodes' exceeded (limit {count - 1}, needed {count})"
+        )
+
+    def test_labels_hold_hundreds_of_parts(self):
+        # one element, two masks: it may go to any of the 300 parts
+        result = enumerate_generic_p_partitions(perturbed([[1]]), 300)
+        assert len(result) == 300
+        assert sorted(result.blocks.argmax(axis=1)[:, 0].tolist()) == list(range(300))
+
+    def test_guard_stops_part_growth_before_it_allocates(self):
+        # Element 1 is charged 1 * 1000 * 999 nodes (4 masks, one word) and
+        # runs; element 2 would examine 1000 times as many and is refused.
+        with pytest.raises(CapacityError) as caught:
+            enumerate_generic_p_partitions(perturbed([[1, 2]]), 1000)
+        assert str(caught.value) == (
+            "capacity guard 'assembly-nodes' exceeded (limit 5000000; reached element 2 of 2)"
+        )
+        # Element 1 alone is charged about 10^18 nodes: nothing of size p is built.
+        with pytest.raises(CapacityError) as caught:
+            enumerate_generic_p_partitions(perturbed([[1, 2]]), 10 ** 9)
+        assert str(caught.value).endswith("reached element 1 of 2)")
+
+    def test_seven_points_four_parts_within_default_limits(self):
+        rng = random.Random(7)
+        p = PerturbedMatrix(lift(Matrix([[rng.randint(-5, 5) for _ in range(7)]])))
+        masks = _two_partition_masks(p, EnumerationLimits())
+        result = enumerate_generic_p_partitions(p, 4, two_partition_masks=masks)
+        expected = reference_pairwise_partitions(masks, 7, 4)
+        assert len(result) == len(expected) > 5000
+        assert {tuple(map(_block_mask, pi.blocks)) for pi in result} == expected
 
     def test_negative_limits_rejected(self):
         assert EnumerationLimits(max_two_partitions=0).max_two_partitions == 0
@@ -619,36 +691,52 @@ class TestMultiWordMasks:
 
 
 class TestAssemblyNodeBoundary:
-    """One node is one (state, mask) pair; a level is charged in full before it
-    runs. The cumulative counts per level were read off the depth-first and
-    per-state guards of earlier versions, which trip at the same levels."""
+    """Before element e the assembly is charged its prefixes times p times
+    (p - 1) times the mask words. The prefixes before element e are the
+    ordered p-partitions of elements 1..e - 1 that have a witness mask for
+    every part pair, so the cumulative counts follow from the brute-force
+    prefix counts, which the test recomputes."""
 
     CASES = [
-        ([[3, -1, 4, 1, -5]], 3, [22, 506, 11154], 183),
-        ([[3, -1, 4, 2]], 4, [14, 210, 2954, 41370, 56686, 65016], 244),
+        ([[3, -1, 4, 1, -5]], 3, [6, 24, 78, 240, 690], 183),
+        ([[3, -1, 4, 2]], 4, [12, 60, 252, 1020], 244),
+        # 74 masks: two words per bitset
+        ([[3, -1, 4, 1, -5, 9, 2, -6, 5]], 3, [12, 48, 156, 480, 1380, 3576, 8364, 17544, 33852], 2265),
     ]
+    # the text of the last trip of each case, by its partition count
+    LAST = {
+        183: "capacity guard 'assembly-nodes' exceeded (limit 689; reached element 5 of 5)",
+        244: "capacity guard 'assembly-nodes' exceeded (limit 1019; reached element 4 of 4)",
+        2265: "capacity guard 'assembly-nodes' exceeded (limit 33851; reached element 9 of 9)",
+    }
+
+    @pytest.mark.parametrize("rows, p_count, cumulative, size", CASES)
+    def test_counts_follow_the_prefixes(self, rows, p_count, cumulative, size):
+        p = PerturbedMatrix(lift(Matrix(rows)))
+        masks = _two_partition_masks(p, EnumerationLimits())
+        words = -(-len(masks) // 64)
+        total, derived = 0, []
+        for j in range(p.n):
+            prefixes = len(reference_pairwise_partitions(masks, j, p_count))
+            total += prefixes * p_count * (p_count - 1) * words
+            derived.append(total)
+        assert derived == cumulative
+        assert len(reference_pairwise_partitions(masks, p.n, p_count)) == size
 
     @pytest.mark.parametrize("rows, p_count, cumulative, size", CASES)
     def test_total_passes_one_less_trips(self, rows, p_count, cumulative, size):
         p = PerturbedMatrix(lift(Matrix(rows)))
-        levels = len(cumulative)
         limits = EnumerationLimits(max_assembly_nodes=cumulative[-1])
         assert len(enumerate_generic_p_partitions(p, p_count, limits)) == size
-        for level, total in enumerate(cumulative, start=1):
+        for element, total in enumerate(cumulative, start=1):
             with pytest.raises(CapacityError) as caught:
                 limits = EnumerationLimits(max_assembly_nodes=total - 1)
                 enumerate_generic_p_partitions(p, p_count, limits)
-            r, s = list(combinations(range(1, p_count + 1), 2))[level - 1]
             assert str(caught.value) == (
                 f"capacity guard 'assembly-nodes' exceeded (limit {total - 1}; "
-                f"reached pair level {level} of {levels}, part pair ({r}, {s}))"
+                f"reached element {element} of {p.n})"
             )
-        assert str(caught.value) == {
-            3: "capacity guard 'assembly-nodes' exceeded (limit 11153; "
-               "reached pair level 3 of 3, part pair (2, 3))",
-            4: "capacity guard 'assembly-nodes' exceeded (limit 65015; "
-               "reached pair level 6 of 6, part pair (3, 4))",
-        }[p_count]
+        assert str(caught.value) == self.LAST[size]
 
 
 class TestBatchedMasks:
@@ -722,14 +810,21 @@ class TestBatchedMasks:
         ([[F(1, 2 ** 61 + 1), F(1, 2 ** 61 + 1), 0, F(-3, 2 ** 62 + 5), 1]], [object]),
         ([["1e400", "-1e400", 3, "1e400", 0], [1, 2, "-3e400", 2, "1e399"]], [object]),
         ([[2 ** 40, -2 ** 40, 3, 2 ** 40, 5], [1, 2 ** 41, 0, 2, 2 ** 40]], [object]),
-        # lifted columns 1, 2 and 3 are collinear; (N + M)^3 = 40^3
+        # lifted columns 1, 2 and 3 are collinear; 3! * 1 * 9 * 30 = 1,620
         ([[1, 2, 3, 5, 4]], [np.int64, np.int64]),
-        # d = 5: lifted columns 1, 4 and 7 are collinear. N^6 = 20^6 fits, but
-        # (N + M)^6 does not: M = 7 + 7^2 + ... + 7^5 = 19,607.
+        # In the next three, lifted columns 1, 4 and 7 are collinear and N^(d + 1)
+        # fits. d = 4, n = 9: 5! * 1 * 15 * 84 * 731 * 6,570, about 7.3e11.
+        ([[3, -1, 4, 1, -5, 9, -1, 6, 5], [2, 2, 0, 3, 1, 2, 4, 0, -3], [1, 0, -2, 0, 4, 1, -1, 5, 2]],
+         [np.int64, np.int64]),
+        # d = 5, n = 7: 6! * 1 * 12 * 53 * 344 * 2,403 * 16,814, about 6.4e15.
         ([[3, -1, 4, 4, -5, 3, 5], [2, 2, 0, 3, 1, 2, 4], [1, 0, -2, 0, 4, 1, -1], [0, 5, 1, 1, 2, 0, 2]],
+         [np.int64, np.int64]),
+        # d = 6, n = 7: 7! * 1 * 10 * 53 * 344 * 2,403 * 16,807 * 117,656, about 4.4e21.
+        ([[3, -1, 4, 1, -5, 3, -1], [2, 2, 0, 3, 1, 2, 4], [1, 0, -2, 0, 4, 1, -1],
+          [0, 5, 1, 1, 2, 0, 2], [4, -2, 3, 2, 1, 1, 0]],
          [np.int64, object]),
     ], ids=["int64", "denominators-2^61", "1e400", "beyond-int64-bound", "collinear-int64",
-            "degree-d-object"])
+            "degree-d-int64-d4", "degree-d-int64-d5", "degree-d-object"])
     def test_int64_and_object_paths_match_reference(self, column_dtypes, rows, dtypes):
         p = PerturbedMatrix(lift(Matrix(rows)))
         limits = EnumerationLimits()
