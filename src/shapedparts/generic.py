@@ -361,8 +361,11 @@ def _assemble(held: np.ndarray, p: int, limits: EnumerationLimits) -> np.ndarray
     label rows are distinct partitions, so there is nothing to deduplicate.
     Before each element the prefixes times p times (p - 1) times V, every
     (child, other part, mask word) triple the element tests, are charged to
-    limits.max_assembly_nodes, and nothing of size p is built before the
-    first charge has passed.
+    limits.max_assembly_nodes. The prefixes' bitsets are built only once
+    that charge has passed, and nothing of size p is built before the first
+    charge has. The tests run in (parts r, parts s, V, prefixes) tiles of at
+    most _CHUNK_ELEMENTS words, or of one part pair and one prefix when V is
+    larger.
     """
     count, n = held.shape
     # row 0: every mask; row c + 1: the masks that hold element c + 1
@@ -381,30 +384,70 @@ def _assemble(held: np.ndarray, p: int, limits: EnumerationLimits) -> np.ndarray
         if e == 0:
             within = apart = np.broadcast_to(table[0], (p, words, 1))  # (p, V, N)
             rank = np.arange(p)
-            upper = (rank[:, None] < rank)[..., None, None]  # [r, s]: s > r
-            itself = (rank[:, None] == rank)[..., None]
-            # prefixes tested at once: a bounded (p, p, V, step) temporary
-            step = max(1, _CHUNK_ELEMENTS // max(1, p * p * words))
+            # tile sides: prefixes, then parts r, then parts s
+            step = max(1, _CHUNK_ELEMENTS // (p * p * words))
+            rows = min(p, max(1, _CHUNK_ELEMENTS // (p * words * step)))
+            cols = min(p, max(1, _CHUNK_ELEMENTS // (rows * words * step)))
+        else:
+            # the children of the last element, now that their charge has passed
+            child = np.arange(len(state))
+            within = within[..., state]
+            within[part, :, child] &= inside[:, 0]
+            apart = apart[..., state]
+            apart[part, :, child] &= outside[:, 0]
         inside = table[e + 1]  # the masks that hold the element
         outside = ~inside
-        fits = np.empty((p, len(labels)), dtype=bool)
+        fits = np.ones((p, len(labels)), dtype=bool)
         for start in range(0, len(labels), step):
             chunk = slice(start, start + step)
             into, away = within[..., chunk], apart[..., chunk]
-            # entry [r, s]: the witnesses of pair (r, s) once the element is in r
-            witnesses = np.where(upper, (into & inside)[:, None] & away,
-                                 into & (away & outside)[:, None])
-            found = np.bitwise_or.reduce(witnesses, axis=2) != 0
-            fits[:, chunk] = (found | itself).all(axis=1)
+            for r0 in range(0, p, rows):
+                r = slice(r0, r0 + rows)
+                into_r, away_r = into[r] & inside, away[r] & outside
+                for s0 in range(0, p, cols):
+                    s = slice(s0, s0 + cols)
+                    # entry [r, s]: the witnesses of pair (r, s) once the element is in r
+                    upper = (rank[r, None] < rank[s])[..., None, None]  # s > r
+                    witnesses = np.where(upper, into_r[:, None] & away[s], into[s] & away_r[:, None])
+                    found = np.bitwise_or.reduce(witnesses, axis=2) != 0
+                    found |= (rank[r, None] == rank[s])[..., None]
+                    fits[r, chunk] &= found.all(axis=1)
         part, state = np.nonzero(fits)
-        child = np.arange(len(state))
         labels = labels[state]
         labels[:, e] = part
-        within = within[..., state]
-        within[part, :, child] &= inside[:, 0]
-        apart = apart[..., state]
-        apart[part, :, child] &= outside[:, 0]
     return labels
+
+
+# Base-3 digits per int64 sort key: 3^39 < 2^63.
+_DIGITS_PER_KEY = 39
+
+
+def _block_order(blocks: np.ndarray) -> np.ndarray:
+    """The stable permutation that sorts the (N, p, n) 0/1 block array by
+    blocks: block 1 as a sorted tuple first, then block 2, and so on.
+
+    Position c of a block reads 1 if element c + 1 is in it, 2 if not but a
+    later element is, and 0 if no element at or past it is. Comparing these
+    codes position by position compares the blocks' sorted tuples, a proper
+    prefix first. The p * n codes of a partition are packed, most significant
+    first, into base-3 int64 keys of at most _DIGITS_PER_KEY digits, which
+    compare as the codes do, and one lexsort orders the keys. Both loops run
+    over positions, each step over all partitions at once.
+    """
+    codes = blocks.copy()  # first 1 where the block has an element at or past c
+    for c in range(blocks.shape[-1] - 2, -1, -1):
+        np.maximum(codes[..., c], codes[..., c + 1], out=codes[..., c])
+    codes *= 2
+    codes -= blocks
+    codes = codes.reshape(len(blocks), -1)
+    keys = []
+    for start in range(0, codes.shape[1], _DIGITS_PER_KEY):
+        key = np.zeros(len(codes), dtype=np.int64)
+        for digit in codes[:, start:start + _DIGITS_PER_KEY].T:
+            key *= 3
+            key += digit
+        keys.append(key)
+    return np.lexsort(keys[::-1])
 
 
 def enumerate_generic_p_partitions(
@@ -438,11 +481,5 @@ def enumerate_generic_p_partitions(
         labels = _assemble(held, p, limits)
     blocks = (labels[:, None, :] == np.arange(p, dtype=labels.dtype)[:, None]).view(np.uint8)
     if len(blocks) > 1:
-        # Position c of a block reads 1 if element c + 1 is in it, 2 if not but
-        # a later element is, and 0 if no element at or past it is. Comparing
-        # these codes position by position compares the blocks' sorted tuples,
-        # a proper prefix first, so one lexsort puts the partitions in block order.
-        at_or_past = np.maximum.accumulate(blocks[..., ::-1], axis=-1)[..., ::-1]
-        codes = (2 * at_or_past - blocks).reshape(len(blocks), p * n)
-        blocks = blocks[np.lexsort(codes.T[::-1])]
+        blocks = blocks[_block_order(blocks)]
     return GenericPartitionSet(blocks, d, n, p)

@@ -19,19 +19,24 @@ bounds allow, Python integers otherwise). When neither proposal holds, the
 integer simplex runs on all generators. Floats therefore only influence
 speed, never verdicts.
 
-Vertex filtering starts from a float proposal too: the points that maximize
-one of a fixed set of directions (a seeded random set and the coordinate axes
-both ways). Every other point is tested against the proposed set in one
-batched float pass and discarded only with an exactly verified support. A
-survivor is certified a vertex when the rounded direction that proposed it,
-or the Farkas functional that kept it, strictly separates it from the other
-survivors on integers. The membership test decides the rest, and a survivor
-it finds inside leaves at once, so the later tests run on fewer generators.
+A set of affine dimension at most 2 needs neither floats nor a simplex: on
+its kept integer coordinates, comparisons decide dimension 0 and 1, and
+Andrew's monotone chain, with integer orientation tests, decides dimension 2.
+
+From dimension 3 on, vertex filtering starts from a float proposal too: the
+points that maximize one of a fixed set of directions (a seeded random set
+and the coordinate axes both ways). Every other point is tested against the
+proposed set in one batched float pass and discarded only with an exactly
+verified support. A survivor is certified a vertex when the rounded direction
+that proposed it, or the Farkas functional that kept it, strictly separates
+it from the other survivors on integers. The membership test decides the
+rest, and a survivor it finds inside leaves at once, so the later tests run
+on fewer generators.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -183,18 +188,29 @@ class _HullContext:
     float_rows: the same coordinates divided by the scale, as floats, from
         which the float simplex proposes supports and separating functionals
         and the direction scan proposes vertices.
+
+    float_rows and the integer matrix that separations are verified on are
+    built on first use: a point set of affine dimension at most 2 is decided
+    on int_rows alone (`_low_dimensional_vertices`) and never builds them.
     """
 
     def __init__(self, rows: Sequence[Sequence[int]], scale: int):
         lifted = [[scale, *row] for row in rows]
-        max_scaled = max((abs(v) for row in lifted for v in row), default=0)
-        exact = integer_array(lifted, max_scaled ** 2 * len(lifted))
-        pivots, _ = fraction_free_elimination((exact.T @ exact).tolist())
-        self.int_rows = [tuple(row[j] for j in pivots) for row in lifted]
-        self.float_rows = np.array(
-            [[1.0] + [_safe_ratio(x, scale) for x in row] for row in rows])[:, pivots]
-        self._int_matrix = integer_array(self.int_rows,
-                                         max_scaled * _FUNCTIONAL_SCALE * len(pivots))
+        self._max_scaled = max((abs(v) for row in lifted for v in row), default=0)
+        exact = integer_array(lifted, self._max_scaled ** 2 * len(lifted))
+        self._pivots, _ = fraction_free_elimination((exact.T @ exact).tolist())
+        self.int_rows = [tuple(row[j] for j in self._pivots) for row in lifted]
+        self._rows, self._scale = rows, scale
+
+    @cached_property
+    def float_rows(self) -> np.ndarray:
+        return np.array([[1.0] + [_safe_ratio(x, self._scale) for x in row]
+                         for row in self._rows])[:, self._pivots]
+
+    @cached_property
+    def _int_matrix(self) -> np.ndarray:
+        return integer_array(self.int_rows,
+                             self._max_scaled * _FUNCTIONAL_SCALE * len(self._pivots))
 
     def _verify_separation(self, targets: Sequence[int], generator_indices: Sequence[int],
                            functionals: np.ndarray) -> np.ndarray:
@@ -300,28 +316,53 @@ def _propose_vertices(coords: np.ndarray) -> tuple[list[int], np.ndarray]:
     return picks, directions[[first[i] for i in picks]]
 
 
-def extreme_point_indices(rows: Sequence[Sequence[int]], scale: int) -> list[int]:
-    """Indices of the points that are vertices of the convex hull of all points,
-    where point i is rows[i] / scale (integer rows, a positive integer scale).
+def _cross(o: Sequence[int], a: Sequence[int], b: Sequence[int]) -> int:
+    """Twice the signed area of the triangle o, a, b: positive for a left turn."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    The points that maximize a fixed direction are proposed as vertices. Every
-    other point is tested against the proposed set in one batched float pass;
-    it is discarded only with an exactly verified convex-combination
-    certificate, and otherwise joins the survivors, which therefore hold every
-    vertex. A final exact purge pass keeps a survivor iff it is outside the
-    hull of the other survivors. It keeps one at once when a rounded float
-    functional strictly separates it from them on integers: for a proposed
-    point the direction that proposed it, for another survivor the Farkas
-    functional that kept it. The membership test decides the rest. The output
-    is exact and independent of the proposal.
+
+def _low_dimensional_vertices(coords: Sequence[tuple[int, ...]]) -> list[int]:
+    """Sorted vertex indices of points given by at most 2 integer coordinates
+    that are affinely independent on the set (its affine dimension is the
+    coordinate count).
+
+    Of a set of equal points only the first index takes part, and the
+    distinct points are sorted by their coordinates. At dimension 0 and 1
+    the vertices are the first and the last of them. At dimension 2 they
+    come from Andrew's monotone chain ("Another efficient algorithm for
+    convex hulls in two dimensions", 1979), which keeps strict turns only,
+    so a point inside an edge is not a vertex.
     """
-    if not rows:
-        return []
-    context = _HullContext(rows, scale)
+    first: dict[tuple[int, ...], int] = {}
+    for i, point in enumerate(coords):
+        first.setdefault(point, i)
+    ordered = sorted(first.values(), key=coords.__getitem__)
+    if len(coords[0]) < 2:
+        return sorted({ordered[0], ordered[-1]})
+    vertices = []
+    for sweep in (ordered, ordered[::-1]):  # the lower chain, then the upper one
+        chain: list[int] = []
+        for i in sweep:
+            while len(chain) >= 2 and _cross(coords[chain[-2]], coords[chain[-1]], coords[i]) <= 0:
+                chain.pop()
+            chain.append(i)
+        vertices += chain[:-1]  # each chain's last point starts the other
+    return sorted(vertices)
+
+
+def _filter_vertices(context: _HullContext) -> list[int]:
+    """Sorted vertex indices of the context's points, by the float proposal,
+    the batched certify pass and the exact purge (see extreme_point_indices).
+    Only the first of a set of equal points takes part."""
+    first: dict[tuple[int, ...], int] = {}
+    for i, row in enumerate(context.int_rows):
+        first.setdefault(row, i)
+    distinct = list(first.values())
     with np.errstate(all="ignore"):
-        proposed, directions = _propose_vertices(context.float_rows[:, 1:])
+        picks, directions = _propose_vertices(context.float_rows[distinct, 1:])
+    proposed = [distinct[j] for j in picks]
     chosen = set(proposed)
-    rest = [i for i in range(len(rows)) if i not in chosen]
+    rest = [i for i in distinct if i not in chosen]
     inside, farkas = context.certify(rest, proposed)
     survivors = proposed + [i for i, sure in zip(rest, inside) if not sure]
     functionals = np.vstack([
@@ -336,3 +377,34 @@ def extreme_point_indices(rows: Sequence[Sequence[int]], scale: int) -> list[int
         if not sure and context.membership(v, [w for w in remaining if w != v]):
             remaining.remove(v)
     return sorted(remaining)
+
+
+def extreme_point_indices(rows: Sequence[Sequence[int]], scale: int) -> list[int]:
+    """Indices of the points that are vertices of the convex hull of all points,
+    where point i is rows[i] / scale (integer rows, a positive integer scale).
+
+    The exact basis of the lifted coordinates gives the affine dimension of
+    the set. Up to dimension 2 the kept integer coordinates decide alone, by
+    integer comparisons and orientation tests (`_low_dimensional_vertices`):
+    the projection onto them is injective on the affine hull, so the vertex
+    set is the same.
+
+    From dimension 3 on, the points that maximize a fixed direction are
+    proposed as vertices. Every other point is tested against the proposed
+    set in one batched float pass; it is discarded only with an exactly
+    verified convex-combination certificate, and otherwise joins the
+    survivors, which therefore hold every vertex. A final exact purge pass
+    keeps a survivor iff it is outside the hull of the other survivors. It
+    keeps one at once when a rounded float functional strictly separates it
+    from them on integers: for a proposed point the direction that proposed
+    it, for another survivor the Farkas functional that kept it. The
+    membership test decides the rest. The output is exact and independent of
+    the proposal, and of a set of equal points only the first can be a
+    vertex.
+    """
+    if not rows:
+        return []
+    context = _HullContext(rows, scale)
+    if len(context.int_rows[0]) <= 3:
+        return _low_dimensional_vertices([row[1:] for row in context.int_rows])
+    return _filter_vertices(context)

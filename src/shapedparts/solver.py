@@ -48,8 +48,9 @@ def solve(
 
     The objective is evaluated once per admissible generic partition, in
     canonical order, through one `evaluate_keys` call; `evaluations` counts
-    those partitions. More than limits.max_candidates distinct part-sum
-    matrices raise CapacityError.
+    those partitions. The objective is a function of the part-sum matrix, so
+    the winner is picked among the first partition of each matrix. More than
+    limits.max_candidates distinct part-sum matrices raise CapacityError.
     """
     check_family(a, p, family)
     objective.check_compatible(a, p)
@@ -59,7 +60,13 @@ def solve(
         raise DimensionError("shape family admits no partition")
     keys = admissible.keys
     values = objective.evaluate_keys([keys[g] for g in admissible.group], admissible.sums.scale, p)
-    best_at = max(range(len(values)), key=values.__getitem__)  # the first maximizer
+    # Partitions with one part-sum matrix share its value, so only the first
+    # of each is compared. The firsts are inserted in canonical order, and
+    # max keeps the first maximizer.
+    first_at: dict[int, int] = {}
+    for i, g in enumerate(admissible.group):
+        first_at.setdefault(g, i)
+    best_at = max(first_at.values(), key=values.__getitem__)
     return SolveReport(
         best_partition=generic.select(admissible.rows[[best_at]])[0],
         best_matrix=admissible.matrix(admissible.group[best_at]),

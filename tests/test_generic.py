@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
 from functools import cache, partial
 from itertools import combinations, permutations, product
@@ -739,6 +740,34 @@ class TestAssemblyNodeBoundary:
         assert str(caught.value) == self.LAST[size]
 
 
+class TestAssemblyTiles:
+    """The assembly tests run in bounded (parts, parts, words, prefixes) tiles."""
+
+    @pytest.mark.parametrize("chunk_elements", [1, 3, 16, 100])
+    @pytest.mark.parametrize("rows, p_count", [
+        ([[3, -1, 4, 2]], 4),
+        ([[3, -1, 4, 1, -5, 9, 2, -6, 5]], 3),  # two words per bitset
+    ])
+    def test_tile_size_changes_nothing(self, monkeypatch, rows, p_count, chunk_elements):
+        p = PerturbedMatrix(lift(Matrix(rows)))
+        expected = enumerate_generic_p_partitions(p, p_count).blocks
+        monkeypatch.setattr(generic, "_CHUNK_ELEMENTS", chunk_elements)
+        np.testing.assert_array_equal(enumerate_generic_p_partitions(p, p_count).blocks, expected)
+
+    def test_many_parts_stay_small(self):
+        # Element 1 at p = 2000 passes the default guard (3,998,000 nodes)
+        # and element 2 trips it; one (p, p) temporary would be 32 MB.
+        p = PerturbedMatrix(lift(Matrix([[1, 2]])))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="reached element 2 of 2"):
+                enumerate_generic_p_partitions(p, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
+
 class TestBatchedMasks:
     """The batched mask stage against the per-subset reference loop."""
 
@@ -882,6 +911,25 @@ class TestMaskGuardParity:
                 outcome = str(caught)
             assert outcome == expected, limit
         assert outcome == full
+
+
+class TestBlockOrder:
+    """The packed base-3 sort keys against the lexsort over one code column
+    per position, and against sorting the blocks as tuples."""
+
+    @pytest.mark.parametrize("n, p", [(9, 3), (13, 3), (10, 4), (14, 3), (20, 4)])
+    def test_packed_keys_match_the_code_lexsort(self, n, p):
+        # p * n = 27, 39, 40, 42 and 80: one key, one full key, then 2, 2 and 3 keys
+        rng = np.random.default_rng(n * p)
+        labels = rng.integers(0, p, size=(400, n))
+        labels = np.vstack([labels, labels[:40]])  # repeated rows keep their order
+        blocks = (labels[:, None, :] == np.arange(p)[:, None]).view(np.uint8)
+        at_or_past = np.maximum.accumulate(blocks[..., ::-1], axis=-1)[..., ::-1]
+        codes = (2 * at_or_past - blocks).reshape(len(blocks), p * n)
+        order = generic._block_order(blocks)
+        np.testing.assert_array_equal(order, np.lexsort(codes.T[::-1]))
+        as_tuples = [tuple(tuple(np.flatnonzero(block) + 1) for block in pi) for pi in blocks]
+        assert order.tolist() == sorted(range(len(blocks)), key=as_tuples.__getitem__)
 
 
 class TestDeterminism:

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -15,7 +15,13 @@ from conftest import (
     solve_consistent,
 )
 from shapedparts import hull
-from shapedparts.hull import _HullContext, _directions, _integer_phase_one, extreme_point_indices
+from shapedparts.hull import (
+    _directions,
+    _filter_vertices,
+    _HullContext,
+    _integer_phase_one,
+    extreme_point_indices,
+)
 from shapedparts.linalg import Matrix, integer_rows
 
 
@@ -72,6 +78,66 @@ def membership_problems(draw):
             else:
                 points.append(tuple(draw(st.lists(scalars, min_size=dim, max_size=dim))))
     return points[0], points[1:]
+
+
+@st.composite
+def low_dimensional_sets(draw):
+    """Point sets of affine dimension at most 2 in 2 to 4 coordinates: grid
+    points of a plane, a line or a single point through an offset, so that
+    edges hold collinear points, plus exact copies. Offsets and directions
+    mix small integers, denominators in [2^61, 2^62] and entries of scale
+    10**400 / 3."""
+    flat_dim = draw(st.integers(0, 2))
+    dim = draw(st.integers(2, 4))
+    scalars = st.one_of(
+        st.integers(-3, 3).map(F),
+        st.builds(F, st.integers(-2 ** 64, 2 ** 64), st.integers(2 ** 61, 2 ** 62)),
+        st.integers(-3, 3).map(lambda c: F(10 ** 400, 3) + c),
+    )
+    offset = draw(st.lists(scalars, min_size=dim, max_size=dim))
+    basis = draw(st.lists(st.lists(scalars, min_size=dim, max_size=dim),
+                          min_size=flat_dim, max_size=flat_dim))
+    points = []
+    for _ in range(draw(st.integers(1, 10))):
+        if points and draw(st.integers(0, 3)) == 0:
+            points.append(draw(st.sampled_from(points)))
+            continue
+        coords = draw(st.lists(st.integers(-2, 2), min_size=flat_dim, max_size=flat_dim))
+        points.append(tuple(o + sum(c * b[j] for c, b in zip(coords, basis))
+                            for j, o in enumerate(offset)))
+    return points
+
+
+class TestLowDimensional:
+    """Affine dimension 0 to 2, decided without floats or a simplex."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(low_dimensional_sets())
+    @example([(F(0), F(0)), (F(1), F(1)), (F(0), F(0)), (F(2), F(2)), (F(2), F(2))])
+    def test_matches_general_path_and_membership_filter(self, points):
+        rows, scale = integer_rows(points)
+        context = _HullContext(rows, scale)
+        assert len(context.int_rows[0]) <= 3
+        # Of a set of equal points only the first can be a vertex.
+        firsts = [i for i, point in enumerate(points) if point not in points[:i]]
+        expected = [
+            i for i in firsts
+            if not reference_membership(points[i], [points[j] for j in firsts if j != i])
+        ]
+        assert extreme_point_indices(rows, scale) == expected
+        assert _filter_vertices(context) == expected
+
+    def test_duplicates_keep_the_first_copy(self):
+        points = [(F(0), F(0)), (F(1), F(1)), (F(0), F(0)), (F(2), F(2)), (F(2), F(2))]
+        assert extreme_point_indices(*integer_rows(points)) == [0, 3]
+
+    def test_planar_sets_build_no_float_view(self, monkeypatch):
+        def fail(self):
+            raise AssertionError("float view built for a planar set")
+
+        monkeypatch.setattr(_HullContext, "float_rows", property(fail))
+        points = [(F(0), F(0), F(1)), (F(2), F(0), F(1)), (F(1), F(1), F(1)), (F(0), F(2), F(1))]
+        assert extreme_point_indices(*integer_rows(points)) == [0, 1, 3]
 
 
 class TestIntegerKernel:
@@ -267,26 +333,29 @@ class TestExtremePoints:
         assert arrays[0].shape == (8, 3) and arrays[0].dtype == dtype
 
     def test_more_vertices_than_proposal_directions(self):
-        # 300 points of the parabola (t, t^2), mapped affinely into three
-        # coordinates: the affine hull is a plane, so the proposal has the
-        # directions of R^2, fewer than the vertices, and misses some of them.
+        # 280 points of a prism over the parabola (t, t^2), mapped affinely
+        # into four coordinates: the affine hull is 3-dimensional, so the
+        # general path runs, and the proposal has the directions of R^3,
+        # fewer than the vertices, so it misses some of them.
         points = [
-            (F(t, 2) + 1, F(t * t) - 3 * t, 2 * t + F(t * t, 3)) for t in range(-150, 150)
+            (F(t, 2) + 1 + s, F(t * t) - 3 * t, 7 * s - t, 2 * t + F(t * t, 3))
+            for t in range(-70, 70) for s in (0, 1)
         ]
-        assert len(_HullContext(*integer_rows(points)).int_rows[0]) == 3
-        assert len(_directions(2)) < len(points)
-        # The points are in convex position; the reference confirms a sample
-        # (it takes about a second per point in the middle).
-        for i in (0, 1, 37, 150, 299):
+        assert len(_HullContext(*integer_rows(points)).int_rows[0]) == 4
+        assert len(_directions(3)) < len(points)
+        # The points are in convex position; the reference confirms a sample.
+        for i in (0, 1, 37, 140, 279):
             assert not reference_membership(points[i], points[:i] + points[i + 1:])
         assert extreme_point_indices(*integer_rows(points)) == list(range(len(points)))
 
     def test_tied_directions_fall_back_to_membership(self, monkeypatch):
         # Past float range every point has the same float image, so every
-        # direction ties and only point 0, the centre of the square, is
+        # direction ties and only point 0, the centre of the cube, is
         # proposed. No functional separates it: the membership test decides.
         big = F(10 ** 400, 3)
-        points = [(big + x, big + y) for x, y in ((1, 1), (0, 0), (2, 0), (0, 2), (2, 2), (1, 0))]
+        offsets = [(1, 1, 1), (0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2),
+                   (2, 2, 0), (2, 0, 2), (0, 2, 2), (2, 2, 2), (1, 0, 0)]
+        points = [tuple(big + x for x in offset) for offset in offsets]
         proposals, decided = [], []
         propose, membership = hull._propose_vertices, _HullContext.membership
 
@@ -300,7 +369,7 @@ class TestExtremePoints:
 
         monkeypatch.setattr(hull, "_propose_vertices", spy_propose)
         monkeypatch.setattr(_HullContext, "membership", spy_membership)
-        assert extreme_point_indices(*integer_rows(points)) == [1, 2, 3, 4]
+        assert extreme_point_indices(*integer_rows(points)) == list(range(1, 9))
         assert proposals[0][0] == [0]
         assert 0 in decided
 

@@ -300,6 +300,20 @@ class TestBatchEvaluation:
             assert report.best_partition == first
             assert report.best_matrix == partition_matrix(a, first)
 
+    @pytest.mark.parametrize("objective", [ColumnPowerObjective(2), ConstantObjective()])
+    def test_repeated_keys_and_tied_values_go_to_the_first_maximizer(self, objective):
+        # Repeated columns give several partitions per part-sum matrix, and
+        # swapping the parts gives distinct matrices of the same value.
+        a = Matrix([[1, 1, 2, 2, 0], [0, 0, 1, 1, 3]])
+        family = ShapeFamily.all_shapes(a.ncols, 3)
+        admissible = admissible_scan(a, 3, family)
+        matrices = [partition_matrix(a, pi) for pi in admissible]
+        values = [objective.evaluate(m) for m in matrices]
+        best = max(values)
+        assert len(set(matrices)) < len(matrices)
+        assert len({m for m, v in zip(matrices, values) if v == best}) > 1
+        assert solve(a, 3, family, objective) == reference_solve(a, 3, family, objective)
+
     @pytest.mark.parametrize("a, p, objective", [
         (Matrix([[0, 1], [1, 0]]), 2, MaxCutObjective([(1, 2)])),
         (Matrix([[1, 2, 3]]), 2, DiagonalPowerObjective(2)),
