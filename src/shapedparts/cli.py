@@ -190,16 +190,14 @@ def _check_one(problem: Problem, args) -> dict:
     report = enumerate_vertices(problem.matrix, problem.p, problem.family, limits)
     reference = brute_vertices(problem.matrix, problem.p, problem.family, force=args.force)
 
-    fast_keys = [m.flatten() for m in report.vertices]
-    brute_keys = [m.flatten() for m in reference]
     scale = report.candidates.admissible.sums.scale
     candidate_keys = set(report.candidates.admissible.keys)
     # both sides share the PartSums scale, so every denominator divides it
     superset_ok = all(
-        tuple(x.numerator * (scale // x.denominator) for x in key) in candidate_keys
-        for key in brute_keys
+        tuple(x.numerator * (scale // x.denominator) for x in m.flatten()) in candidate_keys
+        for m in reference
     )
-    vertices_ok = fast_keys == brute_keys
+    vertices_ok = list(report.vertices) == reference
 
     result = {
         "k": problem.k,
@@ -211,13 +209,12 @@ def _check_one(problem: Problem, args) -> dict:
         "candidates_cover_brute": superset_ok,
     }
     if not vertices_ok:
-        brute_set = set(brute_keys)
-        fast_set = set(fast_keys)
+        brute_set, fast_set = set(reference), set(report.vertices)
         result["missing_from_fast"] = [
-            matrix_payload(m) for m in reference if m.flatten() not in fast_set
+            matrix_payload(m) for m in reference if m not in fast_set
         ]
         result["extra_in_fast"] = [
-            matrix_payload(m) for m in report.vertices if m.flatten() not in brute_set
+            matrix_payload(m) for m in report.vertices if m not in brute_set
         ]
     if problem.objective is not None:
         try:

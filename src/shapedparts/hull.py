@@ -10,28 +10,27 @@ lifted columns is kept (affine-hull coordinates): the projection is injective
 on the span of the lifted points, so it changes no verdict, and every simplex
 and proposal runs without the redundant coordinates.
 
-Floats only propose. One float phase-one simplex, batched over a stack of
-right-hand sides against one generator matrix (``_float_phase_one``),
-proposes per target either the support of a convex combination, on whose
-columns alone the integer simplex then runs, or a Farkas functional, whose
-strict separation is checked with one integer matmul (int64 when magnitude
-bounds allow, Python integers otherwise). When neither proposal holds, the
-integer simplex runs on all generators. Floats therefore only influence
-speed, never verdicts.
+Floats only propose. ``_HullContext.inside`` tests many targets against one
+set of generators at once, each target against the generators other than
+itself. One float phase-one simplex, batched over the targets
+(``_float_phase_one``), proposes per target either the support of a convex
+combination, on whose columns alone the integer simplex then runs, or a
+Farkas functional, whose strict separation is checked for all targets with
+one integer matmul (int64 when magnitude bounds allow, Python integers
+otherwise). The integer simplex on all generators decides the rest, so
+floats only influence speed, never verdicts.
 
 A set of affine dimension at most 2 needs neither floats nor a simplex: on
 its kept integer coordinates, comparisons decide dimension 0 and 1, and
 Andrew's monotone chain, with integer orientation tests, decides dimension 2.
 
-From dimension 3 on, vertex filtering starts from a float proposal too: the
-points that maximize one of a fixed set of directions (a seeded random set
-and the coordinate axes both ways). Every other point is tested against the
-proposed set in one batched float pass and discarded only with an exactly
-verified support. A survivor is certified a vertex when the rounded direction
-that proposed it, or the Farkas functional that kept it, strictly separates
-it from the other survivors on integers. The membership test decides the
-rest, and a survivor it finds inside leaves at once, so the later tests run
-on fewer generators.
+From dimension 3 on, the vertices are the points outside the hull of the
+others, one membership test per point, run in batches (Dulá and Helgason,
+EJOR 1996). A float scan proposes the points that maximize one of a fixed
+set of directions (a seeded random set and the coordinate axes both ways);
+every other point is tested against the proposed ones, and the proposed
+points, with the points found outside them, are then tested against each
+other.
 """
 
 from __future__ import annotations
@@ -111,9 +110,10 @@ def _integer_phase_one(rhs: Sequence[int], columns: Sequence[Sequence[int]]) -> 
         basis[leave] = enter
 
 
-def _float_phase_one(acols: np.ndarray, rhs: np.ndarray) -> list:
+def _float_phase_one(acols: np.ndarray, rhs: np.ndarray, excluded: np.ndarray) -> list:
     """Batched float phase-one simplex: for each row b of rhs, is A x = b,
-    x >= 0 feasible, with A = acols?
+    x >= 0 feasible, with A = acols, without the column excluded names for
+    that row (an index into acols' columns, or -1 for none)?
 
     Returns one outcome per row: ("feasible", support) with the sorted column
     indices of a basic solution's positive entries, ("infeasible", y) with a
@@ -123,6 +123,10 @@ def _float_phase_one(acols: np.ndarray, rhs: np.ndarray) -> list:
     (entering by the most negative reduced cost, leaving by the first smallest
     ratio). Rows that finish drop out, and the rows run in chunks of at most
     _CHUNK_ELEMENTS tableau entries.
+
+    An excluded column is zero in its row's tableau, so it never enters, and
+    the outcome is the one without the column; supports keep the column
+    numbering of acols.
     """
     m, ng = acols.shape
     width = ng + m + 1
@@ -137,6 +141,9 @@ def _float_phase_one(acols: np.ndarray, rhs: np.ndarray) -> list:
         tableau[:, :m, :ng] = flip[:, :, None] * acols
         tableau[:, :m, ng:ng + m] = np.eye(m)
         tableau[:, :m, -1] = flip * chunk
+        skip = excluded[start:start + step]
+        hit = np.flatnonzero(skip >= 0)
+        tableau[hit, :m, skip[hit]] = 0.0
         tableau[:, m] = -tableau[:, :m].sum(axis=1)
         tableau[:, m, ng:ng + m] = 0.0
         basis = np.tile(np.arange(ng, ng + m), (len(chunk), 1))
@@ -198,7 +205,7 @@ class _HullContext:
         lifted = [[scale, *row] for row in rows]
         self._max_scaled = max((abs(v) for row in lifted for v in row), default=0)
         exact = integer_array(lifted, self._max_scaled ** 2 * len(lifted))
-        self._pivots, _ = fraction_free_elimination((exact.T @ exact).tolist())
+        self._pivots = fraction_free_elimination((exact.T @ exact).tolist())
         self.int_rows = [tuple(row[j] for j in self._pivots) for row in lifted]
         self._rows, self._scale = rows, scale
 
@@ -235,47 +242,54 @@ class _HullContext:
             self.int_rows[target], [self.int_rows[g] for g in generator_indices]
         )
 
-    def certify(self, targets: Sequence[int],
-                generator_indices: Sequence[int]) -> tuple[list[bool], np.ndarray]:
-        """Float proposals for each target against the same generators.
+    def inside(self, targets: Sequence[int], generator_indices: Sequence[int]) -> list[bool]:
+        """Exact verdict per target: is it in the hull of the indexed
+        generators other than itself?
 
-        Returns, per target, whether it is exactly certified to lie in their
-        hull (a float support checked by the integer simplex), and a rounded
-        integer functional: the float Farkas functional when the float simplex
-        found one, zero otherwise. Neither is a verdict on its own: False
-        means only that no certificate was found, and a functional separates
-        only once _verify_separation says so.
+        One batched float simplex proposes per target a support, which the
+        integer simplex decides on its columns alone, or a Farkas functional,
+        which _verify_separation checks for all targets at once. The integer
+        simplex on the generators decides the rest. Where targets are
+        generators too, their points must be distinct: a target found inside
+        is then no vertex, so it leaves the generators of these last
+        decisions without changing the hull or any verdict.
         """
-        gen_idx = list(generator_indices)
-        inside = [False] * len(targets)
+        targets, generators = list(targets), list(generator_indices)
+        verdicts = [False] * len(targets)
+        if not targets or not generators:
+            return verdicts
+        column = {g: j for j, g in enumerate(generators)}
+        excluded = np.array([column.get(t, -1) for t in targets])
         farkas = np.zeros((len(targets), self.float_rows.shape[1]))
-        if not gen_idx:
-            return inside, farkas
-        # Overflow and NaN in the float proposal only spoil a certificate,
-        # which then fails verification; numpy need not warn about them.
+        # Overflow and NaN in the float proposal only spoil a proposal, which
+        # then fails its exact check; numpy need not warn about them.
         with np.errstate(all="ignore"):
-            outcomes = _float_phase_one(self.float_rows[gen_idx].T, self.float_rows[list(targets)])
-        for j, (target, outcome) in enumerate(zip(targets, outcomes)):
+            outcomes = _float_phase_one(self.float_rows[generators].T,
+                                        self.float_rows[targets], excluded)
+        for j, outcome in enumerate(outcomes):
             if outcome is None:
                 continue
             status, payload = outcome
             if status == "feasible":
-                inside[j] = self._decide(target, [gen_idx[i] for i in payload])
+                verdicts[j] = self._decide(targets[j], [generators[i] for i in payload])
             else:
                 farkas[j] = payload
-        return inside, _round_functionals(farkas)
-
-    def membership(self, target: int, generator_indices: Sequence[int]) -> bool:
-        """Exact verdict: is point[target] in the hull of the indexed generators?"""
-        if not generator_indices:
-            return False
-        gen_idx = list(generator_indices)
-        inside, functional = self.certify([target], gen_idx)
-        if inside[0]:
-            return True
-        if self._verify_separation([target], gen_idx, functional)[0]:
-            return False
-        return self._decide(target, gen_idx)
+        # Every lifted point has the same leading coordinate, so it adds the
+        # same score to all of them: left out, it takes no precision from the
+        # rounding of the other entries.
+        farkas[:, 0] = 0.0
+        undecided = [j for j, sure in enumerate(verdicts) if not sure]
+        separated = self._verify_separation([targets[j] for j in undecided], generators,
+                                            _round_functionals(farkas[undecided]))
+        found = {t for t, sure in zip(targets, verdicts) if sure}
+        remaining = [g for g in generators if g not in found]
+        for j, sure in zip(undecided, separated.tolist()):
+            if not sure:
+                target = targets[j]
+                verdicts[j] = self._decide(target, [g for g in remaining if g != target])
+                if verdicts[j]:
+                    remaining = [g for g in remaining if g != target]
+        return verdicts
 
 
 def _round_functionals(vectors: np.ndarray) -> np.ndarray:
@@ -292,28 +306,24 @@ def _round_functionals(vectors: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _directions(dim: int) -> np.ndarray:
     """The fixed proposal directions in R^dim: 64 * dim + 64 seeded Gaussian
-    directions, then the coordinate axes both ways. The axes come last so that
-    the first direction a point maximizes is rarely one that ties on lattice
-    points; the set of maximizers does not depend on the order."""
+    directions, then the coordinate axes both ways. Only the set of points
+    that maximize one of them is used, so their order does not matter."""
     axes = np.eye(dim)
     rng = np.random.default_rng(_DIRECTION_SEED)
     return np.vstack([rng.standard_normal((64 * dim + 64, dim)), axes, -axes])
 
 
-def _propose_vertices(coords: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """Float guess at the hull vertices: each point that maximizes one of the
-    fixed directions, in index order, with the first direction it maximizes
-    (one row per pick). Correctness never depends on it."""
+def _propose_vertices(coords: np.ndarray) -> list[int]:
+    """Float guess at the hull vertices: the sorted indices of the points
+    that maximize one of the fixed directions. Correctness never depends
+    on it."""
     directions = _directions(coords.shape[1])
-    first: dict[int, int] = {}
+    picks: set[int] = set()
     if len(coords):
         # 64 directions at a time, so the score array stays small for big sets.
         for start in range(0, len(directions), 64):
-            winners = np.argmax(coords @ directions[start:start + 64].T, axis=0)
-            for offset, pick in enumerate(winners.tolist()):
-                first.setdefault(pick, start + offset)
-    picks = sorted(first)
-    return picks, directions[[first[i] for i in picks]]
+            picks.update(np.argmax(coords @ directions[start:start + 64].T, axis=0).tolist())
+    return sorted(picks)
 
 
 def _cross(o: Sequence[int], a: Sequence[int], b: Sequence[int]) -> int:
@@ -321,23 +331,20 @@ def _cross(o: Sequence[int], a: Sequence[int], b: Sequence[int]) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _low_dimensional_vertices(coords: Sequence[tuple[int, ...]]) -> list[int]:
-    """Sorted vertex indices of points given by at most 2 integer coordinates
-    that are affinely independent on the set (its affine dimension is the
-    coordinate count).
+def _low_dimensional_vertices(coords: Sequence[tuple[int, ...]],
+                              indices: Sequence[int]) -> list[int]:
+    """Sorted vertex indices among the indexed points, which are distinct and
+    given by at most 2 integer coordinates that are affinely independent on
+    the set (its affine dimension is the coordinate count).
 
-    Of a set of equal points only the first index takes part, and the
-    distinct points are sorted by their coordinates. At dimension 0 and 1
-    the vertices are the first and the last of them. At dimension 2 they
-    come from Andrew's monotone chain ("Another efficient algorithm for
-    convex hulls in two dimensions", 1979), which keeps strict turns only,
-    so a point inside an edge is not a vertex.
+    The points are sorted by their coordinates. At dimension 0 and 1 the
+    vertices are the first and the last of them. At dimension 2 they come
+    from Andrew's monotone chain ("Another efficient algorithm for convex
+    hulls in two dimensions", 1979), which keeps strict turns only, so a
+    point inside an edge is not a vertex.
     """
-    first: dict[tuple[int, ...], int] = {}
-    for i, point in enumerate(coords):
-        first.setdefault(point, i)
-    ordered = sorted(first.values(), key=coords.__getitem__)
-    if len(coords[0]) < 2:
+    ordered = sorted(indices, key=coords.__getitem__)
+    if len(coords[ordered[0]]) < 2:
         return sorted({ordered[0], ordered[-1]})
     vertices = []
     for sweep in (ordered, ordered[::-1]):  # the lower chain, then the upper one
@@ -350,38 +357,25 @@ def _low_dimensional_vertices(coords: Sequence[tuple[int, ...]]) -> list[int]:
     return sorted(vertices)
 
 
-def _filter_vertices(context: _HullContext) -> list[int]:
-    """Sorted vertex indices of the context's points, by the float proposal,
-    the batched certify pass and the exact purge (see extreme_point_indices).
-    Only the first of a set of equal points takes part."""
-    first: dict[tuple[int, ...], int] = {}
-    for i, row in enumerate(context.int_rows):
-        first.setdefault(row, i)
-    distinct = list(first.values())
+def _filter_vertices(context: _HullContext, indices: Sequence[int]) -> list[int]:
+    """Sorted vertex indices among the indexed points, which are distinct:
+    the float proposal, then two batched membership tests (see
+    extreme_point_indices)."""
     with np.errstate(all="ignore"):
-        picks, directions = _propose_vertices(context.float_rows[distinct, 1:])
-    proposed = [distinct[j] for j in picks]
+        picks = _propose_vertices(context.float_rows[indices, 1:])
+    proposed = [indices[j] for j in picks]
     chosen = set(proposed)
-    rest = [i for i in distinct if i not in chosen]
-    inside, farkas = context.certify(rest, proposed)
-    survivors = proposed + [i for i, sure in zip(rest, inside) if not sure]
-    functionals = np.vstack([
-        _round_functionals(np.hstack([np.zeros((len(proposed), 1)), directions])),
-        farkas[[j for j, sure in enumerate(inside) if not sure]],
-    ])
-    certified = context._verify_separation(survivors, survivors, functionals)
-    # A survivor inside the hull of the others leaves at once: the hull stays
-    # the same, so every later test still sees all the vertices.
-    remaining = list(survivors)
-    for v, sure in zip(survivors, certified.tolist()):
-        if not sure and context.membership(v, [w for w in remaining if w != v]):
-            remaining.remove(v)
-    return sorted(remaining)
+    rest = [i for i in indices if i not in chosen]
+    covered = context.inside(rest, proposed)
+    survivors = proposed + [i for i, c in zip(rest, covered) if not c]
+    return sorted(v for v, c in zip(survivors, context.inside(survivors, survivors)) if not c)
 
 
 def extreme_point_indices(rows: Sequence[Sequence[int]], scale: int) -> list[int]:
     """Indices of the points that are vertices of the convex hull of all points,
     where point i is rows[i] / scale (integer rows, a positive integer scale).
+    Of a set of equal points only the first takes part, so only it can be a
+    vertex.
 
     The exact basis of the lifted coordinates gives the affine dimension of
     the set. Up to dimension 2 the kept integer coordinates decide alone, by
@@ -390,21 +384,20 @@ def extreme_point_indices(rows: Sequence[Sequence[int]], scale: int) -> list[int
     set is the same.
 
     From dimension 3 on, the points that maximize a fixed direction are
-    proposed as vertices. Every other point is tested against the proposed
-    set in one batched float pass; it is discarded only with an exactly
-    verified convex-combination certificate, and otherwise joins the
-    survivors, which therefore hold every vertex. A final exact purge pass
-    keeps a survivor iff it is outside the hull of the other survivors. It
-    keeps one at once when a rounded float functional strictly separates it
-    from them on integers: for a proposed point the direction that proposed
-    it, for another survivor the Farkas functional that kept it. The
-    membership test decides the rest. The output is exact and independent of
-    the proposal, and of a set of equal points only the first can be a
-    vertex.
+    proposed as vertices, and every other point is tested against the
+    proposed set (`_HullContext.inside`). A point inside is no vertex; the
+    others join the proposed points as survivors, which therefore hold every
+    vertex and span the same hull. A survivor is a vertex iff it is outside
+    the hull of the other survivors, which one more batched test decides.
+    The output is exact and independent of the proposal.
     """
     if not rows:
         return []
     context = _HullContext(rows, scale)
+    first: dict[tuple[int, ...], int] = {}
+    for i, row in enumerate(context.int_rows):
+        first.setdefault(row, i)
+    distinct = list(first.values())
     if len(context.int_rows[0]) <= 3:
-        return _low_dimensional_vertices([row[1:] for row in context.int_rows])
-    return _filter_vertices(context)
+        return _low_dimensional_vertices([row[1:] for row in context.int_rows], distinct)
+    return _filter_vertices(context, distinct)

@@ -186,22 +186,18 @@ def integer_array(values, bound: int) -> np.ndarray:
     return np.array(values, dtype=np.int64 if bound <= _INT64_MAX else object)
 
 
-def fraction_free_elimination(rows: list[list[int]]) -> tuple[list[int], int]:
+def fraction_free_elimination(rows: list[list[int]]) -> list[int]:
     """Eliminate an integer matrix in place by fraction-free elimination
     (Bareiss 1968) with row swaps; every division is exact.
 
     Returns the pivot columns, which are the columns that are not
-    combinations of the columns before them, and the sign of the row
-    permutation the swaps applied. Afterwards rows[i][pivots[i]] is the
-    determinant of the leading i + 1 swapped rows at the first i + 1 pivot
-    columns, so a square matrix has determinant sign * rows[-1][-1] when
-    every column is a pivot and 0 otherwise. The entries below a pivot are
-    not cleared.
+    combinations of the columns before them; afterwards rows[i][pivots[i]]
+    is nonzero. The entries below a pivot are not cleared.
     """
     height = len(rows)
     width = len(rows[0]) if rows else 0
     pivots: list[int] = []
-    sign, previous = 1, 1
+    previous = 1
     for c in range(width):
         r = len(pivots)
         if r == height:
@@ -211,7 +207,6 @@ def fraction_free_elimination(rows: list[list[int]]) -> tuple[list[int], int]:
             if swap is None:
                 continue
             rows[r], rows[swap] = rows[swap], rows[r]
-            sign = -sign
         pivot_row = rows[r]
         pivot = pivot_row[c]
         for row in rows[r + 1:]:
@@ -220,4 +215,4 @@ def fraction_free_elimination(rows: list[list[int]]) -> tuple[list[int], int]:
                 row[j] = (row[j] * pivot - lead * pivot_row[j]) // previous
         previous = pivot
         pivots.append(c)
-    return pivots, sign
+    return pivots

@@ -39,10 +39,15 @@ def _mask_block(mask):
 
 def _determinant(rows):
     """Determinant of a square integer matrix by the shared fraction-free
-    elimination."""
+    elimination: its last pivot entry, times the sign of the row swaps it made
+    in place, read off where each row list ended up."""
     rows = [list(row) for row in rows]
-    pivots, sign = fraction_free_elimination(rows)
-    return sign * rows[-1][-1] if len(pivots) == len(rows) else 0
+    start = [id(row) for row in rows]
+    if len(fraction_free_elimination(rows)) < len(rows):
+        return 0
+    order = [start.index(id(row)) for row in rows]
+    swaps = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+    return (-1) ** swaps * rows[-1][-1]
 
 
 def _block_mask(block):

@@ -125,7 +125,7 @@ class TestLowDimensional:
             if not reference_membership(points[i], [points[j] for j in firsts if j != i])
         ]
         assert extreme_point_indices(rows, scale) == expected
-        assert _filter_vertices(context) == expected
+        assert _filter_vertices(context, firsts) == expected
 
     def test_duplicates_keep_the_first_copy(self):
         points = [(F(0), F(0)), (F(1), F(1)), (F(0), F(0)), (F(2), F(2)), (F(2), F(2))]
@@ -172,8 +172,9 @@ class TestFloatProposal:
         weights = rng.dirichlet(np.ones(12), size=20)
         targets = np.vstack([weights @ points, points[:10] * [1, 3, -3, 2]])
         monkeypatch.setattr(hull, "_CHUNK_ELEMENTS", 3 * 4 * (12 + 4 + 1))
-        batched = hull._float_phase_one(points.T, targets)
-        single = [hull._float_phase_one(points.T, row[None])[0] for row in targets]
+        none = np.full(len(targets), -1)
+        batched = hull._float_phase_one(points.T, targets, none)
+        single = [hull._float_phase_one(points.T, row[None], none[:1])[0] for row in targets]
         assert [o[0] for o in batched[:20]] == ["feasible"] * 20
         assert [o[0] for o in batched[20:]] == ["infeasible"] * 10
         for got, want in zip(batched, single):
@@ -181,6 +182,48 @@ class TestFloatProposal:
             np.testing.assert_array_equal(got[1], want[1])
         for (_, farkas), target in zip(batched[20:], targets[20:]):
             assert (farkas @ points.T <= 1e-9).all() and farkas @ target > 0
+        # Each point against the others, then the targets above with no
+        # column excluded: a row's excluded column never enters, and its
+        # support keeps the numbering of all the generators.
+        excluded = np.concatenate([np.arange(12), none])
+        mixed = hull._float_phase_one(points.T, np.vstack([points, targets]), excluded)
+        own = []
+        for i, row in enumerate(points):
+            others = np.delete(np.arange(12), i)
+            want = hull._float_phase_one(points[others].T, row[None], none[:1])[0]
+            own.append(want[0])
+            assert mixed[i][0] == want[0]
+            mapped = others[want[1]] if want[0] == "feasible" else want[1]
+            np.testing.assert_array_equal(mixed[i][1], mapped)
+        assert set(own) == {"feasible", "infeasible"}
+        for got, want in zip(mixed[12:], single):
+            assert got[0] == want[0]
+            np.testing.assert_array_equal(got[1], want[1])
+
+
+class TestInside:
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(st.integers(3, 4), st.integers(0, 2), st.randoms(use_true_random=False))
+    def test_batched_call_matches_one_target_calls(self, dim, kind, rng):
+        # Distinct points, well scaled, near 1e30 or off the integers by
+        # 2^-61, where the float simplex proposes little that verifies.
+        # The targets include generators, each tested against the others.
+        tiny = F(1, 2 ** 61)
+        points = list(dict.fromkeys(
+            tuple(F(rng.randint(-3, 3)) * (10 ** 30 if kind == 1 else 1)
+                  + (rng.randint(-1, 1) * tiny if kind == 2 else 0) for _ in range(dim))
+            for _ in range(rng.randint(2, 16))
+        ))
+        context = _HullContext(*integer_rows(points))
+        indices = list(range(len(points)))
+        generators = rng.sample(indices, rng.randint(1, len(points)))
+        targets = rng.sample(indices, rng.randint(1, len(points)))
+        batched = context.inside(targets, generators)
+        assert batched == [context.inside([t], generators)[0] for t in targets]
+        assert batched == [
+            reference_membership(points[t], [points[g] for g in generators if g != t])
+            for t in targets
+        ]
 
 
 class TestMembership:
@@ -348,30 +391,41 @@ class TestExtremePoints:
             assert not reference_membership(points[i], points[:i] + points[i + 1:])
         assert extreme_point_indices(*integer_rows(points)) == list(range(len(points)))
 
-    def test_tied_directions_fall_back_to_membership(self, monkeypatch):
+    def test_tied_directions_are_decided_exactly(self):
         # Past float range every point has the same float image, so every
         # direction ties and only point 0, the centre of the cube, is
-        # proposed. No functional separates it: the membership test decides.
+        # proposed. The exact tests find it inside and every corner outside.
         big = F(10 ** 400, 3)
         offsets = [(1, 1, 1), (0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2),
                    (2, 2, 0), (2, 0, 2), (0, 2, 2), (2, 2, 2), (1, 0, 0)]
         points = [tuple(big + x for x in offset) for offset in offsets]
-        proposals, decided = [], []
-        propose, membership = hull._propose_vertices, _HullContext.membership
-
-        def spy_propose(coords):
-            proposals.append(propose(coords))
-            return proposals[-1]
-
-        def spy_membership(context, target, generator_indices):
-            decided.append(target)
-            return membership(context, target, generator_indices)
-
-        monkeypatch.setattr(hull, "_propose_vertices", spy_propose)
-        monkeypatch.setattr(_HullContext, "membership", spy_membership)
+        context = _HullContext(*integer_rows(points))
+        assert hull._propose_vertices(context.float_rows[:, 1:]) == [0]
         assert extreme_point_indices(*integer_rows(points)) == list(range(1, 9))
-        assert proposals[0][0] == [0]
-        assert 0 in decided
+
+    def test_well_scaled_points_take_two_float_passes(self, monkeypatch):
+        # One batched float simplex tests the unproposed points against the
+        # proposed ones, and one the survivors against each other.
+        rng = random.Random(41)
+        points = list(dict.fromkeys(
+            tuple(F(rng.randint(-20, 20)) for _ in range(4)) for _ in range(150)
+        ))
+        rows, scale = integer_rows(points)
+        expected = extreme_point_indices(rows, scale)
+        calls = []
+        float_phase_one = hull._float_phase_one
+
+        def spy(*args):
+            calls.append(len(args[1]))
+            return float_phase_one(*args)
+
+        monkeypatch.setattr(hull, "_float_phase_one", spy)
+        context = _HullContext(rows, scale)
+        assert len(context.int_rows[0]) == 5
+        assert _filter_vertices(context, list(range(len(points)))) == expected
+        assert len(calls) <= 2
+        for i in (0, 1, 2):
+            assert (i in expected) != reference_membership(points[i], points[:i] + points[i + 1:])
 
     def test_one_row_per_chunk_gives_the_same_output(self, monkeypatch):
         rng = random.Random(31)

@@ -171,6 +171,6 @@ class TestIntegerPrimitives:
             if rank(Matrix.from_columns(chosen, nrows=height)) == len(expected) + 1:
                 expected.append(c)
         eliminated = [list(row) for row in rows]
-        pivots, _ = fraction_free_elimination(eliminated)
+        pivots = fraction_free_elimination(eliminated)
         assert pivots == expected
         assert all(eliminated[i][c] for i, c in enumerate(pivots))
