@@ -24,17 +24,21 @@ strings), one reply line holding a single rational (integer, decimal string,
 or "a/b" string). Replies are converted exactly; a missing or malformed reply
 raises OracleError. An ExternalOracle keeps every reply and asks its
 subprocess once per distinct matrix; a repeated matrix is answered from that
-record, but only while the subprocess is still running. The record is keyed
-by the Matrix, whose hash is kept, so the Matrix that `evaluate_keys` builds
-once per distinct key is hashed once however often its key repeats.
-Convexity of external oracles is trusted, not verified; a non-convex oracle
-voids the optimality guarantee.
+record, whether or not the subprocess still runs. Its `evaluate_keys` sends
+the new matrices of a batch of keys in first-occurrence order, as many query
+lines per write as fit in `select.PIPE_BUF` bytes, and reads their replies
+before the next write; then it calls `evaluate` once per key, as the default
+does. The record is keyed by the Matrix, whose hash is kept, so the Matrix
+that `evaluate_keys` builds once per distinct key is hashed once however
+often its key repeats. Convexity of external oracles is trusted, not
+verified; a non-convex oracle voids the optimality guarantee.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import select
 import subprocess
 import tempfile
 from fractions import Fraction
@@ -42,7 +46,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, OracleError
+from .errors import DimensionError, OracleError, ProblemError
 from .linalg import Matrix, as_rational, format_rational, integer_array, integer_rows
 
 _STDERR_TAIL = 500  # characters of a dead oracle's stderr quoted in the error
@@ -62,23 +66,26 @@ class Objective:
         This default builds the Matrix of each distinct key once and calls
         evaluate once per key, in the given order.
         """
-        matrices: dict[Key, Matrix] = {}
-        values = []
-        for key in keys:
-            matrix = matrices.get(key)
-            if matrix is None:
-                matrix = matrices[key] = Matrix(
-                    [[Fraction(x, scale) for x in key[r:r + p]] for r in range(0, len(key), p)],
-                    ncols=p,
-                )
-            values.append(self.evaluate(matrix))
-        return values
+        matrices = _key_matrices(keys, scale, p)
+        return [self.evaluate(matrices[key]) for key in keys]
 
     def check_compatible(self, a: Matrix, p: int) -> None:
         """Raise DimensionError if this objective cannot be used with (a, p)."""
 
     def close(self) -> None:
         """Release resources; a no-op for built-in kinds."""
+
+
+def _key_matrices(keys: Sequence[Key], scale: int, p: int) -> dict[Key, Matrix]:
+    """The Matrix of each distinct key, built once, in first-occurrence order."""
+    matrices: dict[Key, Matrix] = {}
+    for key in keys:
+        if key not in matrices:
+            matrices[key] = Matrix(
+                [[Fraction(x, scale) for x in key[r:r + p]] for r in range(0, len(key), p)],
+                ncols=p,
+            )
+    return matrices
 
 
 def _stack(keys: Sequence[Key], bound: Callable[[int], int]) -> np.ndarray:
@@ -259,10 +266,10 @@ class ExternalOracle(Objective):
     def _ensure_process(self) -> subprocess.Popen:
         """The oracle process, started on first use and never restarted.
 
-        An oracle that exits between queries fails the next query instead of
-        being replaced, so a query's outcome cannot depend on when it exited.
-        A repeated matrix sends no query: it fails only if the exit has
-        already been seen, so an oracle must serve until its stdin closes.
+        It is asked for before each batch of new queries only. An oracle
+        that exits between batches fails the next batch instead of being
+        replaced, and a matrix already answered is answered from the record
+        whenever the oracle exits.
         """
         if self._process is not None:
             if self._process.poll() is not None:
@@ -287,29 +294,77 @@ class ExternalOracle(Objective):
         return self._process
 
     def evaluate(self, matrix: Matrix) -> Fraction:
-        process = self._ensure_process()
         known = self._replies.get(matrix)
-        if known is not None:
-            return known
-        query = json.dumps(
-            [[encode_wire_scalar(x) for x in row] for row in matrix.rows()],
-            separators=(",", ":"),
-        )
+        if known is None:
+            self._ask([matrix])
+            known = self._replies[matrix]
+        return known
+
+    def evaluate_keys(self, keys: Sequence[Key], scale: int, p: int) -> list[Fraction]:
+        """The values at the part-sum matrices of keys, in order.
+
+        The matrices not yet answered are asked in batches first, in the
+        order they first occur; then evaluate is called once per key, as the
+        default does, and answers from the record.
+        """
+        matrices = _key_matrices(keys, scale, p)
+        self._ask([m for m in matrices.values() if m not in self._replies])
+        return [self.evaluate(matrices[key]) for key in keys]
+
+    def _ask(self, matrices: Sequence[Matrix]) -> None:
+        """Record the oracle's replies to matrices, which it has not answered.
+
+        The query lines go in batches: as many whole lines as fit in
+        PIPE_BUF bytes, a longer line alone. Each batch is one write, and its
+        replies are all read before the next batch is written. By then the
+        oracle has read every earlier line, so the pipe is empty and a write
+        of at most PIPE_BUF bytes completes at once, however much the oracle
+        writes back; the oracle reads exactly the lines that one query per
+        matrix would send, in the same order.
+        """
+        batch: list[tuple[Matrix, str]] = []
+        size = 0
+        for matrix in matrices:
+            try:
+                line = json.dumps(
+                    [[encode_wire_scalar(x) for x in row] for row in matrix.rows()],
+                    separators=(",", ":"),
+                ) + "\n"
+            except ProblemError:
+                # the matrices before it are asked, as one query at a time would
+                self._exchange(batch)
+                raise
+            # ASCII, so its length is its size in bytes
+            if batch and size + len(line) > select.PIPE_BUF:
+                self._exchange(batch)
+                batch, size = [], 0
+            batch.append((matrix, line))
+            size += len(line)
+        self._exchange(batch)
+
+    def _exchange(self, batch: Sequence[tuple[Matrix, str]]) -> None:
+        """Write the query lines of batch at once, then record their replies in order."""
+        if not batch:
+            return
+        process = self._ensure_process()
         try:
-            process.stdin.write(query + "\n")
+            process.stdin.write("".join(line for _, line in batch))
             process.stdin.flush()
-            reply = process.stdout.readline()
         except (BrokenPipeError, OSError) as exc:
             raise OracleError(f"oracle {self.command} pipe failed: {exc}") from exc
-        if not reply:
-            detail = self._death_note()
-            raise OracleError(f"oracle {self.command} gave no reply{detail}")
-        try:
-            value = parse_wire_scalar(reply)
-        except ValueError as exc:
-            raise OracleError(f"oracle {self.command} replied with garbage: {reply!r}") from exc
-        self._replies[matrix] = value
-        return value
+        for matrix, _ in batch:
+            try:
+                reply = process.stdout.readline()
+            except OSError as exc:
+                raise OracleError(f"oracle {self.command} pipe failed: {exc}") from exc
+            if not reply:
+                detail = self._death_note()
+                raise OracleError(f"oracle {self.command} gave no reply{detail}")
+            try:
+                value = parse_wire_scalar(reply)
+            except ValueError as exc:
+                raise OracleError(f"oracle {self.command} replied with garbage: {reply!r}") from exc
+            self._replies[matrix] = value
 
     def _death_note(self) -> str:
         if self._process is None:
@@ -346,6 +401,7 @@ class ExternalOracle(Objective):
                 self._process.wait(timeout=5)
             except (OSError, subprocess.TimeoutExpired):
                 self._process.kill()
+            self._process.stdout.close()
             self._process = None
         self._close_stderr()
 

@@ -139,6 +139,21 @@ class TestSolve:
             assert code == 4, out
             assert "oracle" in err
 
+    def test_oracle_that_exits_after_its_only_reply_always_exit_0(self, tmp_path, capsys):
+        # Every part-sum matrix is the zero matrix: one query, then every
+        # evaluation is answered from the record, whenever the oracle exits.
+        path = write_problem(
+            tmp_path,
+            {
+                "matrix": [[0, 0, 0, 0]], "p": 2, "shapes": {"type": "all"},
+                "objective": {"type": "external", "cmd": ["sh", "-c", "read x; echo 1"]},
+            },
+        )
+        for _ in range(6):
+            code, out, err = run_cli(["solve", path], capsys)
+            assert code == 0, err
+            assert json.loads(out)["best_value"] == "1"
+
     def test_oracle_reply_with_huge_exponent_exit_4(self, tmp_path):
         replier = "import sys\nfor line in sys.stdin:\n    print('1e999999999999', flush=True)\n"
         path = write_problem(

@@ -1,3 +1,8 @@
+import contextlib
+import io
+import json
+import os
+import select
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -8,7 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import HUGE_PROBLEMS, edge_problems, objective_definition
-from shapedparts.brute import enumerate_all_partitions
+from shapedparts import cli
+from shapedparts.brute import brute_solve, enumerate_all_partitions
 from shapedparts.errors import DimensionError, OracleError, ProblemError
 from shapedparts.linalg import Matrix
 from shapedparts.objectives import (
@@ -22,6 +28,7 @@ from shapedparts.objectives import (
     parse_wire_scalar,
 )
 from shapedparts.partitions import PartSums, ShapeFamily, partition_matrix
+from shapedparts.solver import solve
 
 ORACLE = [sys.executable, str(Path(__file__).parent / "data" / "square_oracle.py")]
 
@@ -297,25 +304,158 @@ class TestWireScalars:
             parse_wire_scalar("zebra")
 
 
+COUNTER = "import sys\nfor i, line in enumerate(sys.stdin, 1):\n    print(i, flush=True)\n"
+# appends every line it reads to the file named by its argument
+RECORDER = (
+    "import sys\n"
+    "with open(sys.argv[1], 'a') as log:\n"
+    "    for line in sys.stdin:\n"
+    "        log.write(line)\n"
+    "        log.flush()\n"
+    "        print(len(line), flush=True)\n"
+)
+
+
+def run_isolated(body, *args: str) -> None:
+    """Run body(*args), a module-level function of this file, in a child
+    interpreter with a 60 s timeout, so an oracle exchange that blocks
+    fails the test instead of hanging the suite."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).parent), env.get("PYTHONPATH")])
+    )
+    script = f"import sys\nfrom test_objectives import {body.__name__}\n{body.__name__}(*sys.argv[1:])\n"
+    result = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def _round_trip():
+    with ExternalOracle(ORACLE) as oracle:
+        assert oracle.evaluate(Matrix([[1, 2], [3, 4]])) == 30
+        assert oracle.evaluate(Matrix([["1/2", 0], [0, 0]])) == F(1, 4)
+
+
+def _fractional_query_encoding():
+    with ExternalOracle(ORACLE) as oracle:
+        assert oracle.evaluate(Matrix([["3/5", "3/10"], ["2/5", "7/10"]])) == (
+            F(9, 25) + F(9, 100) + F(4, 25) + F(49, 100)
+        )
+
+
+def _repeated_matrix_is_answered_from_the_first_reply():
+    with ExternalOracle([sys.executable, "-c", COUNTER]) as oracle:
+        assert oracle.evaluate(Matrix([[1, 2]])) == 1
+        assert oracle.evaluate(Matrix([[3, 4]])) == 2
+        assert oracle.evaluate(Matrix([[1, 2]])) == 1
+        assert oracle.evaluate(Matrix([["1/2", 4]])) == 3
+        # keys over scale 2: [[1, 2]] and [[1/2, 4]] are recorded, [[5/2, 3]] is new
+        assert oracle.evaluate_keys([(2, 4), (5, 6), (2, 4), (1, 8)], 2, 2) == [1, 4, 1, 3]
+        # a matrix past the digit limit stops the batch, after the ones before it
+        with pytest.raises(ProblemError, match="digits"):
+            oracle.evaluate_keys([(7, 8), (10 ** 4300, 1)], 1, 2)
+        assert oracle._replies[Matrix([[7, 8]])] == 5
+
+
+def _exited_oracle_is_not_restarted():
+    with ExternalOracle(["sh", "-c", "read x; echo 1"]) as oracle:
+        assert oracle.evaluate(Matrix([[1]])) == 1
+        oracle._process.wait(timeout=10)
+        assert oracle.evaluate(Matrix([[1]])) == 1  # from the record
+        with pytest.raises(OracleError, match="exited before the next query"):
+            oracle.evaluate(Matrix([[2]]))
+
+
+def _chatty_stderr_does_not_block():
+    # 4 KiB of stderr per query fills a 64 KiB pipe after 16 queries
+    chatty = (
+        "import sys\n"
+        "for line in sys.stdin:\n"
+        "    sys.stderr.write('x' * 4096 + '\\n')\n"
+        "    sys.stderr.flush()\n"
+        "    print(1, flush=True)\n"
+    )
+    with ExternalOracle([sys.executable, "-c", chatty]) as oracle:
+        assert sum(oracle.evaluate(Matrix([[i]])) for i in range(100)) == 100
+        assert oracle.evaluate_keys([(i,) for i in range(200)], 1, 1) == [1] * 200
+
+
+def _transcript_is_one_query_per_matrix(workdir):
+    a = Matrix([["1/3", 2, "5/7", 4, "11/13", 6], [7, "-8/3", 9, 1, "2/9", 3]])
+    p, family = 3, ShapeFamily.all_shapes(6, 3)
+    batched, single = Path(workdir) / "batched", Path(workdir) / "single"
+    with ExternalOracle([sys.executable, "-c", RECORDER, str(batched)]) as oracle:
+        best = solve(a, p, family, oracle).best_value
+        solve_bytes = batched.stat().st_size
+        brute_best = brute_solve(a, p, family, oracle)  # as check asks, on one record
+    # each batch holds at most PIPE_BUF bytes, so solve's queries span at least 3
+    assert solve_bytes > 2 * select.PIPE_BUF
+    recording = RecordingObjective()
+    solve(a, p, family, recording)
+    solve_matrices = list(dict.fromkeys(recording.queried))
+    brute_solve(a, p, family, recording)
+    with ExternalOracle([sys.executable, "-c", RECORDER, str(single)]) as oracle:
+        values = {m: oracle.evaluate(m) for m in dict.fromkeys(recording.queried)}
+    assert batched.read_bytes() == single.read_bytes()
+    assert best == max(values[m] for m in solve_matrices)
+    assert brute_best == max(values.values())
+
+
+def _line_longer_than_pipe_buf_goes_alone():
+    lengths = "import sys\nfor line in sys.stdin:\n    print(len(line), flush=True)\n"
+    huge = 10 ** 4200
+    keys = [(1, 2), (huge, huge), (3, 4), (huge, 1), (1, 2)]
+    with ExternalOracle([sys.executable, "-c", lengths]) as oracle:
+        # [[1,2]] and [[3,4]] are 8 bytes with the newline; the others exceed PIPE_BUF
+        assert oracle.evaluate_keys(keys, 1, 2) == [8, 2 * 4201 + 6, 8, 4201 + 7, 8]
+
+
+def _large_replies_do_not_block():
+    sys.set_int_max_str_digits(0)  # the replies are 64 KiB integers
+    large = "import sys\nfor i, line in enumerate(sys.stdin, 1):\n    print(str(i) + '0' * 65535, flush=True)\n"
+    # 20 queries of 4 KB: more than a 64 KiB pipe and the oracle's read
+    # buffer hold, in case all of them were written before any reply is read
+    keys = [(i * 10 ** 4000,) for i in range(1, 21)]
+    with ExternalOracle([sys.executable, "-c", large]) as oracle:
+        values = oracle.evaluate_keys(keys, 1, 1)
+    assert values == [i * 10 ** 65535 for i in range(1, 21)]
+
+
+def _oracle_exiting_mid_batch_fails(workdir):
+    two_then_exit = (
+        "import sys\n"
+        "for _ in range(2):\n"
+        "    sys.stdin.readline()\n"
+        "    print(1, flush=True)\n"
+        "sys.exit(3)\n"
+    )
+    command = [sys.executable, "-c", two_then_exit]
+    with ExternalOracle(command) as oracle:
+        with pytest.raises(OracleError, match="gave no reply.*code 3"):
+            oracle.evaluate_keys([(i,) for i in range(5)], 1, 1)
+    problem = Path(workdir) / "problem.json"
+    problem.write_text(json.dumps({
+        "matrix": [[1, 2, 3, 4]], "p": 2, "shapes": {"type": "all"},
+        "objective": {"type": "external", "cmd": command},
+    }))
+    for _ in range(6):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["solve", str(problem)])
+        assert code == 4 and "code 3" in err.getvalue(), err.getvalue()
+
+
 class TestExternalOracle:
     def test_round_trip(self):
-        with ExternalOracle(ORACLE) as oracle:
-            assert oracle.evaluate(Matrix([[1, 2], [3, 4]])) == 30
-            assert oracle.evaluate(Matrix([["1/2", 0], [0, 0]])) == F(1, 4)
+        run_isolated(_round_trip)
 
     def test_fractional_query_encoding(self):
-        with ExternalOracle(ORACLE) as oracle:
-            assert oracle.evaluate(Matrix([["3/5", "3/10"], ["2/5", "7/10"]])) == (
-                F(9, 25) + F(9, 100) + F(4, 25) + F(49, 100)
-            )
+        run_isolated(_fractional_query_encoding)
 
     def test_repeated_matrix_is_answered_from_the_first_reply(self):
-        counter = "import sys\nfor i, line in enumerate(sys.stdin, 1):\n    print(i, flush=True)\n"
-        with ExternalOracle([sys.executable, "-c", counter]) as oracle:
-            assert oracle.evaluate(Matrix([[1, 2]])) == 1
-            assert oracle.evaluate(Matrix([[3, 4]])) == 2
-            assert oracle.evaluate(Matrix([[1, 2]])) == 1
-            assert oracle.evaluate(Matrix([["1/2", 4]])) == 3
+        run_isolated(_repeated_matrix_is_answered_from_the_first_reply)
 
     def test_dead_process(self):
         with ExternalOracle(["/bin/false"]) as oracle:
@@ -323,11 +463,7 @@ class TestExternalOracle:
                 oracle.evaluate(Matrix([[1]]))
 
     def test_exited_oracle_is_not_restarted(self):
-        with ExternalOracle(["sh", "-c", "read x; echo 1"]) as oracle:
-            assert oracle.evaluate(Matrix([[1]])) == 1
-            oracle._process.wait(timeout=10)
-            with pytest.raises(OracleError, match="exited before the next query"):
-                oracle.evaluate(Matrix([[1]]))
+        run_isolated(_exited_oracle_is_not_restarted)
 
     def test_garbage_reply(self):
         with ExternalOracle([sys.executable, "-c", "print('pelican'); import sys; sys.stdout.flush(); sys.stdin.read()"]) as oracle:
@@ -335,27 +471,19 @@ class TestExternalOracle:
                 oracle.evaluate(Matrix([[1]]))
 
     def test_chatty_stderr_does_not_block(self):
-        # 4 KiB of stderr per query fills a 64 KiB pipe after 16 queries; the
-        # run goes in a subprocess so a blocked oracle fails on the timeout.
-        chatty = (
-            "import sys\n"
-            "for line in sys.stdin:\n"
-            "    sys.stderr.write('x' * 4096 + '\\n')\n"
-            "    sys.stderr.flush()\n"
-            "    print(1, flush=True)\n"
-        )
-        script = (
-            "import sys\n"
-            "from shapedparts.linalg import Matrix\n"
-            "from shapedparts.objectives import ExternalOracle\n"
-            f"with ExternalOracle([sys.executable, '-c', {chatty!r}]) as oracle:\n"
-            "    print(sum(oracle.evaluate(Matrix([[i]])) for i in range(100)))\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "100"
+        run_isolated(_chatty_stderr_does_not_block)
+
+    def test_transcript_is_one_query_per_matrix(self, tmp_path):
+        run_isolated(_transcript_is_one_query_per_matrix, str(tmp_path))
+
+    def test_line_longer_than_pipe_buf_goes_alone(self):
+        run_isolated(_line_longer_than_pipe_buf_goes_alone)
+
+    def test_large_replies_do_not_block(self):
+        run_isolated(_large_replies_do_not_block)
+
+    def test_oracle_exiting_mid_batch_fails(self, tmp_path):
+        run_isolated(_oracle_exiting_mid_batch_fails, str(tmp_path))
 
     def test_death_note_quotes_stderr_tail(self):
         dying = "import sys; sys.stderr.write('a' * 3000 + 'TAILMARK'); sys.exit(3)"
