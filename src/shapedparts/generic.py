@@ -29,9 +29,12 @@ tolerance is tuned, no rational is built and no polynomial is interpolated.
 Two-partitions come from separator triples: a sorted d-subset I spans an
 oriented hyperplane of the perturbed configuration, splitting the remaining
 columns by sign, and each two-sided split of I itself yields two associated
-ordered 2-partitions. The splits of a chunk of subsets are formed as uint64
-word arrays, one bitmask of W = ceil(n / 64) words per 2-partition, and kept
-in a set.
+ordered 2-partitions. A 2-partition is held as a 0/1 row over the elements,
+1 for the first block. The rows of a chunk of subsets are formed as one
+uint8 array, and the bytes of each row or of its complement, whichever holds
+element 1, are kept in a set. The 2-partitions are closed under complements,
+as the separable 2-partitions of Alon and Onn ("Separable partitions",
+1999) are.
 
 A generic p-partition is an ordered partition whose every part pair r < s is
 separated by a 2-partition holding block r in its first block and block s in
@@ -40,11 +43,16 @@ are assembled element by element: a prefix state places elements 1..e, and
 a child places element e + 1 in some part r. Each state keeps, per part, the
 bitsets over the 2-partitions that hold all of the block or none of it, so
 a pair's witnesses are one bitwise and; the child is tested on the pairs of
-r only, since no other pair changes. The test is monotone, so a prefix
-without a witness for some pair is dropped with everything below it, and
-every kept prefix is a distinct ordered partition. The work is whole-array
-numpy on (p, V, N) uint64 arrays, V words of 2-partition bits per bitset and
-N prefixes, tested in bounded chunks. The finished labels are decoded once
+r only, since no other pair changes. The complements make the order of a
+pair immaterial: a 2-partition holding B_s and none of B_r exists iff its
+complement holds B_r and none of B_s, so each pair is tested one way, on
+the masks that hold all of block r and none of block s. The test is
+monotone, so a prefix without a witness for some pair is dropped with
+everything below it, and every kept prefix is a distinct ordered partition.
+The work is whole-array numpy on (p, V, N) uint64 arrays, V words of
+2-partition bits per bitset and N prefixes, tested in bounded chunks. The
+2-partitions enter as their (M, n) 0/1 array, one row per 2-partition, and
+are packed into those bitsets once. The finished labels are decoded once
 into an (N, p, n) 0/1 block array and put in canonical order (sorted by
 blocks), and `GenericPartitionSet` keeps that array, building Partition
 objects only when they are asked for.
@@ -56,7 +64,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations, islice
 from math import comb, factorial, prod
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -104,29 +112,9 @@ class PerturbedMatrix:
 
 
 _WORD_BITS = 64
-# Bound on the elements of one chunk's temporaries: prefixes x p x p x mask
-# words in the assembly test, partitions x p x n in the part sums.
+# Bound on the elements of one chunk's temporaries: prefixes x parts x p x
+# mask words in the assembly test, partitions x p x n in the part sums.
 _CHUNK_ELEMENTS = 1 << 12
-
-
-def _words(masks: Sequence[int], width: int) -> np.ndarray:
-    """(len(masks), width) uint64 array; word w of a row holds bits 64w to
-    64w + 63 of its mask."""
-    low = (1 << _WORD_BITS) - 1
-    return np.array(
-        [[(mask >> (_WORD_BITS * w)) & low for w in range(width)] for mask in masks],
-        dtype=np.uint64,
-    ).reshape(len(masks), width)
-
-
-def _bits(words: np.ndarray, n: int) -> np.ndarray:
-    """(..., n) 0/1 uint8 array of the masks held as (..., width) words:
-    entry c is bit c, that is, element c + 1."""
-    bits = np.empty(words.shape[:-1] + (n,), dtype=np.uint8)
-    for c in range(n):
-        word = words[..., c // _WORD_BITS] >> np.uint64(c % _WORD_BITS)
-        bits[..., c] = word & np.uint64(1)
-    return bits
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,9 +148,9 @@ class GenericPartitionSet:
 
 
 # Bound on the elements of the arrays one chunk of the mask stage holds: per
-# d-subset, n values and at most (d + 1) * 2^(d + 1) minors, products or
-# mask words, counted width times. The degree-d pass holds d + 1 times the
-# values, minors and products for the subsets it takes.
+# d-subset, n values, at most (d + 1) * 2^(d + 1) minors or products, and
+# 2^d mask rows of n bytes, ceil(n / 8) elements each. The degree-d pass
+# holds d + 1 times the values, minors and products for the subsets it takes.
 _SUBSET_CHUNK_ELEMENTS = 1 << 16
 
 
@@ -253,17 +241,10 @@ def _determinant_polynomials(
     return values
 
 
-def _mask_ints(words: np.ndarray) -> list[int]:
-    """The masks held as the rows of an (R, width) uint64 array, as Python ints."""
-    columns = words.T.tolist()
-    ints = columns[0]
-    for w, column in enumerate(columns[1:], start=1):
-        ints = [low | high << (_WORD_BITS * w) for low, high in zip(ints, column)]
-    return ints
-
-
-def _two_partition_masks(perturbed: PerturbedMatrix, limits: EnumerationLimits) -> list[int]:
-    """Generic 2-partitions as first-block bitmasks, sorted and deduplicated.
+def _two_partition_masks(perturbed: PerturbedMatrix, limits: EnumerationLimits) -> np.ndarray:
+    """The distinct generic 2-partitions as an (M, n) 0/1 uint8 array in
+    lexicographic row order: entry (i, c) is 1 iff element c + 1 lies in the
+    first block of 2-partition i. The rows are closed under complements.
 
     When n <= d the perturbed columns are affinely independent, so every
     2-partition qualifies. Otherwise each sorted d-subset is split once and
@@ -278,33 +259,32 @@ def _two_partition_masks(perturbed: PerturbedMatrix, limits: EnumerationLimits) 
     as Python integers otherwise; the degree-d arrays are built on first use.
     Only a subset's own columns may have an all-zero polynomial: any other
     raises AssertionError, since the eps^d coefficient is a Vandermonde
-    determinant at distinct column indices. Each below mask is joined with
-    every subset of its d-subset as word arrays, and the masks and their
-    complements go into one set. More than limits.max_two_partitions
-    distinct masks raise CapacityError naming the first d-subset, in
-    lexicographic order, after which the count exceeds the limit.
+    determinant at distinct column indices. A chunk's rows repeat each below
+    row once per split of its d-subset, with the d-subset's own columns set
+    from the split. A row and its complement form a pair, which the set
+    holds as the bytes of the member that holds element 1; the complements
+    are appended at the end. More than limits.max_two_partitions distinct
+    masks, twice the pairs, raise CapacityError naming the first d-subset,
+    in lexicographic order, after which the count exceeds the limit.
     """
     d, n = perturbed.d, perturbed.n
     if n <= d:
         count = 1 << n
         if count > limits.max_two_partitions:
             raise CapacityError("two-partitions", limits.max_two_partitions, count)
-        return list(range(count))
+        # row i holds the binary digits of i, element 1 the most significant
+        return (np.arange(count)[:, None] >> np.arange(n - 1, -1, -1) & 1).astype(np.uint8)
     lifted, shifts = perturbed._lifted, perturbed._shifts
     norm = max(sum(map(abs, column)) for column in zip(*lifted))
     columns = integer_array(lifted, norm ** (d + 1))
     wide = None  # the lifted columns and shifts for the degree-d pass
-    width = -(-n // _WORD_BITS)
-    unit = _words([1 << c for c in range(n)], width)  # the words of each single column
-    full = _words([(1 << n) - 1], width)[0]
-    zero = np.uint64(0)
     # choices[i, pos]: split i of a d-subset puts its element pos below
-    choices = np.arange(1 << d)[:, None] >> np.arange(d) & 1 == 1
-    per = 2 << d  # masks per d-subset
+    choices = (np.arange(1 << d)[:, None] >> np.arange(d) & 1).astype(np.uint8)
+    per = 1 << d  # splits per d-subset
     total = comb(n, d)
-    step = max(1, _SUBSET_CHUNK_ELEMENTS // ((n + (d + 1) * per) * width))
+    step = max(1, _SUBSET_CHUNK_ELEMENTS // (n + (2 * d + 2 + -(-n // 8)) * per))
     remaining = combinations(range(n), d)
-    masks: set[int] = set()
+    pairs: set[bytes] = set()  # each complement pair by its member that holds element 1
     for start in range(0, total, step):
         subsets = np.array(list(islice(remaining, step)), dtype=np.intp)
         values = _determinant_polynomials(columns, None, subsets, 0)[0]
@@ -328,43 +308,49 @@ def _two_partition_masks(perturbed: PerturbedMatrix, limits: EnumerationLimits) 
                 )
             leading = np.take_along_axis(polynomials, nonzero.argmax(axis=0)[None], axis=0)[0]
             below[again] = leading < 0
-        below_words = np.bitwise_or.reduce(np.where(below[..., None], unit, zero), axis=1)
-        chosen = np.bitwise_or.reduce(np.where(choices[..., None], unit[subsets][:, None], zero), axis=2)
-        first = below_words[:, None] | chosen  # (S, 2^d, width)
-        found = _mask_ints(np.concatenate([first, full ^ first], axis=1).reshape(-1, width))
-        fresh = set(found).difference(masks)
-        if len(masks) + len(fresh) > limits.max_two_partitions:
+        first = np.repeat(below[:, None].view(np.uint8), per, axis=1)  # (S, 2^d, n)
+        for pos in range(d):
+            first[np.arange(len(subsets)), :, subsets[:, pos]] = choices[:, pos]
+        first ^= first[..., :1] ^ 1  # the member of each pair that holds element 1
+        # each row as one n-byte void item, which tolist gives as bytes
+        found = first.view(f"V{n}").ravel().tolist()
+        fresh = set(found).difference(pairs)
+        if 2 * (len(pairs) + len(fresh)) > limits.max_two_partitions:
             for offset in range(len(subsets)):
-                masks.update(found[offset * per:(offset + 1) * per])
-                if len(masks) > limits.max_two_partitions:
+                pairs.update(found[offset * per:(offset + 1) * per])
+                if 2 * len(pairs) > limits.max_two_partitions:
                     raise CapacityError("two-partitions", limits.max_two_partitions,
                                         reached=f"d-subset {start + offset + 1} of {total}")
-        masks |= fresh
-    return sorted(masks)
+        pairs |= fresh
+    ones = np.frombuffer(b"".join(sorted(pairs)), dtype=np.uint8).reshape(len(pairs), n)
+    # complementing reverses the order, and every complement starts with 0
+    return np.concatenate([1 - ones[::-1], ones])
 
 
 def _assemble(held: np.ndarray, p: int, limits: EnumerationLimits) -> np.ndarray:
     """The (N, n) part labels of every ordered p-partition whose blocks B
     have, for each part pair r < s, a mask that holds all of B_r and none
     of B_s; label c is the 0-based part of element c + 1. held is the
-    (masks, n) 0/1 array of the masks: held[f, c] is 1 iff mask f holds
-    element c + 1.
+    (masks, n) 0/1 array of the masks, which must be closed under
+    complements: held[f, c] is 1 iff mask f holds element c + 1.
 
     Elements are placed one at a time. A prefix state holds, per part t, the
     bitsets of the masks that hold all of block t (within) and none of it
     (apart), V words each, stored (p, V, N) so that every operation runs
-    along the prefixes; a pair (r, s) is witnessed by the masks in
-    within_r & apart_s. Placing the next element in part r narrows only
-    within_r and apart_r, so a child is tested on the pairs of r alone. A
-    pair that has no witness keeps none as blocks grow, so every prefix with
-    a witness for each pair is kept and every other one dropped. Distinct
-    label rows are distinct partitions, so there is nothing to deduplicate.
+    along the prefixes. A mask holding B_s and none of B_r exists iff its
+    complement holds B_r and none of B_s, so the pair {r, s} is witnessed,
+    in either order, by the masks in within_r & apart_s. Placing the next
+    element in part r narrows only within_r and apart_r, so a child is
+    tested on the pairs of r alone, each one way. A pair that has no
+    witness keeps none as blocks grow, so every prefix with a witness for
+    each pair is kept and every other one dropped. Distinct label rows are
+    distinct partitions, so there is nothing to deduplicate.
     Before each element the prefixes times p times (p - 1) times V, every
     (child, other part, mask word) triple the element tests, are charged to
     limits.max_assembly_nodes. The prefixes' bitsets are built only once
     that charge has passed, and nothing of size p is built before the first
-    charge has. The tests run in (parts r, parts s, V, prefixes) tiles of at
-    most _CHUNK_ELEMENTS words, or of one part pair and one prefix when V is
+    charge has. The tests run in (parts r, p, V, prefixes) tiles of at most
+    max(_CHUNK_ELEMENTS, p V) words: one part r and one prefix when p V is
     larger.
     """
     count, n = held.shape
@@ -384,10 +370,9 @@ def _assemble(held: np.ndarray, p: int, limits: EnumerationLimits) -> np.ndarray
         if e == 0:
             within = apart = np.broadcast_to(table[0], (p, words, 1))  # (p, V, N)
             rank = np.arange(p)
-            # tile sides: prefixes, then parts r, then parts s
+            # tile sides: prefixes, then parts r
             step = max(1, _CHUNK_ELEMENTS // (p * p * words))
             rows = min(p, max(1, _CHUNK_ELEMENTS // (p * words * step)))
-            cols = min(p, max(1, _CHUNK_ELEMENTS // (rows * words * step)))
         else:
             # the children of the last element, now that their charge has passed
             child = np.arange(len(state))
@@ -400,18 +385,14 @@ def _assemble(held: np.ndarray, p: int, limits: EnumerationLimits) -> np.ndarray
         fits = np.ones((p, len(labels)), dtype=bool)
         for start in range(0, len(labels), step):
             chunk = slice(start, start + step)
-            into, away = within[..., chunk], apart[..., chunk]
+            away = apart[..., chunk]
             for r0 in range(0, p, rows):
                 r = slice(r0, r0 + rows)
-                into_r, away_r = into[r] & inside, away[r] & outside
-                for s0 in range(0, p, cols):
-                    s = slice(s0, s0 + cols)
-                    # entry [r, s]: the witnesses of pair (r, s) once the element is in r
-                    upper = (rank[r, None] < rank[s])[..., None, None]  # s > r
-                    witnesses = np.where(upper, into_r[:, None] & away[s], into[s] & away_r[:, None])
-                    found = np.bitwise_or.reduce(witnesses, axis=2) != 0
-                    found |= (rank[r, None] == rank[s])[..., None]
-                    fits[r, chunk] &= found.all(axis=1)
+                # entry [r, s]: the witnesses of pair (r, s) once the element is in r
+                witnesses = (within[r, :, chunk] & inside)[:, None] & away
+                found = np.bitwise_or.reduce(witnesses, axis=2) != 0
+                found |= (rank[r, None] == rank)[..., None]
+                fits[r, chunk] &= found.all(axis=1)
         part, state = np.nonzero(fits)
         labels = labels[state]
         labels[:, e] = part
@@ -454,15 +435,17 @@ def enumerate_generic_p_partitions(
     perturbed: PerturbedMatrix,
     p: int,
     limits: EnumerationLimits = DEFAULT_LIMITS,
-    two_partition_masks: list[int] | None = None,
+    two_partition_masks: np.ndarray | None = None,
 ) -> GenericPartitionSet:
     """All generic p-partitions: the ordered p-partitions whose every part
     pair r < s is separated by a generic 2-partition, block r in its first
     block and block s in its second.
 
-    At p = 2 these are the 2-partitions themselves, one per mask, charged
-    one assembly node each. For p > 2 `_assemble` places the elements one at
-    a time.
+    two_partition_masks, if given, stands in for the 2-partitions of
+    perturbed: an (M, n) 0/1 array of distinct first blocks, closed under
+    complements, as `_two_partition_masks` returns it. At p = 2 these are
+    the 2-partitions themselves, one per mask, charged one assembly node
+    each. For p > 2 `_assemble` places the elements one at a time.
     """
     d, n = perturbed.d, perturbed.n
     if p < 1:
@@ -472,13 +455,12 @@ def enumerate_generic_p_partitions(
 
     masks = (two_partition_masks if two_partition_masks is not None
              else _two_partition_masks(perturbed, limits))
-    held = _bits(_words(masks, max(1, -(-n // _WORD_BITS))), n)
     if p == 2:
         if len(masks) > limits.max_assembly_nodes:
             raise CapacityError("assembly-nodes", limits.max_assembly_nodes, len(masks))
-        labels = 1 - held  # an element outside the mask goes to part 2
+        labels = 1 - masks  # an element outside the mask goes to part 2
     else:
-        labels = _assemble(held, p, limits)
+        labels = _assemble(masks, p, limits)
     blocks = (labels[:, None, :] == np.arange(p, dtype=labels.dtype)[:, None]).view(np.uint8)
     if len(blocks) > 1:
         blocks = blocks[_block_order(blocks)]

@@ -48,6 +48,7 @@ import numpy as np
 
 from .errors import DimensionError, OracleError, ProblemError
 from .linalg import Matrix, as_rational, format_rational, integer_array, integer_rows
+from .partitions import _key_matrix
 
 _STDERR_TAIL = 500  # characters of a dead oracle's stderr quoted in the error
 
@@ -81,10 +82,7 @@ def _key_matrices(keys: Sequence[Key], scale: int, p: int) -> dict[Key, Matrix]:
     matrices: dict[Key, Matrix] = {}
     for key in keys:
         if key not in matrices:
-            matrices[key] = Matrix(
-                [[Fraction(x, scale) for x in key[r:r + p]] for r in range(0, len(key), p)],
-                ncols=p,
-            )
+            matrices[key] = _key_matrix(key, scale, p)
     return matrices
 
 

@@ -3,7 +3,7 @@
 This module owns the formats the pipeline and the brute-force reference
 share: the (N, p, n) 0/1 block array of a set of partitions
 (`partitions_from_blocks` reads it back) and the integer part-sum keys
-(`PartSums`).
+(`PartSums`; `_key_matrix` reads one back, for `objectives` too).
 
 Element indices are 1-based everywhere a user can see them, matching the
 ground set {1, ..., n}. A shape is a plain tuple of p nonnegative block sizes
@@ -114,9 +114,13 @@ class PartSums:
 
     def matrix(self, key: Sequence[int]) -> Matrix:
         """The part-sum matrix of a key."""
-        p, scale = self.p, self.scale
-        return Matrix([[Fraction(x, scale) for x in key[r:r + p]] for r in range(0, len(key), p)],
-                      ncols=p)
+        return _key_matrix(key, self.scale, self.p)
+
+
+def _key_matrix(key: Sequence[int], scale: int, p: int) -> Matrix:
+    """The matrix with p columns whose row-major entries times scale are key."""
+    return Matrix([[Fraction(x, scale) for x in key[r:r + p]] for r in range(0, len(key), p)],
+                  ncols=p)
 
 
 def partitions_from_blocks(blocks: np.ndarray) -> list[Partition]:

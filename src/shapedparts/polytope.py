@@ -70,8 +70,14 @@ class CandidateSet:
 
     admissible: AdmissiblePartitions
     two_partition_count: int
-    generic_count: int
-    admissible_count: int
+
+    @property
+    def generic_count(self) -> int:
+        return len(self.admissible.generic)
+
+    @property
+    def admissible_count(self) -> int:
+        return len(self.admissible)
 
     def __len__(self) -> int:
         return len(self.admissible.keys)
@@ -166,7 +172,7 @@ def candidate_vertices(
     masks = _two_partition_masks(perturbed, limits)
     generic = enumerate_generic_p_partitions(perturbed, p, limits, two_partition_masks=masks)
     admissible = admissible_partitions(a, generic, family, limits)
-    return CandidateSet(admissible, len(masks), len(generic), len(admissible))
+    return CandidateSet(admissible, len(masks))
 
 
 def enumerate_vertices(

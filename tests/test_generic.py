@@ -37,6 +37,15 @@ def _mask_block(mask):
     return tuple(c + 1 for c in range(mask.bit_length()) if mask >> c & 1)
 
 
+def mask_ints(rows):
+    """The masks of a 0/1 mask array as sorted ints, bit c for element c + 1,
+    after checking that the rows are distinct and in lexicographic order."""
+    assert rows.dtype == np.uint8 and rows.ndim == 2 and rows.max(initial=0) <= 1
+    listed = rows.tolist()
+    assert all(a < b for a, b in zip(listed, listed[1:]))
+    return sorted(sum(bit << c for c, bit in enumerate(row)) for row in listed)
+
+
 def _determinant(rows):
     """Determinant of a square integer matrix by the shared fraction-free
     elimination: its last pivot entry, times the sign of the row swaps it made
@@ -493,7 +502,7 @@ class TestAssemble:
 class TestPPartitions:
     def test_p2_matches_two_partition_set(self):
         p = perturbed([[1, 2]])
-        masks = _two_partition_masks(p, EnumerationLimits())
+        masks = mask_ints(_two_partition_masks(p, EnumerationLimits()))
         expected = {(_mask_block(m), _mask_block(0b11 ^ m)) for m in masks}
         assert blocks(enumerate_generic_p_partitions(p, 2)) == expected
 
@@ -575,7 +584,7 @@ class TestPPartitions:
     )
     def test_matches_depth_first_reference(self, d, n, p_count, rng):
         p = perturbed([[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)])
-        masks = _two_partition_masks(p, EnumerationLimits())
+        masks = mask_ints(_two_partition_masks(p, EnumerationLimits()))
         try:
             expected = reference_p_partitions(masks, n, p_count, max_nodes=300_000)
         except _ReferenceBudget:
@@ -591,7 +600,7 @@ class TestPPartitions:
         # The depth-first reference runs out of budget on most p = 5 draws;
         # the brute-force labelings, which it confirms, cover every draw.
         p = perturbed([[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)])
-        masks = _two_partition_masks(p, EnumerationLimits())
+        masks = mask_ints(_two_partition_masks(p, EnumerationLimits()))
         expected = {tuple(map(_mask_block, vec)) for vec in reference_pairwise_partitions(masks, n, p_count)}
         try:
             assert reference_p_partitions(masks, n, p_count, max_nodes=300_000) == expected
@@ -644,9 +653,9 @@ class TestPPartitions:
     def test_seven_points_four_parts_within_default_limits(self):
         rng = random.Random(7)
         p = PerturbedMatrix(lift(Matrix([[rng.randint(-5, 5) for _ in range(7)]])))
-        masks = _two_partition_masks(p, EnumerationLimits())
-        result = enumerate_generic_p_partitions(p, 4, two_partition_masks=masks)
-        expected = reference_pairwise_partitions(masks, 7, 4)
+        rows = _two_partition_masks(p, EnumerationLimits())
+        result = enumerate_generic_p_partitions(p, 4, two_partition_masks=rows)
+        expected = reference_pairwise_partitions(mask_ints(rows), 7, 4)
         assert len(result) == len(expected) > 5000
         assert {tuple(map(_block_mask, pi.blocks)) for pi in result} == expected
 
@@ -668,9 +677,9 @@ class TestMultiWordMasks:
     def test_two_parts_match_reference(self, n):
         rng = random.Random(n)
         p = PerturbedMatrix(lift(Matrix([[rng.randint(-5, 5) for _ in range(n)]])))
-        masks = _two_partition_masks(p, EnumerationLimits())
-        result = enumerate_generic_p_partitions(p, 2, two_partition_masks=masks)
-        assert [pi.blocks for pi in result] == reference_level_assembly(masks, n, 2)
+        rows = _two_partition_masks(p, EnumerationLimits())
+        result = enumerate_generic_p_partitions(p, 2, two_partition_masks=rows)
+        assert [pi.blocks for pi in result] == reference_level_assembly(mask_ints(rows), n, 2)
         assert len(result) == n * (n - 1) + 2
 
     @pytest.mark.parametrize("n", [63, 64, 65])
@@ -679,11 +688,10 @@ class TestMultiWordMasks:
         p = PerturbedMatrix(lift(Matrix([[rng.randint(-5, 5) for _ in range(n)]])))
         # k = 1 gives millions of generic 3-partitions at this n, so assemble
         # from a complement-closed sample of its masks.
-        full = (1 << n) - 1
         sample = _two_partition_masks(p, EnumerationLimits())[::150]
-        masks = sorted(set(sample) | {full ^ m for m in sample})
-        result = enumerate_generic_p_partitions(p, 3, two_partition_masks=masks)
-        expected = reference_level_assembly(masks, n, 3)
+        rows = np.unique(np.concatenate([sample, 1 - sample]), axis=0)
+        result = enumerate_generic_p_partitions(p, 3, two_partition_masks=rows)
+        expected = reference_level_assembly(mask_ints(rows), n, 3)
         assert len(expected) > 100
         assert [pi.blocks for pi in result] == expected
 
@@ -691,9 +699,9 @@ class TestMultiWordMasks:
     def test_three_parts_on_a_line_match_reference(self, n):
         # k = 0: the lifted points lie on a line, so the full generic set is small.
         p = PerturbedMatrix(lift(Matrix([], ncols=n)))
-        masks = _two_partition_masks(p, EnumerationLimits())
-        result = enumerate_generic_p_partitions(p, 3, two_partition_masks=masks)
-        assert [pi.blocks for pi in result] == reference_level_assembly(masks, n, 3)
+        rows = _two_partition_masks(p, EnumerationLimits())
+        result = enumerate_generic_p_partitions(p, 3, two_partition_masks=rows)
+        assert [pi.blocks for pi in result] == reference_level_assembly(mask_ints(rows), n, 3)
 
 
 class TestAssemblyNodeBoundary:
@@ -719,7 +727,7 @@ class TestAssemblyNodeBoundary:
     @pytest.mark.parametrize("rows, p_count, cumulative, size", CASES)
     def test_counts_follow_the_prefixes(self, rows, p_count, cumulative, size):
         p = PerturbedMatrix(lift(Matrix(rows)))
-        masks = _two_partition_masks(p, EnumerationLimits())
+        masks = mask_ints(_two_partition_masks(p, EnumerationLimits()))
         words = -(-len(masks) // 64)
         total, derived = 0, []
         for j in range(p.n):
@@ -746,7 +754,7 @@ class TestAssemblyNodeBoundary:
 
 
 class TestAssemblyTiles:
-    """The assembly tests run in bounded (parts, parts, words, prefixes) tiles."""
+    """The assembly tests run in bounded (parts r, parts, words, prefixes) tiles."""
 
     @pytest.mark.parametrize("chunk_elements", [1, 3, 16, 100])
     @pytest.mark.parametrize("rows, p_count", [
@@ -803,7 +811,8 @@ class TestBatchedMasks:
     def test_matches_reference_loop(self, rows):
         p = perturbed(rows)
         limits = EnumerationLimits()
-        assert _two_partition_masks(p, limits) == reference_two_partition_masks(p, limits)
+        expected = reference_two_partition_masks(p, limits)
+        assert mask_ints(_two_partition_masks(p, limits)) == expected
 
     @pytest.mark.parametrize("base, vanishing", [
         pytest.param(lift(Matrix([[0] * 6, [0] * 6])), True, id="all-zero-attribute-rows"),
@@ -819,7 +828,7 @@ class TestBatchedMasks:
         limits = EnumerationLimits()
         expected = reference_two_partition_masks(p, limits)
         calls = fallback_calls()
-        assert _two_partition_masks(p, limits) == expected
+        assert mask_ints(_two_partition_masks(p, limits)) == expected
         assert bool(calls) == vanishing
         # the degree-d pass gets only subsets with an eps^0 zero outside them
         assert all(columns for subset, columns in calls)
@@ -862,14 +871,16 @@ class TestBatchedMasks:
     def test_int64_and_object_paths_match_reference(self, column_dtypes, rows, dtypes):
         p = PerturbedMatrix(lift(Matrix(rows)))
         limits = EnumerationLimits()
-        assert _two_partition_masks(p, limits) == reference_two_partition_masks(p, limits)
+        expected = reference_two_partition_masks(p, limits)
+        assert mask_ints(_two_partition_masks(p, limits)) == expected
         assert column_dtypes == dtypes
 
     @pytest.mark.parametrize("rows", [[[3, -1], [0, 2]], [[2], [5]], [[1, 2, 3]] * 3])
     def test_n_at_most_d(self, rows):
         p = perturbed(rows)
         limits = EnumerationLimits()
-        assert _two_partition_masks(p, limits) == reference_two_partition_masks(p, limits)
+        expected = reference_two_partition_masks(p, limits)
+        assert mask_ints(_two_partition_masks(p, limits)) == expected
 
     @pytest.mark.parametrize("n", [63, 64, 65])
     @pytest.mark.parametrize("line", [False, True], ids=["repeated-entries", "k0-line"])
@@ -882,7 +893,7 @@ class TestBatchedMasks:
         limits = EnumerationLimits()
         expected = reference_two_partition_masks(p, limits)
         calls = fallback_calls()
-        assert _two_partition_masks(p, limits) == expected
+        assert mask_ints(_two_partition_masks(p, limits)) == expected
         assert bool(calls) != line
         if n == 65 and not line:
             assert any(max(columns) == 64 or subset == (64,) for subset, columns in calls)
@@ -893,7 +904,7 @@ class TestMaskGuardParity:
     text, or the same masks. The chunk bound is varied so that the guard
     trips inside a chunk and at chunk boundaries."""
 
-    # A bound of 1 gives one d-subset per chunk; 500 gives 15, 6 and 2 of
+    # A bound of 1 gives one d-subset per chunk; 500 gives 13, 6 and 2 of
     # them at k = 1, 2 and 3; the default takes all in one chunk.
     @pytest.mark.parametrize("k, n, seed", [(1, 8, 1), (2, 8, 2), (3, 7, 3)])
     @pytest.mark.parametrize("chunk_elements", [1, 500, None])
@@ -911,11 +922,43 @@ class TestMaskGuardParity:
             except CapacityError as caught:
                 expected = str(caught)
             try:
-                outcome = _two_partition_masks(p, limits)
+                outcome = mask_ints(_two_partition_masks(p, limits))
             except CapacityError as caught:
                 outcome = str(caught)
             assert outcome == expected, limit
         assert outcome == full
+
+
+@st.composite
+def small_lifted(draw):
+    """lift(A) for a k x n matrix A, k <= 2 and n <= 7, entries in [-4, 4]."""
+    k, n = draw(st.integers(1, 2)), draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                         min_size=k, max_size=k))
+    return PerturbedMatrix(lift(Matrix(rows)))
+
+
+class TestComplementClosure:
+    """The assembly tests each part pair one way, which is sound because the
+    2-partitions are closed under complements; the generic p-partitions are
+    then closed under every permutation of the parts."""
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(small_lifted())
+    def test_masks_equal_their_complements(self, p):
+        rows = _two_partition_masks(p, EnumerationLimits())
+        full = (1 << p.n) - 1
+        masks = mask_ints(rows)
+        assert sorted(full ^ m for m in masks) == masks
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(small_lifted(), st.integers(2, 4))
+    def test_partitions_closed_under_part_permutations(self, p, p_count):
+        found = enumerate_generic_p_partitions(p, p_count).blocks
+        rows = np.unique(found.reshape(len(found), -1), axis=0)
+        for order in permutations(range(p_count)):
+            permuted = found[:, list(order)].reshape(len(found), -1)
+            np.testing.assert_array_equal(np.unique(permuted, axis=0), rows)
 
 
 class TestBlockOrder:
