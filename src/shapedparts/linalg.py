@@ -14,6 +14,7 @@ called only by the hull.
 
 from __future__ import annotations
 
+import operator
 import re
 import sys
 from fractions import Fraction
@@ -70,6 +71,19 @@ def as_rational(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational scalar: {value!r}") from exc
     raise ValueError(f"not a rational scalar: {value!r} (floats are not accepted)")
+
+
+def as_integer(value) -> int:
+    """Coerce an exact integer: an int or a numpy integer, by `operator.index`.
+
+    Booleans are rejected, as in `as_rational`, and so are floats and strings.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"not an integer: {value!r}")
 
 
 def format_rational(value: Fraction) -> str:

@@ -8,12 +8,11 @@ times a positive scale. `solve` and `brute_solve` evaluate through
 `evaluate_keys` only.
 
 The built-in kinds cover the standard instances (linear functionals, diagonal
-power sums, column power sums, cut counting). Each computes a batch of keys as
-one integer array, int64 exactly when `linalg.integer_array` proves that no
-key entry and no intermediate can overflow it, Python integers otherwise; its
-`evaluate` is the one-key case, with the key and scale of
-`linalg.integer_rows`. The tests hold these against the Fraction
-definitions.
+power sums, column power sums, cut counting). Each computes the value at a
+key by Python integer arithmetic on the key's entries, which cannot
+overflow, and divides once, into one Fraction per key; its `evaluate` is the
+one-key case, with the key and scale of `linalg.integer_rows`. The tests
+hold these against the Fraction definitions.
 
 Every other objective, a user subclass or an external oracle, needs only
 `evaluate`: the base class builds the Matrix of each distinct key once and
@@ -42,12 +41,11 @@ import select
 import subprocess
 import tempfile
 from fractions import Fraction
-from typing import Callable, Sequence
-
-import numpy as np
+from operator import mul
+from typing import Sequence
 
 from .errors import DimensionError, OracleError, ProblemError
-from .linalg import Matrix, as_rational, format_rational, integer_array, integer_rows
+from .linalg import Matrix, as_integer, as_rational, format_rational, integer_rows
 from .partitions import _key_matrix
 
 _STDERR_TAIL = 500  # characters of a dead oracle's stderr quoted in the error
@@ -86,26 +84,22 @@ def _key_matrices(keys: Sequence[Key], scale: int, p: int) -> dict[Key, Matrix]:
     return matrices
 
 
-def _stack(keys: Sequence[Key], bound: Callable[[int], int]) -> np.ndarray:
-    """The nonempty keys as one (N, width) integer array.
-
-    bound(m) must bound m, the largest magnitude of a key entry, and every
-    intermediate the caller computes from the array; `integer_array` picks
-    int64 exactly when it is at most 2^63 - 1.
-    """
-    width = len(keys[0])
-    largest = max(max(map(max, keys)), -min(map(min, keys))) if width else 0
-    return integer_array(keys, bound(largest)).reshape(len(keys), width)
-
-
 class _IntegerObjective(Objective):
-    """A built-in kind: evaluate_keys computes on the keys as integers, and
-    evaluate is its one-key case."""
+    """A built-in kind: evaluate_keys computes on the keys as Python
+    integers, which cannot overflow, and evaluate is its one-key case."""
 
     def evaluate(self, matrix: Matrix) -> Fraction:
         integral, scale = integer_rows(matrix.rows())
         key = tuple(x for row in integral for x in row)
         return self.evaluate_keys([key], scale, matrix.ncols)[0]
+
+
+def _exponent(q) -> int:
+    """q as an int, or 0, which no power objective admits, if q is not an integer."""
+    try:
+        return as_integer(q)
+    except ValueError:
+        return 0
 
 
 class LinearObjective(_IntegerObjective):
@@ -119,22 +113,16 @@ class LinearObjective(_IntegerObjective):
         self.cost = cost
         weights, self._denominator = integer_rows(cost.rows())
         self._weights = [w for row in weights for w in row]
-        self._weight = sum(map(abs, self._weights))
 
     def evaluate_keys(self, keys: Sequence[Key], scale: int, p: int) -> list[Fraction]:
-        if not keys:
-            return []
-        if p != self.cost.ncols or len(keys[0]) != len(self._weights):
+        weights = self._weights
+        if keys and (p != self.cost.ncols or len(keys[0]) != len(weights)):
             raise DimensionError(
                 f"cost is {self.cost.nrows}x{self.cost.ncols}, "
                 f"matrix has {len(keys[0])} entries in rows of {p}"
             )
-        weight = self._weight
-        # the bound covers the weights too, so they share the keys' dtype
-        entries = _stack(keys, lambda m: max(m, weight, m * weight))
-        totals = entries @ np.array(self._weights, dtype=entries.dtype)
         denominator = scale * self._denominator
-        return [Fraction(t, denominator) for t in totals.tolist()]
+        return [Fraction(sum(map(mul, weights, key)), denominator) for key in keys]
 
     def check_compatible(self, a: Matrix, p: int) -> None:
         if self.cost.shape != (a.nrows, p):
@@ -147,19 +135,16 @@ class DiagonalPowerObjective(_IntegerObjective):
     """Sum over i of |X[i][i]| ** q for a square matrix; q is an integer >= 1."""
 
     def __init__(self, q: int):
-        if not isinstance(q, int) or q < 1:
+        self.q = _exponent(q)
+        if self.q < 1:
             raise DimensionError(f"diagonal power needs an integer q >= 1, got {q!r}")
-        self.q = q
 
     def evaluate_keys(self, keys: Sequence[Key], scale: int, p: int) -> list[Fraction]:
-        if not keys:
-            return []
-        if len(keys[0]) != p * p:
+        if keys and len(keys[0]) != p * p:
             raise DimensionError("diagonal power sum needs a square matrix (k = p)")
         q = self.q
-        diagonal = _stack(keys, lambda m: max(m, p * m ** q))[:, ::p + 1]
         denominator = scale ** q
-        return [Fraction(t, denominator) for t in (abs(diagonal) ** q).sum(axis=1).tolist()]
+        return [Fraction(sum(abs(x) ** q for x in key[::p + 1]), denominator) for key in keys]
 
     def check_compatible(self, a: Matrix, p: int) -> None:
         if a.nrows != p:
@@ -170,17 +155,14 @@ class ColumnPowerObjective(_IntegerObjective):
     """Sum over all entries of |X[i][j]| ** q; q is a positive even integer."""
 
     def __init__(self, q: int):
-        if not isinstance(q, int) or q < 2 or q % 2:
+        self.q = _exponent(q)
+        if self.q < 2 or self.q % 2:
             raise DimensionError(f"column power needs a positive even integer q, got {q!r}")
-        self.q = q
 
     def evaluate_keys(self, keys: Sequence[Key], scale: int, p: int) -> list[Fraction]:
-        if not keys:
-            return []
-        q, width = self.q, len(keys[0])
-        entries = _stack(keys, lambda m: max(m, width * m ** q))
+        q = self.q
         denominator = scale ** q
-        return [Fraction(t, denominator) for t in (entries ** q).sum(axis=1).tolist()]
+        return [Fraction(sum(x ** q for x in key), denominator) for key in keys]
 
 
 class MaxCutObjective(_IntegerObjective):
@@ -195,7 +177,7 @@ class MaxCutObjective(_IntegerObjective):
         normalized = []
         seen = set()
         for edge in edges:
-            u, v = (int(x) for x in edge)
+            u, v = (as_integer(x) for x in edge)
             if u == v:
                 raise DimensionError(f"loop edge {edge!r} is not allowed")
             key = (min(u, v), max(u, v))
@@ -204,17 +186,17 @@ class MaxCutObjective(_IntegerObjective):
             seen.add(key)
             normalized.append(key)
         self.edges = tuple(normalized)
-        self._ends = np.array(self.edges, dtype=np.intp).reshape(len(self.edges), 2) - 1
 
     def evaluate_keys(self, keys: Sequence[Key], scale: int, p: int) -> list[Fraction]:
-        if not keys:
-            return []
-        # scale is compared with the entries, so it must fit their dtype too
-        column = _stack(keys, lambda m: max(m, scale))[:, ::p]
-        if ((column != 0) & (column != scale)).any():
-            raise DimensionError("cut counting needs a 0/1 first column")
-        cuts = (column[:, self._ends[:, 0]] != column[:, self._ends[:, 1]]).sum(axis=1)
-        return [Fraction(cut) for cut in cuts.tolist()]
+        ends = [(u - 1, v - 1) for u, v in self.edges]
+        indicator = {0, scale}
+        values = []
+        for key in keys:
+            column = key[::p]
+            if not indicator.issuperset(column):
+                raise DimensionError("cut counting needs a 0/1 first column")
+            values.append(Fraction(sum([column[u] != column[v] for u, v in ends])))
+        return values
 
     def check_compatible(self, a: Matrix, p: int) -> None:
         if p != 2:

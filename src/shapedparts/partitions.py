@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import Matrix, integer_array, integer_rows
+from .linalg import Matrix, as_integer, integer_array, integer_rows
 
 Shape = tuple[int, ...]
 
@@ -179,7 +179,7 @@ class ShapeFamily:
     @classmethod
     def explicit(cls, shapes: Iterable[Sequence[int]], n: int, p: int) -> "ShapeFamily":
         _check_dims(n, p)
-        normalized = frozenset(tuple(int(x) for x in s) for s in shapes)
+        normalized = frozenset(tuple(as_integer(x) for x in s) for s in shapes)
         if not normalized:
             raise DimensionError("an explicit shape family must be nonempty")
         for s in normalized:
@@ -188,8 +188,8 @@ class ShapeFamily:
 
     @classmethod
     def bounds(cls, lower: Sequence[int], upper: Sequence[int], n: int) -> "ShapeFamily":
-        lo = tuple(int(x) for x in lower)
-        hi = tuple(int(x) for x in upper)
+        lo = tuple(as_integer(x) for x in lower)
+        hi = tuple(as_integer(x) for x in upper)
         if len(lo) != len(hi):
             raise DimensionError("lower and upper bounds differ in arity")
         p = len(lo)

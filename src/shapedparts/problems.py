@@ -86,21 +86,18 @@ def _parse_shapes(raw, n: int, p: int) -> ShapeFamily:
             return ShapeFamily.bounds(lower, upper, n)
     except ProblemError:
         raise
-    except (ValueError, TypeError) as exc:  # DimensionError, or a bad int() or entry
+    except (ValueError, TypeError) as exc:  # DimensionError, or a bad entry
         raise ProblemError(f"bad shape family: {exc}") from exc
     raise ProblemError(f"unknown shape family type {kind!r}")
 
 
-def _parse_objective(raw, k: int, n: int, p: int) -> Objective:
+def _parse_objective(raw) -> Objective:
     if not isinstance(raw, dict) or "type" not in raw:
         raise ProblemError('objective must be an object with a "type" key')
     kind = raw["type"]
     try:
         if kind == "linear":
-            cost = _parse_matrix(raw.get("cost"), "objective cost")
-            if cost.shape != (k, p):
-                raise ProblemError(f"linear cost must be {k}x{p}, got {cost.nrows}x{cost.ncols}")
-            return LinearObjective(cost)
+            return LinearObjective(_parse_matrix(raw.get("cost"), "objective cost"))
         if kind == "sum_diag_pow":
             return DiagonalPowerObjective(raw.get("q"))
         if kind == "sum_column_norm_pow":
@@ -112,12 +109,12 @@ def _parse_objective(raw, k: int, n: int, p: int) -> Objective:
             return MaxCutObjective(edges)
         if kind == "external":
             cmd = raw.get("cmd")
-            if not isinstance(cmd, list) or not cmd:
-                raise ProblemError('objective "external" needs a non-empty "cmd" array')
+            if not isinstance(cmd, list) or not cmd or not all(isinstance(c, str) for c in cmd):
+                raise ProblemError('objective "external" needs a non-empty "cmd" array of strings')
             return ExternalOracle(cmd)
     except ProblemError:
         raise
-    except (ValueError, TypeError) as exc:  # DimensionError, or a bad int() or edge
+    except (ValueError, TypeError) as exc:  # DimensionError, or a bad edge
         raise ProblemError(f"bad objective: {exc}") from exc
     raise ProblemError(f"unknown objective type {kind!r}")
 
@@ -135,7 +132,7 @@ def problem_from_dict(raw: dict) -> Problem:
     family = _parse_shapes(raw["shapes"], matrix.ncols, p)
     objective = None
     if raw.get("objective") is not None:
-        objective = _parse_objective(raw["objective"], matrix.nrows, matrix.ncols, p)
+        objective = _parse_objective(raw["objective"])
         try:
             objective.check_compatible(matrix, p)
         except DimensionError as exc:

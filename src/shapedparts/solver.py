@@ -11,12 +11,8 @@ The admissible generic partitions and their part-sum matrices come from
 It holds each distinct part-sum matrix as an integer key. solve hands the
 key of every admissible partition, in canonical order, to the objective's
 `evaluate_keys` in one call, and builds a Matrix and a Partition object for
-the winner only. A built-in objective computes the batch on integers; any
-other objective gets one `evaluate` call per partition, on a Matrix built
-once per distinct key. An external oracle first receives the distinct
-matrices it has not answered, in first-occurrence order, as many query lines
-per pipe write as fit in `select.PIPE_BUF` bytes; its `evaluate` calls then
-answer from its record.
+the winner only. How each kind of objective computes that batch is
+described in `objectives`.
 """
 
 from __future__ import annotations

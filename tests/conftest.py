@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 from typing import Sequence
 
 import pytest
@@ -16,6 +17,18 @@ from shapedparts.objectives import (
     MaxCutObjective,
 )
 from shapedparts.partitions import ShapeFamily, compositions
+
+
+def pytest_collection_modifyitems(config, items):
+    """Fail a test under tests/ that leaks a pipe or a file. An unclosed one
+    warns when it is garbage-collected, and a warning raised there reaches
+    pytest as an unraisable exception."""
+    here = Path(__file__).resolve().parent
+    for item in items:
+        if here in item.path.resolve().parents:
+            item.add_marker(pytest.mark.filterwarnings("error::ResourceWarning"))
+            item.add_marker(
+                pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"))
 
 
 def _forward_eliminate(rows: list[list[Fraction]]) -> tuple[int, int]:

@@ -247,13 +247,21 @@ class TestInputErrors:
         ({"type": "list", "shapes": [["a", 3]]}, None),
         ({"type": "bounds", "lower": [0, 1.5], "upper": [3, 3]}, None),  # a JSON float
         ({"type": "all"}, {"type": "max_cut", "edges": [[1, 2, 3]]}),
-    ], ids=["shape-entry", "bound-entry", "edge-arity"])
+        ({"type": "list", "shapes": [[True, 2], [2, True]]}, None),
+        ({"type": "bounds", "lower": [False, False], "upper": [3, 3]}, None),
+        ({"type": "all"}, {"type": "sum_diag_pow", "q": True}),
+        ({"type": "all"}, {"type": "max_cut", "edges": [[True, 2]]}),
+        ({"type": "all"}, {"type": "max_cut", "edges": [[1, "2"]]}),
+        ({"type": "all"}, {"type": "external", "cmd": ["python3", True]}),
+    ], ids=["shape-entry", "bound-entry", "edge-arity", "boolean-shape", "boolean-bound",
+            "boolean-power", "boolean-edge", "string-edge", "boolean-command"])
     def test_malformed_shape_or_edge_entry_exit_2(self, tmp_path, capsys, shapes, objective):
         matrix = [[1, 2, 3]] if objective is None else [[1, 0], [0, 1]]
         doc = {"matrix": matrix, "p": 2, "shapes": shapes}
         if objective is not None:
             doc["objective"] = objective
-        code, out, err = run_cli(["count", write_problem(tmp_path, doc)], capsys)
+        command = "count" if objective is None else "solve"
+        code, out, err = run_cli([command, write_problem(tmp_path, doc)], capsys)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "internal error" not in err

@@ -10,6 +10,7 @@ from conftest import rank, solve_consistent
 from shapedparts.errors import DimensionError, ProblemError
 from shapedparts.linalg import (
     Matrix,
+    as_integer,
     as_rational,
     format_rational,
     fraction_free_elimination,
@@ -36,6 +37,13 @@ class TestScalars:
     def test_bools_rejected(self):
         with pytest.raises(ValueError):
             as_rational(True)
+
+    def test_integers_accept_numpy_integers_and_reject_bools(self):
+        assert as_integer(-3) == -3 and as_integer(2 ** 70) == 2 ** 70
+        assert as_integer(np.int64(4)) == 4 and type(as_integer(np.uint8(4))) is int
+        for value in (True, np.True_, 2.0, "2", None, F(2)):
+            with pytest.raises(ValueError, match="not an integer"):
+                as_integer(value)
 
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from shapedparts.errors import ProblemError
@@ -11,6 +12,7 @@ from shapedparts.objectives import (
     LinearObjective,
     MaxCutObjective,
 )
+from shapedparts.partitions import ShapeFamily
 from shapedparts.problems import load_problem, problem_from_dict, random_instance_dict
 
 
@@ -57,6 +59,13 @@ class TestParsing:
         doc["shapes"] = {"type": "bounds", "lower": [1, 1], "upper": [2, 2]}
         assert not problem_from_dict(doc).family.contains((3, 0))
 
+    def test_library_takes_numpy_integers(self):
+        two, one = np.int64(2), np.int64(1)
+        assert ShapeFamily.explicit([(two, one)], 3, 2).contains((2, 1))
+        assert not ShapeFamily.bounds([one, one], [two, two], 3).contains((3, 0))
+        assert MaxCutObjective([(one, two)]).edges == ((1, 2),)
+        assert ColumnPowerObjective(two).q == 2 and DiagonalPowerObjective(one).q == 1
+
     def test_invalid_shapes(self):
         doc = base_doc()
         doc["shapes"] = {"type": "list", "shapes": [[2, 2]]}
@@ -68,6 +77,13 @@ class TestParsing:
         doc["shapes"] = {"type": "mystery"}
         with pytest.raises(ProblemError):
             problem_from_dict(doc)
+        # a boolean or a string is not a size, though int() would read it as one
+        for shapes in ({"type": "list", "shapes": [[True, 2], [2, True]]},
+                       {"type": "list", "shapes": [["1", 2]]},
+                       {"type": "bounds", "lower": [False, False], "upper": [3, 3]}):
+            doc["shapes"] = shapes
+            with pytest.raises(ProblemError, match="not an integer"):
+                problem_from_dict(doc)
 
     def test_objective_kinds(self):
         doc = base_doc()
@@ -100,6 +116,23 @@ class TestParsing:
             problem_from_dict(doc)
         doc["objective"] = {"type": "max_cut", "edges": [[1, 2]]}
         with pytest.raises(ProblemError):
+            problem_from_dict(doc)
+        # checked once, by the objective's check_compatible
+        doc["objective"] = {"type": "linear", "cost": [[1, 0], [0, 1]]}
+        with pytest.raises(ProblemError, match="^objective incompatible with instance: "):
+            problem_from_dict(doc)
+
+    @pytest.mark.parametrize("objective", [
+        {"type": "sum_diag_pow", "q": True},
+        {"type": "sum_column_norm_pow", "q": "2"},
+        {"type": "max_cut", "edges": [[True, 2]]},
+        {"type": "max_cut", "edges": [[1, "2"]]},
+        {"type": "external", "cmd": ["python3", True]},
+        {"type": "external", "cmd": ["python3", ["x"]]},
+    ])
+    def test_objective_entries_must_be_integers_or_strings(self, objective):
+        doc = {"matrix": [[1, 0], [0, 1]], "p": 2, "shapes": {"type": "all"}, "objective": objective}
+        with pytest.raises(ProblemError, match="not an integer|array of strings|integer q"):
             problem_from_dict(doc)
 
     def test_unreadable_file(self, tmp_path):
