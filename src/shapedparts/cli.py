@@ -3,9 +3,9 @@
 Subcommands: vertices, solve, count, check. Reports are JSON by default
 (stable key order, canonical rational strings, 1-based indices); vertex
 matrices can also be emitted as CSV, one row per vertex with row-major
-entries. Exit codes: 0 ok, 2 input error, 3 capacity guard, 4 external oracle
-failure, 5 self-check mismatch, 6 internal error (any other exception; a bug).
-Each failure prints one "error:" line to stderr.
+entries. Exit codes: 0 ok, 2 input or usage error, 3 capacity guard, 4
+external oracle failure, 5 self-check mismatch, 6 internal error (any other
+exception; a bug). Each failure prints one "error:" line to stderr.
 """
 
 from __future__ import annotations
@@ -75,6 +75,19 @@ def _limits(args) -> EnumerationLimits:
     )
 
 
+def _fail(message: object, code: int) -> int:
+    """Print message to stderr as one "error:" line and return the exit code."""
+    print("error: " + " ".join(str(message).splitlines()), file=sys.stderr)
+    return code
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one "error:" line, without the usage block, and exit 2."""
+
+    def error(self, message: str):
+        sys.exit(_fail(message, EXIT_INPUT))
+
+
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     defaults = EnumerationLimits()
     parser.add_argument("--output", metavar="PATH", help="write the report here instead of stdout")
@@ -92,7 +105,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 def _build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process; parse_args keeps no state
     between calls (each returns a fresh namespace)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shapedparts",
         description="Exact vertex enumeration and convex maximization over "
                     "shaped partition polytopes.",
@@ -269,18 +282,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return handlers[args.command](args)
     except (ProblemError, DimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _fail(exc, EXIT_INPUT)
     except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
+        return _fail(exc, EXIT_CAPACITY)
     except OracleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ORACLE
+        return _fail(exc, EXIT_ORACLE)
     except Exception as exc:  # SystemExit and KeyboardInterrupt pass through
         detail = " ".join(str(exc).split())
-        print(f"error: internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return _fail(f"internal error: {type(exc).__name__}: {detail}", EXIT_INTERNAL)
 
 
 if __name__ == "__main__":

@@ -69,7 +69,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapacityError, DimensionError
-from .linalg import Matrix, integer_array, integer_rows
+from .linalg import Matrix, as_integer, integer_array, integer_rows
 from .partitions import Partition, partitions_from_blocks
 
 
@@ -83,7 +83,7 @@ class EnumerationLimits:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if value < 0:
+            if as_integer(value) < 0:
                 raise DimensionError(f"limit {name} must be nonnegative, got {value}")
 
 
@@ -399,10 +399,6 @@ def _assemble(held: np.ndarray, p: int, limits: EnumerationLimits) -> np.ndarray
     return labels
 
 
-# Base-3 digits per int64 sort key: 3^39 < 2^63.
-_DIGITS_PER_KEY = 39
-
-
 def _block_order(blocks: np.ndarray) -> np.ndarray:
     """The stable permutation that sorts the (N, p, n) 0/1 block array by
     blocks: block 1 as a sorted tuple first, then block 2, and so on.
@@ -410,9 +406,8 @@ def _block_order(blocks: np.ndarray) -> np.ndarray:
     Position c of a block reads 1 if element c + 1 is in it, 2 if not but a
     later element is, and 0 if no element at or past it is. Comparing these
     codes position by position compares the blocks' sorted tuples, a proper
-    prefix first. The p * n codes of a partition are packed, most significant
-    first, into base-3 int64 keys of at most _DIGITS_PER_KEY digits, which
-    compare as the codes do, and one lexsort orders the keys. Both loops run
+    prefix first, so one lexsort on the p * n code columns, the first most
+    significant, orders the partitions. The loop that forms the codes runs
     over positions, each step over all partitions at once.
     """
     codes = blocks.copy()  # first 1 where the block has an element at or past c
@@ -420,15 +415,7 @@ def _block_order(blocks: np.ndarray) -> np.ndarray:
         np.maximum(codes[..., c], codes[..., c + 1], out=codes[..., c])
     codes *= 2
     codes -= blocks
-    codes = codes.reshape(len(blocks), -1)
-    keys = []
-    for start in range(0, codes.shape[1], _DIGITS_PER_KEY):
-        key = np.zeros(len(codes), dtype=np.int64)
-        for digit in codes[:, start:start + _DIGITS_PER_KEY].T:
-            key *= 3
-            key += digit
-        keys.append(key)
-    return np.lexsort(keys[::-1])
+    return np.lexsort(codes.reshape(len(blocks), -1).T[::-1])
 
 
 def enumerate_generic_p_partitions(

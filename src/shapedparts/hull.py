@@ -110,27 +110,29 @@ def _integer_phase_one(rhs: Sequence[int], columns: Sequence[Sequence[int]]) -> 
         basis[leave] = enter
 
 
-def _float_phase_one(acols: np.ndarray, rhs: np.ndarray, excluded: np.ndarray) -> list:
+def _float_phase_one(acols: np.ndarray, rhs: np.ndarray, excluded: np.ndarray) -> tuple:
     """Batched float phase-one simplex: for each row b of rhs, is A x = b,
     x >= 0 feasible, with A = acols, without the column excluded names for
     that row (an index into acols' columns, or -1 for none)?
 
-    Returns one outcome per row: ("feasible", support) with the sorted column
-    indices of a basic solution's positive entries, ("infeasible", y) with a
-    Farkas functional satisfying y.A <= 0 < y.b approximately, or None when
-    the iteration cap or numerics give up. Every row runs its own simplex: its
-    own sign flips (so its right-hand side is nonnegative), basis and pivots
-    (entering by the most negative reduced cost, leaving by the first smallest
-    ratio). Rows that finish drop out, and the rows run in chunks of at most
-    _CHUNK_ELEMENTS tableau entries.
+    Returns (supports, farkas): a dict from each row found feasible to the
+    sorted column indices of a basic solution's positive entries, and one
+    Farkas functional y per row, with y.A <= 0 < y.b approximately, which is
+    zero unless the row was found infeasible (the iteration cap or numerics
+    may give up). Every row runs its own simplex: its own sign flips (so its
+    right-hand side is nonnegative), basis and pivots (entering by the most
+    negative reduced cost, leaving by the first smallest ratio). Rows that
+    finish drop out, and the rows run in chunks of at most _CHUNK_ELEMENTS
+    tableau entries.
 
     An excluded column is zero in its row's tableau, so it never enters, and
-    the outcome is the one without the column; supports keep the column
+    the row's result is the one without the column; supports keep the column
     numbering of acols.
     """
     m, ng = acols.shape
     width = ng + m + 1
-    outcomes: list = [None] * len(rhs)
+    supports: dict[int, np.ndarray] = {}
+    farkas = np.zeros((len(rhs), m))
     step = max(1, _CHUNK_ELEMENTS // ((m + 1) * width))
     for start in range(0, len(rhs), step):
         chunk = rhs[start:start + step]
@@ -158,9 +160,9 @@ def _float_phase_one(acols: np.ndarray, rhs: np.ndarray, excluded: np.ndarray) -
             for i in np.flatnonzero(done).tolist():
                 if -tableau[i, m, -1] < _FEASIBILITY_TOL:
                     positive = (basis[i] < ng) & (tableau[i, :m, -1] > 1e-9)
-                    outcomes[rows[i]] = ("feasible", np.sort(basis[i, positive]))
+                    supports[int(rows[i])] = np.sort(basis[i, positive])
                 else:
-                    outcomes[rows[i]] = ("infeasible", flip[i] * (1.0 - tableau[i, m, ng:ng + m]))
+                    farkas[rows[i]] = flip[i] * (1.0 - tableau[i, m, ng:ng + m])
             col = tableau[at, :m, enter]
             positive = col > _PIVOT_TOL
             ratios = np.where(positive, tableau[:, :m, -1] / np.where(positive, col, 1.0), np.inf)
@@ -176,7 +178,7 @@ def _float_phase_one(acols: np.ndarray, rhs: np.ndarray, excluded: np.ndarray) -
             tableau -= factor[:, :, None] * pivot_row[:, None, :]
             tableau[at, leave] = pivot_row
             basis[at, leave] = enter
-    return outcomes
+    return supports, farkas
 
 
 class _HullContext:
@@ -192,9 +194,10 @@ class _HullContext:
 
     int_rows: per point, the kept integer coordinates. The integer simplex
         decides on these rows, and separating functionals are verified on them.
-    float_rows: the same coordinates divided by the scale, as floats, from
-        which the float simplex proposes supports and separating functionals
-        and the direction scan proposes vertices.
+    float_rows: each entry of int_rows divided by the scale, as floats (the
+        leading entry is exactly 1.0), from which the float simplex proposes
+        supports and separating functionals and the direction scan proposes
+        vertices.
 
     float_rows and the integer matrix that separations are verified on are
     built on first use: a point set of affine dimension at most 2 is decided
@@ -207,12 +210,11 @@ class _HullContext:
         exact = integer_array(lifted, self._max_scaled ** 2 * len(lifted))
         self._pivots = fraction_free_elimination((exact.T @ exact).tolist())
         self.int_rows = [tuple(row[j] for j in self._pivots) for row in lifted]
-        self._rows, self._scale = rows, scale
+        self._scale = scale
 
     @cached_property
     def float_rows(self) -> np.ndarray:
-        return np.array([[1.0] + [_safe_ratio(x, self._scale) for x in row]
-                         for row in self._rows])[:, self._pivots]
+        return np.array([[_safe_ratio(x, self._scale) for x in row] for row in self.int_rows])
 
     @cached_property
     def _int_matrix(self) -> np.ndarray:
@@ -260,20 +262,13 @@ class _HullContext:
             return verdicts
         column = {g: j for j, g in enumerate(generators)}
         excluded = np.array([column.get(t, -1) for t in targets])
-        farkas = np.zeros((len(targets), self.float_rows.shape[1]))
         # Overflow and NaN in the float proposal only spoil a proposal, which
         # then fails its exact check; numpy need not warn about them.
         with np.errstate(all="ignore"):
-            outcomes = _float_phase_one(self.float_rows[generators].T,
-                                        self.float_rows[targets], excluded)
-        for j, outcome in enumerate(outcomes):
-            if outcome is None:
-                continue
-            status, payload = outcome
-            if status == "feasible":
-                verdicts[j] = self._decide(targets[j], [generators[i] for i in payload])
-            else:
-                farkas[j] = payload
+            supports, farkas = _float_phase_one(self.float_rows[generators].T,
+                                                self.float_rows[targets], excluded)
+        for j, support in supports.items():
+            verdicts[j] = self._decide(targets[j], [generators[i] for i in support])
         # Every lifted point has the same leading coordinate, so it adds the
         # same score to all of them: left out, it takes no precision from the
         # rounding of the other entries.

@@ -173,12 +173,12 @@ class ShapeFamily:
 
     @classmethod
     def all_shapes(cls, n: int, p: int) -> "ShapeFamily":
-        _check_dims(n, p)
+        n, p = _check_dims(n, p)
         return cls("all", n, p, lambda shape: True)
 
     @classmethod
     def explicit(cls, shapes: Iterable[Sequence[int]], n: int, p: int) -> "ShapeFamily":
-        _check_dims(n, p)
+        n, p = _check_dims(n, p)
         normalized = frozenset(tuple(as_integer(x) for x in s) for s in shapes)
         if not normalized:
             raise DimensionError("an explicit shape family must be nonempty")
@@ -192,8 +192,7 @@ class ShapeFamily:
         hi = tuple(as_integer(x) for x in upper)
         if len(lo) != len(hi):
             raise DimensionError("lower and upper bounds differ in arity")
-        p = len(lo)
-        _check_dims(n, p)
+        n, p = _check_dims(n, len(lo))
         if any(l < 0 for l in lo) or any(l > u for l, u in zip(lo, hi)):
             raise DimensionError("bounds must satisfy 0 <= lower <= upper")
         if sum(lo) > n or sum(hi) < n:
@@ -205,12 +204,12 @@ class ShapeFamily:
         """A family decided by predicate(shape). The predicate must be pure:
         `vertices` and `solve` ask it once per distinct shape and apply the
         answer to every partition of that shape."""
-        _check_dims(n, p)
+        n, p = _check_dims(n, p)
         return cls("predicate", n, p, predicate)
 
     def contains(self, shape: Sequence[int]) -> bool:
         """Membership verdict for a p-shape of n; wrong arity or total is an error."""
-        s = tuple(int(x) for x in shape)
+        s = tuple(as_integer(x) for x in shape)
         _check_shape(s, self.n, self.p)
         return bool(self.admits(s))
 
@@ -218,9 +217,12 @@ class ShapeFamily:
         return f"ShapeFamily({self.kind}, n={self.n}, p={self.p})"
 
 
-def _check_dims(n: int, p: int) -> None:
+def _check_dims(n: int, p: int) -> tuple[int, int]:
+    """n and p as ints, checked: n >= 0 and p >= 1."""
+    n, p = as_integer(n), as_integer(p)
     if n < 0 or p < 1:
         raise DimensionError(f"need n >= 0 and p >= 1, got n={n}, p={p}")
+    return n, p
 
 
 def _check_shape(shape: Shape, n: int, p: int) -> None:

@@ -170,6 +170,23 @@ class TestSolve:
         assert result.returncode == 4
         assert "garbage" in result.stderr
 
+    def test_oracle_stderr_lines_join_in_one_error_line(self, tmp_path):
+        path = write_problem(
+            tmp_path,
+            {
+                "matrix": [[1, 2, 3]], "p": 2, "shapes": {"type": "all"},
+                "objective": {"type": "external", "cmd": [
+                    "sh", "-c", "read x; echo first >&2; echo second >&2; exit 1"]},
+            },
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "shapedparts.cli", "solve", path],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 4 and result.stdout == ""
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert "stderr: first second" in result.stderr
+
     def test_oracle_query_beyond_digit_limit_exit_2(self, tmp_path):
         replier = "import sys\nfor line in sys.stdin:\n    print(1, flush=True)\n"
         path = write_problem(
@@ -483,11 +500,20 @@ class TestConsoleEntry:
             cli.main(["count", str(DATA / "cube3.json")])
 
     def test_usage_error_exit_2(self):
+        # An unknown command, no command, a flag that is no integer and a
+        # missing problem argument each print one "error:" line, without usage.
+        for argv in (["frobnicate"], [], ["count", "--max-candidates", "x", "P.json"], ["count"]):
+            result = subprocess.run(
+                [sys.executable, "-m", "shapedparts.cli", *argv],
+                capture_output=True, text=True, timeout=60,
+            )
+            assert result.returncode == 2 and result.stdout == "", argv
+            assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, argv
         result = subprocess.run(
-            [sys.executable, "-m", "shapedparts.cli", "frobnicate"],
-            capture_output=True, text=True,
+            [sys.executable, "-m", "shapedparts.cli", "count", "-h"],
+            capture_output=True, text=True, timeout=60,
         )
-        assert result.returncode == 2
+        assert result.returncode == 0 and result.stdout.startswith("usage: shapedparts count")
 
 
 REPORT_COMMANDS = {

@@ -664,6 +664,9 @@ class TestPPartitions:
         for field in ("max_two_partitions", "max_assembly_nodes", "max_candidates"):
             with pytest.raises(DimensionError):
                 EnumerationLimits(**{field: -1})
+            for value in (True, 2.5, "5"):
+                with pytest.raises(ValueError, match="not an integer"):
+                    EnumerationLimits(**{field: value})
 
     def test_p_must_be_positive(self):
         with pytest.raises(DimensionError):
@@ -962,12 +965,12 @@ class TestComplementClosure:
 
 
 class TestBlockOrder:
-    """The packed base-3 sort keys against the lexsort over one code column
-    per position, and against sorting the blocks as tuples."""
+    """_block_order against a lexsort over codes formed in one step with
+    np.maximum.accumulate, and against sorting the blocks as tuples."""
 
     @pytest.mark.parametrize("n, p", [(9, 3), (13, 3), (10, 4), (14, 3), (20, 4)])
-    def test_packed_keys_match_the_code_lexsort(self, n, p):
-        # p * n = 27, 39, 40, 42 and 80: one key, one full key, then 2, 2 and 3 keys
+    def test_order_matches_the_code_lexsort(self, n, p):
+        # p * n = 27, 39, 40, 42 and 80 code columns
         rng = np.random.default_rng(n * p)
         labels = rng.integers(0, p, size=(400, n))
         labels = np.vstack([labels, labels[:40]])  # repeated rows keep their order

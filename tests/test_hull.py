@@ -173,32 +173,39 @@ class TestFloatProposal:
         targets = np.vstack([weights @ points, points[:10] * [1, 3, -3, 2]])
         monkeypatch.setattr(hull, "_CHUNK_ELEMENTS", 3 * 4 * (12 + 4 + 1))
         none = np.full(len(targets), -1)
-        batched = hull._float_phase_one(points.T, targets, none)
-        single = [hull._float_phase_one(points.T, row[None], none[:1])[0] for row in targets]
-        assert [o[0] for o in batched[:20]] == ["feasible"] * 20
-        assert [o[0] for o in batched[20:]] == ["infeasible"] * 10
-        for got, want in zip(batched, single):
-            assert got[0] == want[0]
-            np.testing.assert_array_equal(got[1], want[1])
-        for (_, farkas), target in zip(batched[20:], targets[20:]):
-            assert (farkas @ points.T <= 1e-9).all() and farkas @ target > 0
+        supports, farkas = hull._float_phase_one(points.T, targets, none)
+        assert sorted(supports) == list(range(20))
+        assert not farkas[:20].any()
+        for j, row in enumerate(targets):
+            want_supports, want_farkas = hull._float_phase_one(points.T, row[None], none[:1])
+            assert (j in supports) == (0 in want_supports)
+            if j in supports:
+                np.testing.assert_array_equal(supports[j], want_supports[0])
+            np.testing.assert_array_equal(farkas[j], want_farkas[0])
+        for y, target in zip(farkas[20:], targets[20:]):
+            assert (y @ points.T <= 1e-9).all() and y @ target > 0
         # Each point against the others, then the targets above with no
         # column excluded: a row's excluded column never enters, and its
         # support keeps the numbering of all the generators.
         excluded = np.concatenate([np.arange(12), none])
-        mixed = hull._float_phase_one(points.T, np.vstack([points, targets]), excluded)
-        own = []
+        mixed, mixed_farkas = hull._float_phase_one(points.T, np.vstack([points, targets]),
+                                                    excluded)
         for i, row in enumerate(points):
             others = np.delete(np.arange(12), i)
-            want = hull._float_phase_one(points[others].T, row[None], none[:1])[0]
-            own.append(want[0])
-            assert mixed[i][0] == want[0]
-            mapped = others[want[1]] if want[0] == "feasible" else want[1]
-            np.testing.assert_array_equal(mixed[i][1], mapped)
-        assert set(own) == {"feasible", "infeasible"}
-        for got, want in zip(mixed[12:], single):
-            assert got[0] == want[0]
-            np.testing.assert_array_equal(got[1], want[1])
+            want_supports, want_farkas = hull._float_phase_one(points[others].T, row[None],
+                                                               none[:1])
+            assert (i in mixed) == (0 in want_supports)
+            if i in mixed:
+                assert i not in mixed[i]
+                np.testing.assert_array_equal(mixed[i], others[want_supports[0]])
+            np.testing.assert_array_equal(mixed_farkas[i], want_farkas[0])
+        # Both outcomes occur, and no row gives up.
+        assert {(i in mixed, mixed_farkas[i].any()) for i in range(12)} == {(True, False),
+                                                                            (False, True)}
+        assert {j - 12 for j in mixed if j >= 12} == set(supports)
+        for j in supports:
+            np.testing.assert_array_equal(mixed[12 + j], supports[j])
+        np.testing.assert_array_equal(mixed_farkas[12:], farkas)
 
 
 class TestInside:

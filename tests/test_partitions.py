@@ -170,6 +170,18 @@ class TestShapeFamily:
             family.contains((1, 1, 1))
         with pytest.raises(DimensionError):
             family.contains((2, 2))
+        # Sizes and shapes are read as integers: no booleans, floats or strings.
+        for make in (
+            lambda: family.contains((True, "2")),
+            lambda: family.contains((1.0, 2)),
+            lambda: ShapeFamily.all_shapes(True, 2),
+            lambda: ShapeFamily.all_shapes(3, 2.0),
+            lambda: ShapeFamily.bounds([0, 0], [3, 3], 2.5),
+            lambda: ShapeFamily.explicit([[1, 2]], 3.0, 2),
+            lambda: ShapeFamily.from_predicate(bool, "3", 2),
+        ):
+            with pytest.raises(ValueError, match="not an integer"):
+                make()
 
     def test_explicit_must_be_nonempty(self):
         with pytest.raises(DimensionError):
