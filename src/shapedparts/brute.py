@@ -2,17 +2,18 @@
 
 Every assignment of the n elements to the p parts is tried, in lexicographic
 order of the assignment vectors, as one chunked walk over integer arrays: a
-chunk is an (N, n) digit array and its (N, p, n) 0/1 block array, the shapes
-are the block array's row sums, and the family is asked once per distinct
-shape. Each distinct part-sum matrix is kept as its integer key of
-`partitions.PartSums`.
+chunk is an (N, n) digit array and its (N, p, n) 0/1 block array, which
+`ShapeFamily.admitted` filters with one verdict dict for the whole walk, so
+the family is asked once per distinct shape. Each distinct part-sum matrix
+is kept as its integer key of `partitions.PartSums`.
 
 The walk uses none of the generic-enumeration machinery (no perturbation, no
 separating hyperplanes, no assembly) and none of the admissible stage of
-`polytope`. It shares with the fast path the formats of `partitions` (the
-part-sum keys of `PartSums` and the block decoding of
-`partitions_from_blocks`), the exact convex-position test of `hull` and the
-objective's `evaluate_keys`, both of which take the keys as they are.
+`polytope`. It shares with the fast path what `partitions` owns (shape
+admission through `ShapeFamily`, the part-sum keys of `PartSums` and the
+block decoding of `partitions_from_blocks`), the exact convex-position test
+of `hull` and the objective's `evaluate_keys`, both of which take the keys
+as they are.
 
 Hard guards keep accidental exponential runs from happening; pass force=True
 to override them. Either way a chunk holds at most _CHUNK_ELEMENTS block
@@ -74,18 +75,14 @@ def _assignment_chunks(n: int, p: int) -> Iterator[np.ndarray]:
 def _admissible_blocks(n: int, p: int, family: ShapeFamily, force: bool) -> Iterator[np.ndarray]:
     """The assignments with an admissible shape, in lexicographic order, as
     chunks of (N, p, n) 0/1 block arrays; the family is asked once per
-    distinct shape."""
+    distinct shape. The guard is checked before the family."""
     _check_guard(n, p, force)
+    family.check(n, p)
     verdicts: dict[tuple[int, ...], bool] = {}
     parts = np.arange(p)[:, None]
     for digits in _assignment_chunks(n, p):
         blocks = (digits[:, None, :] == parts).view(np.uint8)
-        admitted = []
-        for shape in map(tuple, blocks.sum(axis=2).tolist()):
-            if shape not in verdicts:
-                verdicts[shape] = family.contains(shape)
-            admitted.append(verdicts[shape])
-        yield blocks[np.array(admitted, dtype=bool)]
+        yield blocks[family.admitted(blocks, verdicts)]
 
 
 def enumerate_all_partitions(

@@ -112,8 +112,8 @@ class PerturbedMatrix:
 
 
 _WORD_BITS = 64
-# Bound on the elements of one chunk's temporaries: prefixes x parts x p x
-# mask words in the assembly test, partitions x p x n in the part sums.
+# Bound on the elements of one chunk's temporaries in the assembly test:
+# prefixes x parts x p x mask words.
 _CHUNK_ELEMENTS = 1 << 12
 
 
@@ -127,7 +127,6 @@ class GenericPartitionSet:
     """
 
     blocks: np.ndarray
-    d: int
     n: int
     p: int
 
@@ -434,11 +433,11 @@ def enumerate_generic_p_partitions(
     the 2-partitions themselves, one per mask, charged one assembly node
     each. For p > 2 `_assemble` places the elements one at a time.
     """
-    d, n = perturbed.d, perturbed.n
+    n = perturbed.n
     if p < 1:
         raise DimensionError(f"need p >= 1, got p={p}")
     if p == 1:
-        return GenericPartitionSet(np.ones((1, 1, n), dtype=np.uint8), d, n, 1)
+        return GenericPartitionSet(np.ones((1, 1, n), dtype=np.uint8), n, 1)
 
     masks = (two_partition_masks if two_partition_masks is not None
              else _two_partition_masks(perturbed, limits))
@@ -451,4 +450,4 @@ def enumerate_generic_p_partitions(
     blocks = (labels[:, None, :] == np.arange(p, dtype=labels.dtype)[:, None]).view(np.uint8)
     if len(blocks) > 1:
         blocks = blocks[_block_order(blocks)]
-    return GenericPartitionSet(blocks, d, n, p)
+    return GenericPartitionSet(blocks, n, p)

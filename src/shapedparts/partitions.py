@@ -1,9 +1,10 @@
 """Ordered partitions, shapes, shape families, and part-sum matrices.
 
-This module owns the formats the pipeline and the brute-force reference
-share: the (N, p, n) 0/1 block array of a set of partitions
-(`partitions_from_blocks` reads it back) and the integer part-sum keys
-(`PartSums`; `_key_matrix` reads one back, for `objectives` too).
+This module owns what the pipeline and the brute-force reference share: the
+(N, p, n) 0/1 block array of a set of partitions (`partitions_from_blocks`
+reads it back), the integer part-sum keys (`PartSums`, taken in chunks;
+`_key_matrix` reads one back, for `objectives` too) and shape admission
+(`ShapeFamily.check`, then `admitted`, which asks once per distinct shape).
 
 Element indices are 1-based everywhere a user can see them, matching the
 ground set {1, ..., n}. A shape is a plain tuple of p nonnegative block sizes
@@ -22,6 +23,9 @@ from .errors import DimensionError
 from .linalg import Matrix, as_integer, integer_array, integer_rows
 
 Shape = tuple[int, ...]
+
+# block entries per integer matrix product in PartSums.keys
+_CHUNK_ELEMENTS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -108,9 +112,15 @@ class PartSums:
 
     def keys(self, blocks: np.ndarray) -> list[tuple[int, ...]]:
         """The key of each partition of an (N, p, n) 0/1 block array, by one
-        integer matrix product."""
-        sums = self.scaled @ blocks.astype(self.scaled.dtype).transpose(0, 2, 1)  # (N, k, p)
-        return list(map(tuple, sums.reshape(len(sums), len(self.scaled) * self.p).tolist()))
+        integer matrix product per chunk of at most _CHUNK_ELEMENTS entries."""
+        k, n = self.scaled.shape
+        step = max(1, _CHUNK_ELEMENTS // max(1, self.p * n))
+        found: list[tuple[int, ...]] = []
+        for start in range(0, len(blocks), step):
+            chunk = blocks[start:start + step].astype(self.scaled.dtype)
+            sums = self.scaled @ chunk.transpose(0, 2, 1)  # (N, k, p)
+            found += map(tuple, sums.reshape(len(sums), k * self.p).tolist())
+        return found
 
     def matrix(self, key: Sequence[int]) -> Matrix:
         """The part-sum matrix of a key."""
@@ -202,8 +212,8 @@ class ShapeFamily:
     @classmethod
     def from_predicate(cls, predicate: Callable[[Shape], bool], n: int, p: int) -> "ShapeFamily":
         """A family decided by predicate(shape). The predicate must be pure:
-        `vertices` and `solve` ask it once per distinct shape and apply the
-        answer to every partition of that shape."""
+        `admitted` asks it once per distinct shape and applies the answer to
+        every partition of that shape."""
         n, p = _check_dims(n, p)
         return cls("predicate", n, p, predicate)
 
@@ -212,6 +222,24 @@ class ShapeFamily:
         s = tuple(as_integer(x) for x in shape)
         _check_shape(s, self.n, self.p)
         return bool(self.admits(s))
+
+    def check(self, n: int, p: int) -> None:
+        """Raise DimensionError unless the family is over the p-shapes of n."""
+        if (self.n, self.p) != (n, p):
+            raise DimensionError(
+                f"shape family over n={self.n}, p={self.p} does not match n={n}, p={p}")
+
+    def admitted(self, blocks: np.ndarray, verdicts: dict[bytes, bool]) -> np.ndarray:
+        """One bool per partition of an (N, p, n) 0/1 block array over the
+        family's n and p (see `check`): whether its shape is admitted. The
+        shapes are not validated. verdicts memoizes the answers across calls,
+        keyed by the bytes of each int64 shape; admits is asked for each shape
+        not in it, in order of first occurrence."""
+        rows = blocks.sum(axis=2, dtype=np.int64).view(f"V{8 * self.p}").ravel().tolist()
+        for row in dict.fromkeys(rows):
+            if row not in verdicts:
+                verdicts[row] = bool(self.admits(tuple(np.frombuffer(row, np.int64).tolist())))
+        return np.fromiter(map(verdicts.__getitem__, rows), dtype=bool, count=len(rows))
 
     def __repr__(self) -> str:
         return f"ShapeFamily({self.kind}, n={self.n}, p={self.p})"

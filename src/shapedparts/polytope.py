@@ -9,10 +9,12 @@ guaranteed to appear among the candidates, so the filter is the whole story.
 
 The admissible filter, the part sums and their grouping form one stage,
 `admissible_partitions`, which `solver.solve` shares. It works on the
-generic set's 0/1 block array: shapes are row sums, and each distinct
-part-sum matrix is held as one integer key of `partitions.PartSums`, which
-the hull filter takes as they are. Matrix objects are built for the
-vertices and Partition objects for their witnesses only.
+generic set's 0/1 block array and leaves both steps to `partitions`: shape
+admission to `ShapeFamily.admitted`, which asks the family once per distinct
+shape in order of first occurrence in the canonical order, and the chunked
+part sums to `PartSums.keys`. Each distinct part-sum matrix is held as one
+integer key, which the hull filter takes as it is. Matrix objects are built
+for the vertices and Partition objects for their witnesses only.
 """
 
 from __future__ import annotations
@@ -22,13 +24,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CapacityError, DimensionError
+from .errors import CapacityError
 from .generic import (
     DEFAULT_LIMITS,
     EnumerationLimits,
     GenericPartitionSet,
     PerturbedMatrix,
-    _CHUNK_ELEMENTS,
     _two_partition_masks,
     enumerate_generic_p_partitions,
 )
@@ -102,24 +103,6 @@ class VertexReport:
         return len(self.vertices)
 
 
-def _sort_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The permutation that sorts the rows of a 2-d array lexicographically,
-    and a flag per sorted row: whether it differs from the row before it."""
-    order = np.lexsort(rows.T[::-1])
-    rows = rows[order]
-    new = np.ones(len(rows), dtype=bool)
-    np.any(rows[1:] != rows[:-1], axis=1, out=new[1:])
-    return order, new
-
-
-def check_family(a: Matrix, p: int, family: ShapeFamily) -> None:
-    if family.n != a.ncols or family.p != p:
-        raise DimensionError(
-            f"shape family over n={family.n}, p={family.p} does not match "
-            f"matrix with {a.ncols} columns and p={p}"
-        )
-
-
 def admissible_partitions(
     a: Matrix,
     generic: GenericPartitionSet,
@@ -129,26 +112,14 @@ def admissible_partitions(
     """Keep the generic partitions of lift(a) with an admissible shape and
     group them by part-sum matrix over a.
 
-    The family is asked once per distinct shape, in lexicographic order of
-    the shapes. The part sums are taken in chunks, one integer matrix
-    product each. More than limits.max_candidates distinct part-sum
-    matrices raise CapacityError.
+    The family, which must be over a.ncols and generic.p, is asked once per
+    distinct shape, in order of first occurrence among the generic
+    partitions. More than limits.max_candidates distinct part-sum matrices
+    raise CapacityError.
     """
-    p = generic.p
-    shapes = generic.blocks.sum(axis=2)
-    order, new = _sort_rows(shapes)
-    starts = np.flatnonzero(new).tolist()
-    admitted = np.zeros(len(shapes), dtype=bool)
-    for start, stop in zip(starts, starts[1:] + [len(order)]):
-        if family.contains(tuple(shapes[order[start]].tolist())):
-            admitted[order[start:stop]] = True
-    rows = np.flatnonzero(admitted)
-
-    sums = PartSums(a, p)
-    found: list[tuple[int, ...]] = []
-    step = max(1, _CHUNK_ELEMENTS // max(1, p * a.ncols))
-    for start in range(0, len(rows), step):
-        found += sums.keys(generic.blocks[rows[start:start + step]])
+    rows = np.flatnonzero(family.admitted(generic.blocks, {}))
+    sums = PartSums(a, generic.p)
+    found = sums.keys(generic.blocks[rows])
     keys = sorted(set(found))
     if len(keys) > limits.max_candidates:
         raise CapacityError("candidates", limits.max_candidates, len(keys))
@@ -167,7 +138,7 @@ def candidate_vertices(
     The returned set provably contains every vertex of the shaped partition
     polytope of (a, family).
     """
-    check_family(a, p, family)
+    family.check(a.ncols, p)
     perturbed = PerturbedMatrix(lift(a))
     masks = _two_partition_masks(perturbed, limits)
     generic = enumerate_generic_p_partitions(perturbed, p, limits, two_partition_masks=masks)

@@ -25,7 +25,7 @@ from .generic import DEFAULT_LIMITS, EnumerationLimits, PerturbedMatrix, enumera
 from .linalg import Matrix
 from .objectives import Objective
 from .partitions import Partition, ShapeFamily, lift
-from .polytope import admissible_partitions, check_family
+from .polytope import admissible_partitions
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ def solve(
     the winner is picked among the first partition of each matrix. More than
     limits.max_candidates distinct part-sum matrices raise CapacityError.
     """
-    check_family(a, p, family)
+    family.check(a.ncols, p)
     objective.check_compatible(a, p)
     generic = enumerate_generic_p_partitions(PerturbedMatrix(lift(a)), p, limits)
     admissible = admissible_partitions(a, generic, family, limits)

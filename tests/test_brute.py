@@ -239,6 +239,28 @@ class TestChunkedWalk:
             assert set(asked) == set(compositions(7, 3))
             assert max(asked.values()) == 1
 
+    def test_family_over_another_n_or_p_rejected(self):
+        a = Matrix([[1, 2, 3, 4]])
+        objective = ColumnPowerObjective(2)
+        for family in (ShapeFamily.all_shapes(5, 2), ShapeFamily.all_shapes(4, 3)):
+            with pytest.raises(DimensionError, match="does not match"):
+                brute_vertices(a, 2, family)
+            with pytest.raises(DimensionError, match="does not match"):
+                brute_solve(a, 2, family, objective)
+            with pytest.raises(DimensionError, match="does not match"):
+                list(enumerate_all_partitions(4, 2, family))
+        # the guard is checked before the family
+        wide = Matrix([list(range(10))])
+        other = ShapeFamily.all_shapes(4, 2)
+        for run in (
+            lambda: brute_vertices(wide, 2, other),
+            lambda: brute_solve(wide, 2, other, objective),
+            lambda: list(enumerate_all_partitions(10, 2, other)),
+            lambda: list(enumerate_all_partitions(4, 5, other)),
+        ):
+            with pytest.raises(CapacityError):
+                run()
+
     def test_empty_ground_set_and_empty_family(self):
         empty = ShapeFamily.all_shapes(0, 3)
         assert [pi.blocks for pi in enumerate_all_partitions(0, 3, empty)] == [((), (), ())]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shapedparts import partitions
 from shapedparts.errors import DimensionError
 from shapedparts.linalg import Matrix
 from shapedparts.partitions import (
@@ -107,8 +108,14 @@ EDGE_INSTANCES = {
 class TestSharedFormats:
     """PartSums and partitions_from_blocks against the Fraction definitions."""
 
-    @pytest.mark.parametrize("name", sorted(EDGE_INSTANCES))
-    def test_keys_are_the_scaled_part_sum_matrices(self, name):
+    # chunks of one partition, of a few, and the default bound
+    @pytest.mark.parametrize("name, chunk_elements", [
+        pytest.param(name, chunk, id=name if chunk is None else f"{name}-chunk{chunk}")
+        for name in sorted(EDGE_INSTANCES) for chunk in (None, 1, 7)
+    ])
+    def test_keys_are_the_scaled_part_sum_matrices(self, monkeypatch, name, chunk_elements):
+        if chunk_elements is not None:
+            monkeypatch.setattr(partitions, "_CHUNK_ELEMENTS", chunk_elements)
         rows, ncols, p, dtype = EDGE_INSTANCES[name]
         a = Matrix(rows, ncols=ncols)
         blocks = assignment_blocks(ncols, p)
@@ -209,6 +216,37 @@ class TestShapeFamily:
         assert family.contains((2, 2))
         assert not family.contains((1, 3))
         assert members(family) == [(0, 4), (2, 2), (4, 0)]
+
+    def test_check_names_both_dimensions(self):
+        family = ShapeFamily.all_shapes(3, 2)
+        family.check(3, 2)
+        for n, p in [(4, 2), (3, 3), (2, 1)]:
+            with pytest.raises(DimensionError, match="n=3, p=2 does not match"):
+                family.check(n, p)
+
+    def test_admitted_asks_each_new_shape_once_in_first_occurrence_order(self):
+        asked = []
+
+        def predicate(shape):
+            asked.append(shape)
+            return shape[0] != 1
+
+        family = ShapeFamily.from_predicate(predicate, 3, 2)
+        # shapes (3, 0), (2, 1), (2, 1), (1, 2), (2, 1), (1, 2), (1, 2), (0, 3)
+        blocks = assignment_blocks(3, 2)
+        verdicts = {}
+        admitted = family.admitted(blocks[:4], verdicts)
+        assert asked == [(3, 0), (2, 1), (1, 2)]
+        assert admitted.dtype == bool
+        assert admitted.tolist() == [True, True, True, False]
+        # the verdicts carry over between calls: only the new shape is asked
+        assert family.admitted(blocks, verdicts).tolist() == [
+            True, True, True, False, True, False, False, True
+        ]
+        assert asked == [(3, 0), (2, 1), (1, 2), (0, 3)]
+        assert all(type(x) is int for shape in asked for x in shape)
+        assert family.admitted(blocks[:0], verdicts).tolist() == []
+        assert len(asked) == 4
 
 
 def members(family):

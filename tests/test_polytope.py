@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import HUGE_PROBLEMS, TRANSLATIONS, convex_combination_exists, edge_problems
 from shapedparts import polytope
-from shapedparts.brute import brute_solve, brute_vertices
+from shapedparts.brute import brute_solve, brute_vertices, enumerate_all_partitions
 from shapedparts.errors import CapacityError, DimensionError
 from shapedparts.generic import EnumerationLimits, PerturbedMatrix, enumerate_generic_p_partitions
 from shapedparts.linalg import Matrix
@@ -117,10 +117,38 @@ class TestAdmissiblePartitions:
         admissible = admissible_partitions(a, generic_set, family)
         shapes = [shape_of(pi) for pi in generic_set]
         assert len(asked) == len(set(asked)) == len(set(shapes)) < len(shapes)
-        assert set(asked) == set(shapes)
+        # in order of first occurrence in the canonical generic order
+        assert asked == list(dict.fromkeys(shapes))
         expected = [pi for pi in generic_set if admits(shape_of(pi))]
         assert 0 < len(expected) < len(generic_set)
         assert list(generic_set.select(admissible.rows)) == expected
+
+    def test_no_package_path_asks_contains(self, monkeypatch):
+        # The pipeline and the brute-force walk check the family once and
+        # decide shapes they built themselves without validating them again.
+        a = Matrix([[2, -1, 0, 3, 1], [1, 1, -2, 0, 1]])
+        family = ShapeFamily.bounds([0, 1, 1], [3, 3, 2], 5)
+        objective = LinearObjective(Matrix([[1, 0, -1], [0, 2, 1]]))
+        expected = (
+            enumerate_vertices(a, 3, family).vertices,
+            solve(a, 3, family, objective).best_value,
+            brute_vertices(a, 3, family),
+            brute_solve(a, 3, family, objective),
+            [pi for pi in enumerate_all_partitions(5, 3, ShapeFamily.all_shapes(5, 3))
+             if family.contains(shape_of(pi))],
+        )
+
+        def refuse(self, shape):
+            raise AssertionError(f"contains asked for {shape}")
+
+        monkeypatch.setattr(ShapeFamily, "contains", refuse)
+        assert (
+            enumerate_vertices(a, 3, family).vertices,
+            solve(a, 3, family, objective).best_value,
+            brute_vertices(a, 3, family),
+            brute_solve(a, 3, family, objective),
+            list(enumerate_all_partitions(5, 3, family)),
+        ) == expected
 
     def test_groups_number_matrices_in_lexicographic_order(self):
         # columns 1 and 3, 2 and 5 repeat; the common denominator is 6
