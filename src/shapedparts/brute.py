@@ -10,10 +10,10 @@ is kept as its integer key of `partitions.PartSums`.
 The walk uses none of the generic-enumeration machinery (no perturbation, no
 separating hyperplanes, no assembly) and none of the admissible stage of
 `polytope`. It shares with the fast path what `partitions` owns (shape
-admission through `ShapeFamily`, the part-sum keys of `PartSums` and the
-block decoding of `partitions_from_blocks`), the exact convex-position test
-of `hull` and the objective's `evaluate_keys`, both of which take the keys
-as they are.
+admission through `ShapeFamily`, the part-sum keys of `PartSums`, the block
+arrays of `blocks_from_labels` and `partitions_from_blocks`, and their chunk
+budget), the exact convex-position test of `hull` and the objective's
+`evaluate_keys`, both of which take the keys as they are.
 
 Hard guards keep accidental exponential runs from happening; pass force=True
 to override them. Either way a chunk holds at most _CHUNK_ELEMENTS block
@@ -33,13 +33,11 @@ from .errors import CapacityError, DimensionError
 from .hull import extreme_point_indices
 from .linalg import Matrix
 from .objectives import Objective
-from .partitions import Partition, PartSums, ShapeFamily, partitions_from_blocks
+from .partitions import (_CHUNK_ELEMENTS, Partition, PartSums, ShapeFamily, blocks_from_labels,
+                         partitions_from_blocks)
 
 MAX_BRUTE_N = 9
 MAX_BRUTE_P = 4
-
-# block-array entries per chunk of assignments
-_CHUNK_ELEMENTS = 1 << 12
 
 
 def _check_guard(n: int, p: int, force: bool) -> None:
@@ -78,10 +76,9 @@ def _admissible_blocks(n: int, p: int, family: ShapeFamily, force: bool) -> Iter
     distinct shape. The guard is checked before the family."""
     _check_guard(n, p, force)
     family.check(n, p)
-    verdicts: dict[tuple[int, ...], bool] = {}
-    parts = np.arange(p)[:, None]
+    verdicts: dict[bytes, bool] = {}
     for digits in _assignment_chunks(n, p):
-        blocks = (digits[:, None, :] == parts).view(np.uint8)
+        blocks = blocks_from_labels(digits, p)
         yield blocks[family.admitted(blocks, verdicts)]
 
 

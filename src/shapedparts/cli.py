@@ -41,14 +41,22 @@ def partition_payload(pi: Partition) -> list[list[int]]:
     return [list(block) for block in pi.blocks]
 
 
-def _counts_payload(report: VertexReport) -> dict:
+def _dimensions(problem: Problem) -> dict:
+    return {"k": problem.k, "n": problem.n, "p": problem.p}
+
+
+def _count_payload(problem: Problem, report: VertexReport) -> dict:
+    """The `count` report, which `vertices` extends with its list."""
     candidates = report.candidates
     return {
-        "two_partitions": candidates.two_partition_count,
-        "generic_partitions": candidates.generic_count,
-        "admissible_partitions": candidates.admissible_count,
-        "candidates": len(candidates),
-        "vertices": report.vertex_count,
+        **_dimensions(problem),
+        "counts": {
+            "two_partitions": candidates.two_partition_count,
+            "generic_partitions": candidates.generic_count,
+            "admissible_partitions": candidates.admissible_count,
+            "candidates": len(candidates),
+            "vertices": report.vertex_count,
+        },
     }
 
 
@@ -149,13 +157,8 @@ def _cmd_vertices(args) -> int:
         lines = [",".join(format_rational(x) for x in m.flatten()) for m in report.vertices]
         _emit("".join(line + "\n" for line in lines), args.output)
         return EXIT_OK
-    payload = {
-        "k": problem.k,
-        "n": problem.n,
-        "p": problem.p,
-        "counts": _counts_payload(report),
-        "vertices": [{"matrix": matrix_payload(m)} for m in report.vertices],
-    }
+    payload = _count_payload(problem, report)
+    payload["vertices"] = [{"matrix": matrix_payload(m)} for m in report.vertices]
     if args.with_partitions:
         for entry, witnesses in zip(payload["vertices"], report.witnesses):
             entry["partitions"] = [partition_payload(pi) for pi in witnesses]
@@ -173,9 +176,7 @@ def _cmd_solve(args) -> int:
     finally:
         problem.objective.close()
     payload = {
-        "k": problem.k,
-        "n": problem.n,
-        "p": problem.p,
+        **_dimensions(problem),
         "best_value": format_rational(report.best_value),
         "best_partition": partition_payload(report.best_partition),
         "best_matrix": matrix_payload(report.best_matrix),
@@ -188,13 +189,7 @@ def _cmd_solve(args) -> int:
 def _cmd_count(args) -> int:
     problem = load_problem(args.problem)
     report = enumerate_vertices(problem.matrix, problem.p, problem.family, _limits(args))
-    payload = {
-        "k": problem.k,
-        "n": problem.n,
-        "p": problem.p,
-        "counts": _counts_payload(report),
-    }
-    _emit_json(payload, args.output)
+    _emit_json(_count_payload(problem, report), args.output)
     return EXIT_OK
 
 
@@ -203,8 +198,8 @@ def _check_one(problem: Problem, args) -> dict:
     report = enumerate_vertices(problem.matrix, problem.p, problem.family, limits)
     reference = brute_vertices(problem.matrix, problem.p, problem.family, force=args.force)
 
-    scale = report.candidates.admissible.sums.scale
-    candidate_keys = set(report.candidates.admissible.keys)
+    scale = report.candidates.sums.scale
+    candidate_keys = set(report.candidates.keys)
     # both sides share the PartSums scale, so every denominator divides it
     superset_ok = all(
         tuple(x.numerator * (scale // x.denominator) for x in m.flatten()) in candidate_keys
@@ -213,9 +208,7 @@ def _check_one(problem: Problem, args) -> dict:
     vertices_ok = list(report.vertices) == reference
 
     result = {
-        "k": problem.k,
-        "n": problem.n,
-        "p": problem.p,
+        **_dimensions(problem),
         "vertices": report.vertex_count,
         "brute_vertices": len(reference),
         "vertices_match": vertices_ok,

@@ -70,7 +70,7 @@ import numpy as np
 
 from .errors import CapacityError, DimensionError
 from .linalg import Matrix, as_integer, integer_array, integer_rows
-from .partitions import Partition, partitions_from_blocks
+from .partitions import Partition, blocks_from_labels, partitions_from_blocks
 
 
 @dataclass(frozen=True)
@@ -124,11 +124,14 @@ class GenericPartitionSet:
     blocks is the (N, p, n) uint8 array of the set: blocks[i, j, c] is 1 iff
     element c + 1 lies in block j of partition i. Partition objects are built
     on first use of `partitions` or iteration, and by `select`.
+    two_partition_count is the number of 2-partitions the set was assembled
+    from, or None at p = 1 when none were computed or given.
     """
 
     blocks: np.ndarray
     n: int
     p: int
+    two_partition_count: int | None
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -313,14 +316,11 @@ def _two_partition_masks(perturbed: PerturbedMatrix, limits: EnumerationLimits) 
         first ^= first[..., :1] ^ 1  # the member of each pair that holds element 1
         # each row as one n-byte void item, which tolist gives as bytes
         found = first.view(f"V{n}").ravel().tolist()
-        fresh = set(found).difference(pairs)
-        if 2 * (len(pairs) + len(fresh)) > limits.max_two_partitions:
-            for offset in range(len(subsets)):
-                pairs.update(found[offset * per:(offset + 1) * per])
-                if 2 * len(pairs) > limits.max_two_partitions:
-                    raise CapacityError("two-partitions", limits.max_two_partitions,
-                                        reached=f"d-subset {start + offset + 1} of {total}")
-        pairs |= fresh
+        for offset in range(len(subsets)):
+            pairs.update(found[offset * per:(offset + 1) * per])
+            if 2 * len(pairs) > limits.max_two_partitions:
+                raise CapacityError("two-partitions", limits.max_two_partitions,
+                                    reached=f"d-subset {start + offset + 1} of {total}")
     ones = np.frombuffer(b"".join(sorted(pairs)), dtype=np.uint8).reshape(len(pairs), n)
     # complementing reverses the order, and every complement starts with 0
     return np.concatenate([1 - ones[::-1], ones])
@@ -431,23 +431,26 @@ def enumerate_generic_p_partitions(
     perturbed: an (M, n) 0/1 array of distinct first blocks, closed under
     complements, as `_two_partition_masks` returns it. At p = 2 these are
     the 2-partitions themselves, one per mask, charged one assembly node
-    each. For p > 2 `_assemble` places the elements one at a time.
+    each. For p > 2 `_assemble` places the elements one at a time. The set's
+    two_partition_count is the number of masks computed or given; at p = 1
+    none are computed, so it is None unless masks are given.
     """
     n = perturbed.n
     if p < 1:
         raise DimensionError(f"need p >= 1, got p={p}")
+    masks = two_partition_masks
+    if masks is None and p > 1:
+        masks = _two_partition_masks(perturbed, limits)
+    count = None if masks is None else len(masks)
     if p == 1:
-        return GenericPartitionSet(np.ones((1, 1, n), dtype=np.uint8), n, 1)
-
-    masks = (two_partition_masks if two_partition_masks is not None
-             else _two_partition_masks(perturbed, limits))
+        return GenericPartitionSet(np.ones((1, 1, n), dtype=np.uint8), n, 1, count)
     if p == 2:
         if len(masks) > limits.max_assembly_nodes:
             raise CapacityError("assembly-nodes", limits.max_assembly_nodes, len(masks))
         labels = 1 - masks  # an element outside the mask goes to part 2
     else:
         labels = _assemble(masks, p, limits)
-    blocks = (labels[:, None, :] == np.arange(p, dtype=labels.dtype)[:, None]).view(np.uint8)
+    blocks = blocks_from_labels(labels, p)
     if len(blocks) > 1:
         blocks = blocks[_block_order(blocks)]
-    return GenericPartitionSet(blocks, n, p)
+    return GenericPartitionSet(blocks, n, p, count)

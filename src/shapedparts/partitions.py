@@ -1,10 +1,11 @@
 """Ordered partitions, shapes, shape families, and part-sum matrices.
 
 This module owns what the pipeline and the brute-force reference share: the
-(N, p, n) 0/1 block array of a set of partitions (`partitions_from_blocks`
-reads it back), the integer part-sum keys (`PartSums`, taken in chunks;
-`_key_matrix` reads one back, for `objectives` too) and shape admission
-(`ShapeFamily.check`, then `admitted`, which asks once per distinct shape).
+(N, p, n) 0/1 block array of a set of partitions (`blocks_from_labels`
+writes it from part labels, `partitions_from_blocks` reads it back), the
+integer part-sum keys (`PartSums`, taken in chunks; `_key_matrix` reads one
+back, for `objectives` too) and shape admission (`ShapeFamily.check`, then
+`admitted`, which asks once per distinct shape).
 
 Element indices are 1-based everywhere a user can see them, matching the
 ground set {1, ..., n}. A shape is a plain tuple of p nonnegative block sizes
@@ -24,7 +25,8 @@ from .linalg import Matrix, as_integer, integer_array, integer_rows
 
 Shape = tuple[int, ...]
 
-# block entries per integer matrix product in PartSums.keys
+# block entries per integer matrix product in PartSums.keys, and per chunk
+# of the brute-force walk
 _CHUNK_ELEMENTS = 1 << 12
 
 
@@ -131,6 +133,12 @@ def _key_matrix(key: Sequence[int], scale: int, p: int) -> Matrix:
     """The matrix with p columns whose row-major entries times scale are key."""
     return Matrix([[Fraction(x, scale) for x in key[r:r + p]] for r in range(0, len(key), p)],
                   ncols=p)
+
+
+def blocks_from_labels(labels: np.ndarray, p: int) -> np.ndarray:
+    """The (N, p, n) 0/1 uint8 block array of an (N, n) array of 0-based part
+    labels: element c + 1 lies in block j of partition i iff labels[i, c] is j."""
+    return (labels[:, None, :] == np.arange(p, dtype=labels.dtype)[:, None]).view(np.uint8)
 
 
 def partitions_from_blocks(blocks: np.ndarray) -> list[Partition]:

@@ -8,13 +8,14 @@ vertices with the exact convex-position test. Every vertex of the polytope is
 guaranteed to appear among the candidates, so the filter is the whole story.
 
 The admissible filter, the part sums and their grouping form one stage,
-`admissible_partitions`, which `solver.solve` shares. It works on the
-generic set's 0/1 block array and leaves both steps to `partitions`: shape
-admission to `ShapeFamily.admitted`, which asks the family once per distinct
-shape in order of first occurrence in the canonical order, and the chunked
-part sums to `PartSums.keys`. Each distinct part-sum matrix is held as one
-integer key, which the hull filter takes as it is. Matrix objects are built
-for the vertices and Partition objects for their witnesses only.
+`admissible_partitions`, which `solver.solve` shares and whose one result,
+a `CandidateSet`, `candidate_vertices` returns as it is. The stage works on
+the generic set's 0/1 block array and leaves both steps to `partitions`:
+shape admission to `ShapeFamily.admitted`, which asks the family once per
+distinct shape in order of first occurrence in the canonical order, and the
+chunked part sums to `PartSums.keys`. Each distinct part-sum matrix is held
+as one integer key, which the hull filter takes as it is. Matrix objects are
+built for the vertices and Partition objects for their witnesses only.
 """
 
 from __future__ import annotations
@@ -39,14 +40,15 @@ from .partitions import Partition, PartSums, ShapeFamily, lift
 
 
 @dataclass(frozen=True, eq=False)
-class AdmissiblePartitions:
+class CandidateSet:
     """The admissible generic partitions, in canonical order, grouped by
-    part-sum matrix.
+    part-sum matrix; the distinct matrices are the candidates.
 
     rows[i] is the position of admissible partition i in `generic`, and
-    group[i] numbers its part-sum matrix. keys[g] is the key of matrix
+    group[i] numbers its part-sum matrix. keys[g] is the key of candidate
     number g under `sums`; the keys are distinct and in lexicographic order,
-    which is also the order of the matrices.
+    which is also the order of the matrices. len() counts the candidates;
+    members, the candidate matrices in that order, are built on first use.
     """
 
     generic: GenericPartitionSet
@@ -55,37 +57,28 @@ class AdmissiblePartitions:
     keys: list[tuple[int, ...]]
     sums: PartSums
 
-    def __len__(self) -> int:
-        return len(self.group)
-
-    def matrix(self, g: int) -> Matrix:
-        """Part-sum matrix number g, built now."""
-        return self.sums.matrix(self.keys[g])
-
-
-@dataclass(frozen=True, eq=False)
-class CandidateSet:
-    """The candidate matrices, held as the integer keys of `admissible`, and
-    the pipeline counts. members, the matrices in row-major lexicographic
-    order, are built on first use."""
-
-    admissible: AdmissiblePartitions
-    two_partition_count: int
+    @property
+    def two_partition_count(self) -> int | None:
+        return self.generic.two_partition_count
 
     @property
     def generic_count(self) -> int:
-        return len(self.admissible.generic)
+        return len(self.generic)
 
     @property
     def admissible_count(self) -> int:
-        return len(self.admissible)
+        return len(self.group)
 
     def __len__(self) -> int:
-        return len(self.admissible.keys)
+        return len(self.keys)
+
+    def matrix(self, g: int) -> Matrix:
+        """Candidate matrix number g, built now."""
+        return self.sums.matrix(self.keys[g])
 
     @cached_property
     def members(self) -> tuple[Matrix, ...]:
-        return tuple(map(self.admissible.matrix, range(len(self))))
+        return tuple(map(self.matrix, range(len(self))))
 
 
 @dataclass(frozen=True)
@@ -108,9 +101,10 @@ def admissible_partitions(
     generic: GenericPartitionSet,
     family: ShapeFamily,
     limits: EnumerationLimits = DEFAULT_LIMITS,
-) -> AdmissiblePartitions:
+) -> CandidateSet:
     """Keep the generic partitions of lift(a) with an admissible shape and
-    group them by part-sum matrix over a.
+    group them by part-sum matrix over a; the candidate set of both
+    `candidate_vertices` and `solver.solve`.
 
     The family, which must be over a.ncols and generic.p, is asked once per
     distinct shape, in order of first occurrence among the generic
@@ -124,7 +118,7 @@ def admissible_partitions(
     if len(keys) > limits.max_candidates:
         raise CapacityError("candidates", limits.max_candidates, len(keys))
     number = {key: g for g, key in enumerate(keys)}
-    return AdmissiblePartitions(generic, rows, [number[key] for key in found], keys, sums)
+    return CandidateSet(generic, rows, [number[key] for key in found], keys, sums)
 
 
 def candidate_vertices(
@@ -133,17 +127,17 @@ def candidate_vertices(
     family: ShapeFamily,
     limits: EnumerationLimits = DEFAULT_LIMITS,
 ) -> CandidateSet:
-    """Matrices of admissible generic partitions of the lifted configuration.
+    """The `admissible_partitions` of the generic p-partitions of lift(a).
 
-    The returned set provably contains every vertex of the shaped partition
-    polytope of (a, family).
+    The candidates provably include every vertex of the shaped partition
+    polytope of (a, family). The masks are passed on at every p, so the
+    2-partition count is set at p = 1 too.
     """
     family.check(a.ncols, p)
     perturbed = PerturbedMatrix(lift(a))
     masks = _two_partition_masks(perturbed, limits)
     generic = enumerate_generic_p_partitions(perturbed, p, limits, two_partition_masks=masks)
-    admissible = admissible_partitions(a, generic, family, limits)
-    return CandidateSet(admissible, len(masks))
+    return admissible_partitions(a, generic, family, limits)
 
 
 def enumerate_vertices(
@@ -157,14 +151,13 @@ def enumerate_vertices(
     The hull filter runs on the integer keys; the witnesses are built in one
     selection from the generic set."""
     candidates = candidate_vertices(a, p, family, limits)
-    admissible = candidates.admissible
-    keep = extreme_point_indices(admissible.keys, admissible.sums.scale)
+    keep = extreme_point_indices(candidates.keys, candidates.sums.scale)
     witnesses: dict[int, list[Partition]] = {g: [] for g in keep}
-    chosen = [i for i, g in enumerate(admissible.group) if g in witnesses]
-    for i, pi in zip(chosen, admissible.generic.select(admissible.rows[chosen])):
-        witnesses[admissible.group[i]].append(pi)
+    chosen = [i for i, g in enumerate(candidates.group) if g in witnesses]
+    for i, pi in zip(chosen, candidates.generic.select(candidates.rows[chosen])):
+        witnesses[candidates.group[i]].append(pi)
     return VertexReport(
-        vertices=tuple(map(admissible.matrix, keep)),
+        vertices=tuple(map(candidates.matrix, keep)),
         witnesses=tuple(tuple(witnesses[g]) for g in keep),
         candidates=candidates,
     )

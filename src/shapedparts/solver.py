@@ -7,12 +7,12 @@ and evaluating the objective at each one's part-sum matrix finds a global
 maximizer. Ties go to the first maximizer in canonical enumeration order.
 
 The admissible generic partitions and their part-sum matrices come from
-`polytope.admissible_partitions`, the stage `candidate_vertices` uses too.
-It holds each distinct part-sum matrix as an integer key. solve hands the
-key of every admissible partition, in canonical order, to the objective's
-`evaluate_keys` in one call, and builds a Matrix and a Partition object for
-the winner only. How each kind of objective computes that batch is
-described in `objectives`.
+`polytope.admissible_partitions`, as the `CandidateSet` that
+`candidate_vertices` returns too. It holds each distinct part-sum matrix as
+an integer key. solve hands the key of every admissible partition, in
+canonical order, to the objective's `evaluate_keys` in one call, and builds
+a Matrix and a Partition object for the winner only. How each kind of
+objective computes that batch is described in `objectives`.
 """
 
 from __future__ import annotations
@@ -54,21 +54,21 @@ def solve(
     family.check(a.ncols, p)
     objective.check_compatible(a, p)
     generic = enumerate_generic_p_partitions(PerturbedMatrix(lift(a)), p, limits)
-    admissible = admissible_partitions(a, generic, family, limits)
-    if not admissible:
+    candidates = admissible_partitions(a, generic, family, limits)
+    if not candidates.admissible_count:
         raise DimensionError("shape family admits no partition")
-    keys = admissible.keys
-    values = objective.evaluate_keys([keys[g] for g in admissible.group], admissible.sums.scale, p)
+    keys, group = candidates.keys, candidates.group
+    values = objective.evaluate_keys([keys[g] for g in group], candidates.sums.scale, p)
     # Partitions with one part-sum matrix share its value, so only the first
     # of each is compared. The firsts are inserted in canonical order, and
     # max keeps the first maximizer.
     first_at: dict[int, int] = {}
-    for i, g in enumerate(admissible.group):
+    for i, g in enumerate(group):
         first_at.setdefault(g, i)
     best_at = max(first_at.values(), key=values.__getitem__)
     return SolveReport(
-        best_partition=generic.select(admissible.rows[[best_at]])[0],
-        best_matrix=admissible.matrix(admissible.group[best_at]),
+        best_partition=generic.select(candidates.rows[[best_at]])[0],
+        best_matrix=candidates.matrix(group[best_at]),
         best_value=values[best_at],
-        evaluations=len(admissible),
+        evaluations=candidates.admissible_count,
     )

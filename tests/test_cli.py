@@ -368,6 +368,17 @@ class TestCount:
             "vertices": 8,
         }
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_two_partitions_counted_at_every_p(self, tmp_path, capsys, p):
+        # The 2-partitions of the lifted configuration do not depend on p,
+        # and p = 1 reports them although it assembles none.
+        path = write_problem(
+            tmp_path, {"matrix": [[3, -1, 4, 1, -5]], "p": p, "shapes": {"type": "all"}}
+        )
+        code, out, _ = run_cli(["count", path], capsys)
+        assert code == 0
+        assert json.loads(out)["counts"]["two_partitions"] == 22
+
     def test_single_shape_point(self, tmp_path, capsys):
         path = write_problem(
             tmp_path,

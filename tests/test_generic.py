@@ -510,6 +510,21 @@ class TestPPartitions:
         result = enumerate_generic_p_partitions(perturbed([[4, 1, 1]]), 1)
         assert blocks(result) == {((1, 2, 3),)}
 
+    def test_two_partition_count_is_the_masks_used(self):
+        p = PerturbedMatrix(lift(Matrix([[3, -1, 4, 1, -5]])))
+        masks = _two_partition_masks(p, EnumerationLimits())
+        # a complement-closed sample stands in for masks not computed here
+        sample = np.unique(np.concatenate([masks[::3], 1 - masks[::3]]), axis=0)
+        assert len(masks) == 22 and len(sample) < len(masks)
+        for p_count in (1, 2, 3):
+            for rows in (masks, sample):
+                result = enumerate_generic_p_partitions(p, p_count, two_partition_masks=rows)
+                assert result.two_partition_count == len(rows)
+        for p_count in (2, 3):
+            assert enumerate_generic_p_partitions(p, p_count).two_partition_count == len(masks)
+        # p = 1 needs no masks, so none are computed and none are counted
+        assert enumerate_generic_p_partitions(p, 1).two_partition_count is None
+
     def test_single_point_two_parts(self):
         result = enumerate_generic_p_partitions(perturbed([[2], [5]]), 2)
         assert blocks(result) == {((1,), ()), ((), (1,))}

@@ -100,7 +100,7 @@ class TestCandidates:
         assert list(report.witnesses) == witnesses
 
 
-class TestAdmissiblePartitions:
+class TestAdmissibleStage:
     def test_predicate_asked_once_per_distinct_shape(self):
         a = Matrix([[3, -1, 4, 1, -5, 2, 2]])
         asked = []
