@@ -198,14 +198,13 @@ def _check_one(problem: Problem, args) -> dict:
     report = enumerate_vertices(problem.matrix, problem.p, problem.family, limits)
     reference = brute_vertices(problem.matrix, problem.p, problem.family, force=args.force)
 
-    scale = report.candidates.sums.scale
-    candidate_keys = set(report.candidates.keys)
-    # both sides share the PartSums scale, so every denominator divides it
-    superset_ok = all(
-        tuple(x.numerator * (scale // x.denominator) for x in m.flatten()) in candidate_keys
-        for m in reference
-    )
-    vertices_ok = list(report.vertices) == reference
+    candidates = report.candidates
+    # both sides as keys at the PartSums scale; an entry off the 1/scale grid
+    # stays a Fraction and equals no integer key
+    brute_keys = [tuple(x * candidates.sums.scale for x in m.flatten()) for m in reference]
+    fast_keys = [candidates.keys[g] for g in report.numbers]
+    superset_ok = set(brute_keys) <= set(candidates.keys)
+    vertices_ok = brute_keys == fast_keys
 
     result = {
         **_dimensions(problem),
@@ -215,12 +214,13 @@ def _check_one(problem: Problem, args) -> dict:
         "candidates_cover_brute": superset_ok,
     }
     if not vertices_ok:
-        brute_set, fast_set = set(reference), set(report.vertices)
+        brute_set, fast_set = set(brute_keys), set(fast_keys)
         result["missing_from_fast"] = [
-            matrix_payload(m) for m in reference if m not in fast_set
+            matrix_payload(m) for m, key in zip(reference, brute_keys) if key not in fast_set
         ]
         result["extra_in_fast"] = [
-            matrix_payload(m) for m in report.vertices if m not in brute_set
+            matrix_payload(m) for m, key in zip(report.vertices, fast_keys)
+            if key not in brute_set
         ]
     if problem.objective is not None:
         try:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -160,16 +161,7 @@ def lift(a: Matrix) -> Matrix:
 
 def compositions(n: int, p: int) -> Iterator[Shape]:
     """All p-tuples of nonnegative integers summing to n, in lexicographic order."""
-    if p == 0:
-        if n == 0:
-            yield ()
-        return
-    if p == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in compositions(n - first, p - 1):
-            yield (first,) + rest
+    return (c for c in product(range(n + 1), repeat=p) if sum(c) == n)
 
 
 class ShapeFamily:

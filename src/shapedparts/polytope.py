@@ -14,8 +14,9 @@ the generic set's 0/1 block array and leaves both steps to `partitions`:
 shape admission to `ShapeFamily.admitted`, which asks the family once per
 distinct shape in order of first occurrence in the canonical order, and the
 chunked part sums to `PartSums.keys`. Each distinct part-sum matrix is held
-as one integer key, which the hull filter takes as it is. Matrix objects are
-built for the vertices and Partition objects for their witnesses only.
+as one integer key, which the hull filter takes as it is, and a vertex is
+reported by its candidate number. Matrix objects for the vertices and
+Partition objects for their witnesses are built only when they are read.
 """
 
 from __future__ import annotations
@@ -81,19 +82,34 @@ class CandidateSet:
         return tuple(map(self.matrix, range(len(self))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VertexReport:
-    """Vertices in canonical order; witnesses[i], every admissible generic
-    partition with part-sum matrix vertices[i], in the generic set's order;
-    and the candidate set they were filtered from, with the earlier counts."""
+    """The vertices, as the candidate numbers the hull filter kept, in
+    canonical order, and the candidate set they were filtered from, with the
+    earlier counts. vertices[i], the matrix of candidate numbers[i], and
+    witnesses[i], every admissible generic partition with that part-sum
+    matrix in the generic set's order, are built on first read."""
 
-    vertices: tuple[Matrix, ...]
-    witnesses: tuple[tuple[Partition, ...], ...]
     candidates: CandidateSet
+    numbers: list[int]
 
     @property
     def vertex_count(self) -> int:
-        return len(self.vertices)
+        return len(self.numbers)
+
+    @cached_property
+    def vertices(self) -> tuple[Matrix, ...]:
+        return tuple(map(self.candidates.matrix, self.numbers))
+
+    @cached_property
+    def witnesses(self) -> tuple[tuple[Partition, ...], ...]:
+        """Built in one selection from the generic set."""
+        candidates = self.candidates
+        witnesses: dict[int, list[Partition]] = {g: [] for g in self.numbers}
+        chosen = [i for i, g in enumerate(candidates.group) if g in witnesses]
+        for i, pi in zip(chosen, candidates.generic.select(candidates.rows[chosen])):
+            witnesses[candidates.group[i]].append(pi)
+        return tuple(tuple(witnesses[g]) for g in self.numbers)
 
 
 def admissible_partitions(
@@ -148,16 +164,7 @@ def enumerate_vertices(
 ) -> VertexReport:
     """All vertices of the shaped partition polytope, with witness partitions.
 
-    The hull filter runs on the integer keys; the witnesses are built in one
-    selection from the generic set."""
+    The hull filter runs on the integer keys; the report keeps the numbers of
+    the candidates it returns and builds matrices and witnesses when read."""
     candidates = candidate_vertices(a, p, family, limits)
-    keep = extreme_point_indices(candidates.keys, candidates.sums.scale)
-    witnesses: dict[int, list[Partition]] = {g: [] for g in keep}
-    chosen = [i for i, g in enumerate(candidates.group) if g in witnesses]
-    for i, pi in zip(chosen, candidates.generic.select(candidates.rows[chosen])):
-        witnesses[candidates.group[i]].append(pi)
-    return VertexReport(
-        vertices=tuple(map(candidates.matrix, keep)),
-        witnesses=tuple(tuple(witnesses[g]) for g in keep),
-        candidates=candidates,
-    )
+    return VertexReport(candidates, extreme_point_indices(candidates.keys, candidates.sums.scale))

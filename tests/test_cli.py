@@ -434,15 +434,19 @@ class TestCheck:
         assert report["results"][0]["missing_from_fast"]
         assert report["results"][0]["extra_in_fast"]
 
-    @pytest.mark.parametrize("brute", [
-        [["1/20", "0"], ["0", "0"]],  # times the scale 10: not an integer tuple
-        [["0", "0"], ["0", "0"]],  # an integer tuple, but no candidate key
-    ])
-    def test_brute_vertex_outside_candidates_exit_5(self, capsys, monkeypatch, brute):
+    @pytest.mark.parametrize("name, brute", [
+        # times the scale 10 an entry is 1/2, which equals no integer key
+        ("splitting.json", [["1/20", "0"], ["0", "0"]]),
+        # an integer tuple, but no candidate key
+        ("splitting.json", [["0", "0"], ["0", "0"]]),
+        # at scale 1, flooring 1/2 to 0 would alias the candidate [[0, 1], [0, 1], [1, 0]]
+        ("cube3.json", [["1/2", "1"], ["0", "1"], ["1", "0"]]),
+    ], ids=["brute0", "brute1", "brute2"])
+    def test_brute_vertex_outside_candidates_exit_5(self, capsys, monkeypatch, name, brute):
         from shapedparts.linalg import Matrix
 
         monkeypatch.setattr(cli, "brute_vertices", lambda *a, **kw: [Matrix(brute)])
-        code, out, _ = run_cli(["check", str(DATA / "splitting.json")], capsys)
+        code, out, _ = run_cli(["check", str(DATA / name)], capsys)
         assert code == 5
         result = json.loads(out)["results"][0]
         assert result["candidates_cover_brute"] is False

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import HUGE_PROBLEMS, TRANSLATIONS, convex_combination_exists, edge_problems
-from shapedparts import polytope
+from shapedparts import cli, polytope
 from shapedparts.brute import brute_solve, brute_vertices, enumerate_all_partitions
 from shapedparts.errors import CapacityError, DimensionError
 from shapedparts.generic import EnumerationLimits, PerturbedMatrix, enumerate_generic_p_partitions
@@ -165,7 +166,7 @@ class TestAdmissibleStage:
 
 
 class TestConstructions:
-    def test_objects_only_for_reported_vertices(self, monkeypatch):
+    def test_objects_only_for_reported_vertices(self, monkeypatch, tmp_path, capsys):
         # k = 2, n = 5, p = 3, a zero column and a repeated one: the vertices
         # have several witnesses each, and most candidates are not vertices.
         a = Matrix([[F(1, 2), -1, 0, F(1, 2), 3], [1, 0, 0, 1, F(2, 3)]])
@@ -185,12 +186,28 @@ class TestConstructions:
         monkeypatch.setattr(Partition, "__post_init__", counting_check)
         cand = candidate_vertices(a, 3, family)
         assert "partition" not in built and (2, 3) not in built
-        built.clear()
         report = enumerate_vertices(a, 3, family)
-        witnesses = sum(map(len, report.witnesses))
+        assert "partition" not in built and (2, 3) not in built
+        vertices = report.vertices
         assert built.count((2, 3)) == report.vertex_count < len(cand)
+        assert "partition" not in built
+        witnesses = sum(map(len, report.witnesses))
         assert built.count("partition") == witnesses < cand.admissible_count
         assert witnesses > report.vertex_count
+        assert built.count((2, 3)) == report.vertex_count and report.vertices is vertices
+
+        # count builds no vertex matrix; a matching check builds the brute
+        # side's only; neither builds a partition
+        doc = {"matrix": [["1/2", -1, 0, "1/2", 3], [1, 0, 0, 1, "2/3"]], "p": 3,
+               "shapes": {"type": "all"}}
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        for command, matrices in (("count", 0), ("check", report.vertex_count)):
+            built.clear()
+            assert cli.main([command, str(path)]) == 0
+            assert "partition" not in built
+            assert built.count((2, 3)) == matrices
+        capsys.readouterr()
 
 
 class TestIsVertex:
