@@ -111,7 +111,7 @@ def brute_vertices(
 ) -> list[Matrix]:
     """Vertices of the hull of all admissible part-sum matrices, in canonical order."""
     keys, sums = _part_sum_keys(a, p, family, force)
-    return [sums.matrix(keys[i]) for i in extreme_point_indices(keys, sums.scale)]
+    return [sums.matrix(keys[i]) for i in extreme_point_indices(keys, sums.scale, p)]
 
 
 def brute_solve(

@@ -29,13 +29,31 @@ others, one membership test per point, run in batches (Dulá and Helgason,
 EJOR 1996). A float scan proposes the points that maximize one of a fixed
 set of directions (a seeded random set and the coordinate axes both ways);
 every other point is tested against the proposed ones, and the proposed
-points, with the points found outside them, are then tested against each
-other.
+points, with the points found outside them, are the survivors. A survivor
+is certified a vertex when an integer functional scores it strictly above
+every other survivor, which one integer matmul checks for all of them: the
+rounded direction that proposed it, or the Farkas functional that proved it
+outside the proposed points. Only the survivors no functional certifies are
+tested against the others.
+
+Rows that are k x p part-sum matrices in row-major order can have part
+symmetries (Bremner, Dutour Sikirić and Schürmann, "Polyhedral
+representation conversion up to symmetries", 2009). A permutation g of the
+parts permutes the coordinates, a linear bijection; if it maps the point
+set K onto itself, it maps conv(K) onto itself. For every x in K and every
+union U of orbits of the group of such permutations, gU = U, so x lies in
+conv(U - {x}) iff gx lies in conv(gU - {gx}) = conv(U - {gx}). Every test
+of the filter has this form, so each verdict holds for the whole orbit.
+The filter finds the part swaps that fix K, closes the proposal under the
+group they generate, tests one point per orbit against whole orbits, and
+copies each verdict to the orbit.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from itertools import combinations
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -244,9 +262,12 @@ class _HullContext:
             self.int_rows[target], [self.int_rows[g] for g in generator_indices]
         )
 
-    def inside(self, targets: Sequence[int], generator_indices: Sequence[int]) -> list[bool]:
+    def inside(self, targets: Sequence[int],
+               generator_indices: Sequence[int]) -> tuple[list[bool], np.ndarray]:
         """Exact verdict per target: is it in the hull of the indexed
-        generators other than itself?
+        generators other than itself? Also, per target, the integer
+        functional (as floats) that proved it outside, or a zero row where
+        none did.
 
         One batched float simplex proposes per target a support, which the
         integer simplex decides on its columns alone, or a Farkas functional,
@@ -258,8 +279,9 @@ class _HullContext:
         """
         targets, generators = list(targets), list(generator_indices)
         verdicts = [False] * len(targets)
+        proofs = np.zeros((len(targets), len(self._pivots)))
         if not targets or not generators:
-            return verdicts
+            return verdicts, proofs
         column = {g: j for j, g in enumerate(generators)}
         excluded = np.array([column.get(t, -1) for t in targets])
         # Overflow and NaN in the float proposal only spoil a proposal, which
@@ -274,8 +296,9 @@ class _HullContext:
         # rounding of the other entries.
         farkas[:, 0] = 0.0
         undecided = [j for j, sure in enumerate(verdicts) if not sure]
-        separated = self._verify_separation([targets[j] for j in undecided], generators,
-                                            _round_functionals(farkas[undecided]))
+        rounded = _round_functionals(farkas[undecided])
+        separated = self._verify_separation([targets[j] for j in undecided], generators, rounded)
+        proofs[np.array(undecided, dtype=np.intp)[separated]] = rounded[separated]
         found = {t for t, sure in zip(targets, verdicts) if sure}
         remaining = [g for g in generators if g not in found]
         for j, sure in zip(undecided, separated.tolist()):
@@ -284,7 +307,7 @@ class _HullContext:
                 verdicts[j] = self._decide(target, [g for g in remaining if g != target])
                 if verdicts[j]:
                     remaining = [g for g in remaining if g != target]
-        return verdicts
+        return verdicts, proofs
 
 
 def _round_functionals(vectors: np.ndarray) -> np.ndarray:
@@ -308,17 +331,16 @@ def _directions(dim: int) -> np.ndarray:
     return np.vstack([rng.standard_normal((64 * dim + 64, dim)), axes, -axes])
 
 
-def _propose_vertices(coords: np.ndarray) -> list[int]:
+def _propose_vertices(coords: np.ndarray) -> tuple[list[int], np.ndarray]:
     """Float guess at the hull vertices: the sorted indices of the points
-    that maximize one of the fixed directions. Correctness never depends
-    on it."""
+    that maximize one of the fixed directions, and per index the first
+    direction that it maximizes. Correctness never depends on it."""
     directions = _directions(coords.shape[1])
-    picks: set[int] = set()
-    if len(coords):
-        # 64 directions at a time, so the score array stays small for big sets.
-        for start in range(0, len(directions), 64):
-            picks.update(np.argmax(coords @ directions[start:start + 64].T, axis=0).tolist())
-    return sorted(picks)
+    # 64 directions at a time, so the score array stays small for big sets.
+    best = np.concatenate([np.argmax(coords @ directions[start:start + 64].T, axis=0)
+                           for start in range(0, len(directions), 64)])
+    picks, first = np.unique(best, return_index=True)
+    return picks.tolist(), directions[first]
 
 
 def _cross(o: Sequence[int], a: Sequence[int], b: Sequence[int]) -> int:
@@ -352,25 +374,92 @@ def _low_dimensional_vertices(coords: Sequence[tuple[int, ...]],
     return sorted(vertices)
 
 
-def _filter_vertices(context: _HullContext, indices: Sequence[int]) -> list[int]:
-    """Sorted vertex indices among the indexed points, which are distinct:
-    the float proposal, then two batched membership tests (see
+def _part_orbits(first: dict[tuple[int, ...], int], parts: int) -> list[int]:
+    """Per distinct row, in the order of `first` (which maps each distinct
+    row to its index), the first index of its orbit under the part swaps
+    that map the set of rows onto itself; each row is a k x parts matrix in
+    row-major order.
+
+    A swap (r s) exchanges columns r and s. One pass over the rows per pair
+    of parts decides whether the swap maps every row into the set, which
+    makes it a bijection of the set; a pair already joined by such swaps is
+    skipped, as its swap is their product. The swaps found join the parts
+    into classes and generate every permutation within each class, so a
+    row's orbit is named by its columns sorted within each class.
+    """
+    rows = list(first)
+    width = len(rows[0])
+    root = list(range(parts))
+    for r, s in combinations(range(parts), 2):
+        if root[r] == root[s]:
+            continue
+        order = list(range(width))
+        order[r::parts], order[s::parts] = order[s::parts], order[r::parts]
+        swap = itemgetter(*order)
+        if all(map(first.__contains__, map(swap, rows))):
+            joined = root[s]
+            root = [root[r] if c == joined else c for c in root]
+    classes = [[c for c in range(parts) if root[c] == name] for name in sorted(set(root))]
+    if len(classes) == parts:
+        return list(first.values())
+    orbits: dict[tuple, int] = {}
+    labels = []
+    for row, i in first.items():
+        columns = [row[c::parts] for c in range(parts)]
+        labels.append(orbits.setdefault(
+            tuple(tuple(sorted(columns[c] for c in group)) for group in classes), i))
+    return labels
+
+
+def _filter_vertices(context: _HullContext, indices: Sequence[int],
+                     labels: Sequence[int]) -> list[int]:
+    """Sorted vertex indices among the indexed points, which are distinct,
+    where labels[j] is the first index of the orbit of indices[j] under a
+    group of affine symmetries of the set: the float proposal, closed under
+    the group, then one representative per orbit through two batched
+    membership tests with the certificates between them (see
     extreme_point_indices)."""
     with np.errstate(all="ignore"):
-        picks = _propose_vertices(context.float_rows[indices, 1:])
-    proposed = [indices[j] for j in picks]
-    chosen = set(proposed)
-    rest = [i for i in indices if i not in chosen]
-    covered = context.inside(rest, proposed)
-    survivors = proposed + [i for i, c in zip(rest, covered) if not c]
-    return sorted(v for v, c in zip(survivors, context.inside(survivors, survivors)) if not c)
+        picks, directions = _propose_vertices(context.float_rows[indices, 1:])
+    members: dict[int, list[int]] = {}
+    for i, label in zip(indices, labels):
+        members.setdefault(label, []).append(i)
+    # The first proposed point of an orbit represents it, so that its
+    # direction can certify it.
+    proposed: dict[int, int] = {}
+    for at, j in enumerate(picks):
+        proposed.setdefault(labels[j], at)
+    representatives = {label: indices[picks[at]] for label, at in proposed.items()}
+    closed = [i for label in representatives for i in members[label]]
+    rest = [label for label in members if label not in representatives]
+    covered, proofs = context.inside(rest, closed)
+    representatives.update((label, label) for label, c in zip(rest, covered) if not c)
+    survivors = [i for label in representatives for i in members[label]]
+    # Directions act on the coordinates after the leading one.
+    weights = np.zeros((len(proposed), directions.shape[1] + 1))
+    weights[:, 1:] = directions[list(proposed.values())]
+    functionals = np.vstack([_round_functionals(weights),
+                             proofs[~np.array(covered, dtype=bool)]])
+    targets = list(representatives.values())
+    vertex = context._verify_separation(targets, survivors, functionals).tolist()
+    doubtful = [j for j, sure in enumerate(vertex) if not sure]
+    for j, c in zip(doubtful, context.inside([targets[j] for j in doubtful], survivors)[0]):
+        vertex[j] = not c
+    return sorted(i for label, sure in zip(representatives, vertex) if sure
+                  for i in members[label])
 
 
-def extreme_point_indices(rows: Sequence[Sequence[int]], scale: int) -> list[int]:
+def extreme_point_indices(rows: Sequence[Sequence[int]], scale: int, parts: int = 1) -> list[int]:
     """Indices of the points that are vertices of the convex hull of all points,
     where point i is rows[i] / scale (integer rows, a positive integer scale).
     Of a set of equal points only the first takes part, so only it can be a
     vertex.
+
+    parts gives the layout of the rows: each is a k x parts matrix in
+    row-major order, as the part-sum keys of a partition into parts parts
+    are. The swaps of two parts that map the set of rows onto itself are
+    symmetries of the hull, which the filter uses from dimension 3 on; at
+    parts = 1 there are none. The output does not depend on parts.
 
     The exact basis of the lifted coordinates gives the affine dimension of
     the set. Up to dimension 2 the kept integer coordinates decide alone, by
@@ -379,20 +468,25 @@ def extreme_point_indices(rows: Sequence[Sequence[int]], scale: int) -> list[int
     set is the same.
 
     From dimension 3 on, the points that maximize a fixed direction are
-    proposed as vertices, and every other point is tested against the
-    proposed set (`_HullContext.inside`). A point inside is no vertex; the
-    others join the proposed points as survivors, which therefore hold every
-    vertex and span the same hull. A survivor is a vertex iff it is outside
-    the hull of the other survivors, which one more batched test decides.
-    The output is exact and independent of the proposal.
+    proposed as vertices, with every image of them under the part swaps,
+    and every other point is tested against the proposed set
+    (`_HullContext.inside`). A point inside is no vertex; the others join
+    the proposed points as survivors, which therefore hold every vertex and
+    span the same hull. A survivor is a vertex iff it is outside the hull of
+    the other survivors. A survivor that a functional scores strictly above
+    every other survivor is one: its proposal direction, or the functional
+    that proved it outside the proposed set. One more batched test decides
+    the survivors that no functional certifies. Each test runs on one point
+    per orbit and its verdict holds for the whole orbit. The output is exact
+    and independent of the proposal.
     """
     if not rows:
         return []
     context = _HullContext(rows, scale)
     first: dict[tuple[int, ...], int] = {}
-    for i, row in enumerate(context.int_rows):
+    for i, row in enumerate(map(tuple, rows)):
         first.setdefault(row, i)
     distinct = list(first.values())
     if len(context.int_rows[0]) <= 3:
         return _low_dimensional_vertices([row[1:] for row in context.int_rows], distinct)
-    return _filter_vertices(context, distinct)
+    return _filter_vertices(context, distinct, _part_orbits(first, parts))

@@ -381,6 +381,7 @@ class ExternalOracle(Objective):
                 self._process.wait(timeout=5)
             except (OSError, subprocess.TimeoutExpired):
                 self._process.kill()
+                self._process.wait()  # SIGKILL cannot be ignored; reap the process
             self._process.stdout.close()
             self._process = None
         self._close_stderr()

@@ -167,4 +167,5 @@ def enumerate_vertices(
     The hull filter runs on the integer keys; the report keeps the numbers of
     the candidates it returns and builds matrices and witnesses when read."""
     candidates = candidate_vertices(a, p, family, limits)
-    return VertexReport(candidates, extreme_point_indices(candidates.keys, candidates.sums.scale))
+    sums = candidates.sums
+    return VertexReport(candidates, extreme_point_indices(candidates.keys, sums.scale, sums.p))

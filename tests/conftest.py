@@ -277,7 +277,7 @@ def convex_combination_exists(target: Sequence[Fraction], generators: Sequence[S
     if not generators:
         return False
     context = _HullContext(*integer_rows([target, *generators]))
-    return context.inside([0], range(1, len(generators) + 1))[0]
+    return context.inside([0], range(1, len(generators) + 1))[0][0]
 
 
 def _nonvertex_by_affine_bases(target, others):

@@ -15,14 +15,17 @@ from conftest import (
     solve_consistent,
 )
 from shapedparts import hull
+from shapedparts.brute import _part_sum_keys
 from shapedparts.hull import (
     _directions,
     _filter_vertices,
     _HullContext,
     _integer_phase_one,
+    _part_orbits,
     extreme_point_indices,
 )
 from shapedparts.linalg import Matrix, integer_rows
+from shapedparts.partitions import ShapeFamily
 
 
 def every_size_caratheodory(target, others):
@@ -125,7 +128,7 @@ class TestLowDimensional:
             if not reference_membership(points[i], [points[j] for j in firsts if j != i])
         ]
         assert extreme_point_indices(rows, scale) == expected
-        assert _filter_vertices(context, firsts) == expected
+        assert _filter_vertices(context, firsts, firsts) == expected
 
     def test_duplicates_keep_the_first_copy(self):
         points = [(F(0), F(0)), (F(1), F(1)), (F(0), F(0)), (F(2), F(2)), (F(2), F(2))]
@@ -225,12 +228,18 @@ class TestInside:
         indices = list(range(len(points)))
         generators = rng.sample(indices, rng.randint(1, len(points)))
         targets = rng.sample(indices, rng.randint(1, len(points)))
-        batched = context.inside(targets, generators)
-        assert batched == [context.inside([t], generators)[0] for t in targets]
+        batched, proofs = context.inside(targets, generators)
+        assert batched == [context.inside([t], generators)[0][0] for t in targets]
         assert batched == [
             reference_membership(points[t], [points[g] for g in generators if g != t])
             for t in targets
         ]
+        # A functional handed back scores its target strictly above every
+        # other generator, in exact arithmetic.
+        for t, proof in zip(targets, proofs):
+            if proof.any():
+                score = [sum(int(w) * x for w, x in zip(proof, row)) for row in context.int_rows]
+                assert all(score[t] > score[g] for g in generators if g != t)
 
 
 class TestMembership:
@@ -407,30 +416,50 @@ class TestExtremePoints:
                    (2, 2, 0), (2, 0, 2), (0, 2, 2), (2, 2, 2), (1, 0, 0)]
         points = [tuple(big + x for x in offset) for offset in offsets]
         context = _HullContext(*integer_rows(points))
-        assert hull._propose_vertices(context.float_rows[:, 1:]) == [0]
+        picks, directions = hull._propose_vertices(context.float_rows[:, 1:])
+        assert picks == [0] and len(directions) == 1
         assert extreme_point_indices(*integer_rows(points)) == list(range(1, 9))
 
     def test_well_scaled_points_take_two_float_passes(self, monkeypatch):
         # One batched float simplex tests the unproposed points against the
-        # proposed ones, and one the survivors against each other.
+        # proposed ones, and one the survivors against each other; that one
+        # gets only the survivors that no functional certified.
         rng = random.Random(41)
         points = list(dict.fromkeys(
             tuple(F(rng.randint(-20, 20)) for _ in range(4)) for _ in range(150)
         ))
         rows, scale = integer_rows(points)
         expected = extreme_point_indices(rows, scale)
-        calls = []
+        calls, tests, certified = [], [], []
         float_phase_one = hull._float_phase_one
+        inside = _HullContext.inside
+        verify_separation = _HullContext._verify_separation
 
         def spy(*args):
             calls.append(len(args[1]))
             return float_phase_one(*args)
 
+        def spy_inside(self, targets, generators):
+            tests.append(list(targets))
+            return inside(self, targets, generators)
+
+        def spy_verify(self, targets, generators, functionals):
+            separated = verify_separation(self, targets, generators, functionals)
+            certified.append([t for t, sure in zip(targets, separated) if not sure])
+            return separated
+
         monkeypatch.setattr(hull, "_float_phase_one", spy)
+        monkeypatch.setattr(_HullContext, "inside", spy_inside)
+        monkeypatch.setattr(_HullContext, "_verify_separation", spy_verify)
         context = _HullContext(rows, scale)
         assert len(context.int_rows[0]) == 5
-        assert _filter_vertices(context, list(range(len(points)))) == expected
+        indices = list(range(len(points)))
+        assert _filter_vertices(context, indices, indices) == expected
         assert len(calls) <= 2
+        # The certification is the second exact check of functionals, after
+        # the one inside the first test; the second test gets what it left.
+        assert len(tests) == 2 and tests[1] == certified[1]
+        assert len(tests[1]) < len(expected)
         for i in (0, 1, 2):
             assert (i in expected) != reference_membership(points[i], points[:i] + points[i + 1:])
 
@@ -443,3 +472,85 @@ class TestExtremePoints:
         expected = [extreme_point_indices(*integer_rows(points)) for points in point_sets]
         monkeypatch.setattr(hull, "_CHUNK_ELEMENTS", 1)
         assert [extreme_point_indices(*integer_rows(points)) for points in point_sets] == expected
+
+
+def reference_vertices(points):
+    """Indices of the vertices among points, first copies only, by the Fraction simplex."""
+    firsts = [i for i, point in enumerate(points) if point not in points[:i]]
+    return [i for i in firsts
+            if not reference_membership(points[i], [points[j] for j in firsts if j != i])]
+
+
+def part_sum_points(rng, k, n, family, p):
+    """The distinct part-sum keys of the admissible partitions of a random
+    k x n matrix, shuffled, with one key repeated; the points they give; and
+    the orbit labels of the distinct keys."""
+    a = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)])
+    keys, sums = _part_sum_keys(a, p, family, False)
+    rng.shuffle(keys)
+    keys.append(keys[len(keys) // 2])
+    first = {}
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    points = [tuple(F(x, sums.scale) for x in key) for key in keys]
+    return keys, sums.scale, points, _part_orbits(first, p)
+
+
+class TestPartOrbits:
+    """The filter on one representative per orbit of the part swaps that fix
+    the key set gives what the unreduced filter and the reference give."""
+
+    @pytest.mark.parametrize("k, n, p, family, classes", [
+        # all shapes: the full symmetric group on the parts
+        (2, 3, 3, ShapeFamily.all_shapes(3, 3), [[0, 1, 2]]),
+        (1, 3, 4, ShapeFamily.all_shapes(3, 4), [[0, 1, 2, 3]]),
+        # uniform bounds
+        (2, 4, 3, ShapeFamily.bounds([1, 1, 1], [2, 2, 2], 4), [[0, 1, 2]]),
+        # two of three parts share bounds: only their swap
+        (2, 4, 3, ShapeFamily.bounds([0, 0, 1], [2, 2, 3], 4), [[0, 1], [2]]),
+        # a list closed under the swap of the last two parts only
+        (2, 4, 3, ShapeFamily.explicit([(1, 1, 2), (1, 2, 1)], 4, 3), [[0], [1, 2]]),
+        # no symmetry
+        (2, 5, 3, ShapeFamily.explicit([(1, 2, 2), (3, 0, 2)], 5, 3), [[0], [1], [2]]),
+    ])
+    def test_matches_unreduced_filter_and_reference(self, k, n, p, family, classes):
+        rng = random.Random(19)
+        for _ in range(4):
+            keys, scale, points, labels = part_sum_points(rng, k, n, family, p)
+            orbits = {}
+            for key, label in zip(dict.fromkeys(keys), labels):
+                orbits.setdefault(label, set()).add(
+                    tuple(tuple(sorted(key[c::p] for c in group)) for group in classes))
+            # each orbit holds the keys that sort to one class-wise form
+            assert all(len(forms) == 1 for forms in orbits.values())
+            assert len(orbits) == len({form for forms in orbits.values() for form in forms})
+            assert len(_HullContext(keys, scale).int_rows[0]) >= 4
+            expected = reference_vertices(points)
+            assert extreme_point_indices(keys, scale, p) == expected
+            assert extreme_point_indices(keys, scale) == expected
+
+
+class TestCertificates:
+    """The proposal directions only propose: degenerate ones change no verdict."""
+
+    @pytest.mark.parametrize("directions", [
+        lambda dim: np.ones((3, dim)),  # every direction ties
+        lambda dim: np.zeros((2, dim)),  # zero rows
+        lambda dim: np.vstack([np.zeros((1, dim)), np.eye(dim)]),  # a zero row among the axes
+        lambda dim: np.full((2, dim), 1e300) * [[1], [-1]],  # huge entries
+        lambda dim: np.full((1, dim), np.nan),  # no score at all
+    ])
+    def test_degenerate_directions_change_no_verdict(self, monkeypatch, directions):
+        rng = random.Random(23)
+        cases = []
+        for _ in range(6):
+            points = list(dict.fromkeys(frac_points(rng, rng.randint(8, 20), rng.randint(3, 4))))
+            cases.append((*integer_rows(points), 1, points))
+        for family in (ShapeFamily.all_shapes(3, 3),
+                       ShapeFamily.explicit([(1, 1, 2), (1, 2, 1)], 4, 3)):
+            keys, scale, points, _ = part_sum_points(rng, 2, family.n, family, 3)
+            cases.append((keys, scale, 3, points))
+        monkeypatch.setattr(hull, "_directions", directions)
+        for rows, scale, parts, points in cases:
+            assert len(_HullContext(rows, scale).int_rows[0]) >= 4
+            assert extreme_point_indices(rows, scale, parts) == reference_vertices(points)

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import select
+import signal
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -498,3 +499,22 @@ class TestExternalOracle:
         with ExternalOracle(["/nonexistent/oracle"]) as oracle:
             with pytest.raises(OracleError):
                 oracle.evaluate(Matrix([[1]]))
+
+    def test_killed_oracle_is_reaped(self, monkeypatch):
+        # The oracle ignores SIGTERM and sleeps once its stdin closes, so close
+        # must kill it; the timed wait is made to time out at once.
+        stubborn = ("import signal, sys, time; signal.signal(signal.SIGTERM, signal.SIG_IGN); "
+                    "print(1, flush=True); sys.stdin.read(); time.sleep(60)")
+        oracle = ExternalOracle([sys.executable, "-c", stubborn])
+        assert oracle.evaluate(Matrix([[1]])) == 1
+        process = oracle._process
+        wait = process.wait
+
+        def impatient_wait(timeout=None):
+            if timeout is not None:
+                raise subprocess.TimeoutExpired(process.args, timeout)
+            return wait()
+
+        monkeypatch.setattr(process, "wait", impatient_wait)
+        oracle.close()
+        assert process.returncode == -signal.SIGKILL

@@ -95,7 +95,7 @@ class TestCandidates:
         # With every candidate kept as a vertex, the report's witnesses are
         # the whole grouping (and no slow exact hull runs on entries of 1e400).
         monkeypatch.setattr(polytope, "extreme_point_indices",
-                            lambda rows, scale: list(range(len(rows))))
+                            lambda rows, scale, parts: list(range(len(rows))))
         report = enumerate_vertices(a, p, family)
         assert list(report.vertices) == members
         assert list(report.witnesses) == witnesses
