@@ -395,19 +395,18 @@ def _part_orbits(first: dict[tuple[int, ...], int], parts: int) -> list[int]:
             continue
         order = list(range(width))
         order[r::parts], order[s::parts] = order[s::parts], order[r::parts]
-        swap = itemgetter(*order)
-        if all(map(first.__contains__, map(swap, rows))):
+        if all(map(first.__contains__, map(itemgetter(*order), rows))):
             joined = root[s]
             root = [root[r] if c == joined else c for c in root]
-    classes = [[c for c in range(parts) if root[c] == name] for name in sorted(set(root))]
-    if len(classes) == parts:
+    if len(set(root)) == parts:
         return list(first.values())
+    classes = [[slice(c, None, parts) for c in range(parts) if root[c] == name]
+               for name in sorted(set(root))]
     orbits: dict[tuple, int] = {}
     labels = []
     for row, i in first.items():
-        columns = [row[c::parts] for c in range(parts)]
-        labels.append(orbits.setdefault(
-            tuple(tuple(sorted(columns[c] for c in group)) for group in classes), i))
+        form = tuple([tuple(sorted([row[c] for c in group])) for group in classes])
+        labels.append(orbits.setdefault(form, i))
     return labels
 
 
