@@ -455,7 +455,7 @@ def extreme_point_indices(rows: Sequence[Sequence[int]], scale: int, parts: int 
     vertex.
 
     parts gives the layout of the rows: each is a k x parts matrix in
-    row-major order, as the part-sum keys of a partition into parts parts
+    row-major order, as the part-sum keys of partitions into that many parts
     are. The swaps of two parts that map the set of rows onto itself are
     symmetries of the hull, which the filter uses from dimension 3 on; at
     parts = 1 there are none. The output does not depend on parts.
