@@ -7,7 +7,7 @@ and maximizes convex objective oracles over those partitions. All arithmetic
 is exact; a brute-force reference oracle provides ground truth at tiny scale.
 """
 
-from .brute import brute_solve, brute_vertices, enumerate_all_partitions
+from .brute import BruteVertices, brute_solve, brute_vertices, enumerate_all_partitions
 from .errors import CapacityError, DimensionError, OracleError, ProblemError
 from .generic import (
     EnumerationLimits,
@@ -32,6 +32,7 @@ from .solver import SolveReport, solve
 __version__ = "0.1.0"
 
 __all__ = [
+    "BruteVertices",
     "CandidateSet",
     "CapacityError",
     "ColumnPowerObjective",

@@ -5,7 +5,10 @@ order of the assignment vectors, as one chunked walk over integer arrays: a
 chunk is an (N, n) digit array and its (N, p, n) 0/1 block array, which
 `ShapeFamily.admitted` filters with one verdict dict for the whole walk, so
 the family is asked once per distinct shape. Each distinct part-sum matrix
-is kept as its integer key of `partitions.PartSums`.
+is kept as its integer key of `partitions.PartSums`. `brute_vertices`
+returns the vertex keys in a `BruteVertices` report, which builds their
+Matrix objects on first read, so `check` compares keys with the fast path's
+(both made by `PartSums(a, p)`) and builds matrices only for a mismatch.
 
 The walk uses none of the generic-enumeration machinery (no perturbation, no
 separating hyperplanes, no assembly) and none of the admissible stage of
@@ -23,7 +26,9 @@ little memory beyond the distinct part-sum matrices it keeps.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice, product
 from typing import Iterator
 
@@ -106,12 +111,30 @@ def _part_sum_keys(
     return sorted(found), sums
 
 
+@dataclass(frozen=True, eq=False)
+class BruteVertices:
+    """The vertices that `brute_vertices` found, as their part-sum keys under
+    `sums`, in canonical order; len() counts them. `vertices`, their Matrix
+    objects, are built on first read."""
+
+    keys: list[tuple[int, ...]]
+    sums: PartSums
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    @cached_property
+    def vertices(self) -> tuple[Matrix, ...]:
+        return tuple(map(self.sums.matrix, self.keys))
+
+
 def brute_vertices(
     a: Matrix, p: int, family: ShapeFamily, force: bool = False
-) -> list[Matrix]:
-    """Vertices of the hull of all admissible part-sum matrices, in canonical order."""
+) -> BruteVertices:
+    """Vertices of the hull of all admissible part-sum matrices, in canonical
+    order, as keys of `PartSums(a, p)`."""
     keys, sums = _part_sum_keys(a, p, family, force)
-    return [sums.matrix(keys[i]) for i in extreme_point_indices(keys, sums.scale, p)]
+    return BruteVertices([keys[i] for i in extreme_point_indices(keys, sums.scale, p)], sums)
 
 
 def brute_solve(

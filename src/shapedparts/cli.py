@@ -199,12 +199,10 @@ def _check_one(problem: Problem, args) -> dict:
     reference = brute_vertices(problem.matrix, problem.p, problem.family, force=args.force)
 
     candidates = report.candidates
-    # both sides as keys at the PartSums scale; an entry off the 1/scale grid
-    # stays a Fraction and equals no integer key
-    brute_keys = [tuple(x * candidates.sums.scale for x in m.flatten()) for m in reference]
+    # both sides are keys of PartSums(a, p), so they compare as they are
     fast_keys = [candidates.keys[g] for g in report.numbers]
-    superset_ok = set(brute_keys) <= set(candidates.keys)
-    vertices_ok = brute_keys == fast_keys
+    superset_ok = set(reference.keys) <= set(candidates.keys)
+    vertices_ok = reference.keys == fast_keys
 
     result = {
         **_dimensions(problem),
@@ -214,13 +212,13 @@ def _check_one(problem: Problem, args) -> dict:
         "candidates_cover_brute": superset_ok,
     }
     if not vertices_ok:
-        brute_set, fast_set = set(brute_keys), set(fast_keys)
+        brute_set, fast_set = set(reference.keys), set(fast_keys)
         result["missing_from_fast"] = [
-            matrix_payload(m) for m, key in zip(reference, brute_keys) if key not in fast_set
+            matrix_payload(reference.sums.matrix(key))
+            for key in reference.keys if key not in fast_set
         ]
         result["extra_in_fast"] = [
-            matrix_payload(m) for m, key in zip(report.vertices, fast_keys)
-            if key not in brute_set
+            matrix_payload(candidates.sums.matrix(key)) for key in fast_keys if key not in brute_set
         ]
     if problem.objective is not None:
         try:

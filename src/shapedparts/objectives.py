@@ -227,6 +227,8 @@ def parse_wire_scalar(text: str) -> Fraction:
         decoded = json.loads(stripped, parse_float=str)
     except json.JSONDecodeError:
         decoded = stripped
+    except RecursionError as exc:
+        raise ValueError("reply nests past the JSON decoder's depth limit") from exc
     if isinstance(decoded, bool) or not isinstance(decoded, (int, str)):
         raise ValueError(f"reply is not a rational scalar: {text!r}")
     return as_rational(decoded)

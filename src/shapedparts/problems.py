@@ -146,9 +146,10 @@ def load_problem(path: str) -> Problem:
             raw = json.load(handle, parse_float=str)
     except OSError as exc:
         raise ProblemError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         # Malformed JSON, bad UTF-8, and integer literals past Python's
-        # digit limit all surface as ValueError.
+        # digit limit all surface as ValueError; nesting past the
+        # decoder's depth limit as RecursionError.
         raise ProblemError(f"{path} is not valid JSON: {exc}") from exc
     return problem_from_dict(raw)
 

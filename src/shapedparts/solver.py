@@ -10,30 +10,49 @@ The admissible generic partitions and their part-sum matrices come from
 `polytope.admissible_partitions`, as the `CandidateSet` that
 `candidate_vertices` returns too. It holds each distinct part-sum matrix as
 an integer key. solve hands the key of every admissible partition, in
-canonical order, to the objective's `evaluate_keys` in one call, and builds
-a Matrix and a Partition object for the winner only. How each kind of
-objective computes that batch is described in `objectives`.
+canonical order, to the objective's `evaluate_keys` in one call. The
+report keeps the winner's 0/1 block row and part-sum key, not the candidate
+set, and builds the winner's Matrix and Partition objects on first read, so
+a caller that reads only `best_value`, as `check` does, builds neither. How
+each kind of objective computes that batch is described in `objectives`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+
+import numpy as np
 
 from .errors import DimensionError
 from .generic import DEFAULT_LIMITS, EnumerationLimits, PerturbedMatrix, enumerate_generic_p_partitions
 from .linalg import Matrix
 from .objectives import Objective
-from .partitions import Partition, ShapeFamily, lift
+from .partitions import Partition, PartSums, ShapeFamily, lift, partitions_from_blocks
 from .polytope import admissible_partitions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveReport:
-    best_partition: Partition
-    best_matrix: Matrix
+    """The maximum, `best_value`, and the number of admissible partitions
+    scanned, `evaluations`. The winner is kept as its (p, n) 0/1 block row
+    and its part-sum key under `sums`; `best_partition` and `best_matrix`
+    are built from them on first read."""
+
     best_value: Fraction
     evaluations: int
+    best_blocks: np.ndarray
+    best_key: tuple[int, ...]
+    sums: PartSums
+
+    @cached_property
+    def best_partition(self) -> Partition:
+        return partitions_from_blocks(self.best_blocks[None])[0]
+
+    @cached_property
+    def best_matrix(self) -> Matrix:
+        return self.sums.matrix(self.best_key)
 
 
 def solve(
@@ -67,8 +86,10 @@ def solve(
         first_at.setdefault(g, i)
     best_at = max(first_at.values(), key=values.__getitem__)
     return SolveReport(
-        best_partition=generic.select(candidates.rows[[best_at]])[0],
-        best_matrix=candidates.matrix(group[best_at]),
         best_value=values[best_at],
         evaluations=candidates.admissible_count,
+        # a copy, so the report keeps no view of the generic block array
+        best_blocks=generic.blocks[candidates.rows[best_at]].copy(),
+        best_key=keys[group[best_at]],
+        sums=candidates.sums,
     )

@@ -253,7 +253,7 @@ class TestCriterion7Superset:
                 problem = problem_from_dict(random_instance_dict(CHECK_SEED, index))
                 candidates = candidate_vertices(problem.matrix, problem.p, problem.family)
                 member_keys = {m.flatten() for m in candidates.members}
-                for matrix in brute_vertices(problem.matrix, problem.p, problem.family):
+                for matrix in brute_vertices(problem.matrix, problem.p, problem.family).vertices:
                     assert matrix.flatten() in member_keys
 
 

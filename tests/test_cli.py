@@ -1,11 +1,14 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 from shapedparts import cli
+from shapedparts.brute import BruteVertices
+from shapedparts.partitions import PartSums
 
 DATA = Path(__file__).parent / "data"
 
@@ -224,6 +227,15 @@ class TestInputErrors:
         assert code == 2
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["vertices", "solve", "count", "check"])
+    def test_deeply_nested_json_exit_2(self, tmp_path, capsys, command):
+        # nesting past the JSON decoder's depth limit raises RecursionError
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run_cli([command, str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path} is not valid JSON: ") and err.count("\n") == 1
+
     def test_vertex_entry_beyond_digit_limit_exit_2(self, tmp_path, capsys):
         path = write_problem(tmp_path, {"matrix": [["1e4300", 1]], "p": 2, "shapes": {"type": "all"}})
         code, out, err = run_cli(["vertices", path], capsys)
@@ -423,10 +435,21 @@ class TestCheck:
         code, _, err = run_cli(["check", str(DATA / "cube3.json"), "--random", "2"], capsys)
         assert code == 2
 
-    def test_mismatch_exit_5(self, capsys, monkeypatch):
-        from shapedparts.linalg import Matrix
+    @staticmethod
+    def fake_brute_vertices(brute):
+        """A brute_vertices that reports the matrix `brute` (rows of rational
+        strings) as its one vertex, keyed as PartSums(a, p) keys it: an entry
+        off the 1/scale grid stays a Fraction and equals no integer key."""
 
-        monkeypatch.setattr(cli, "brute_vertices", lambda *a, **kw: [Matrix([[0, 0], [0, 0], [0, 0]])])
+        def fake(a, p, family, force=False):
+            sums = PartSums(a, p)
+            key = tuple(F(x) * sums.scale for row in brute for x in row)
+            return BruteVertices([key], sums)
+
+        return fake
+
+    def test_mismatch_exit_5(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "brute_vertices", self.fake_brute_vertices([[0, 0]] * 3))
         code, out, _ = run_cli(["check", str(DATA / "cube3.json")], capsys)
         assert code == 5
         report = json.loads(out)
@@ -443,9 +466,7 @@ class TestCheck:
         ("cube3.json", [["1/2", "1"], ["0", "1"], ["1", "0"]]),
     ], ids=["brute0", "brute1", "brute2"])
     def test_brute_vertex_outside_candidates_exit_5(self, capsys, monkeypatch, name, brute):
-        from shapedparts.linalg import Matrix
-
-        monkeypatch.setattr(cli, "brute_vertices", lambda *a, **kw: [Matrix(brute)])
+        monkeypatch.setattr(cli, "brute_vertices", self.fake_brute_vertices(brute))
         code, out, _ = run_cli(["check", str(DATA / name)], capsys)
         assert code == 5
         result = json.loads(out)["results"][0]

@@ -303,6 +303,8 @@ class TestWireScalars:
             parse_wire_scalar("true")
         with pytest.raises(ValueError):
             parse_wire_scalar("zebra")
+        with pytest.raises(ValueError, match="depth"):
+            parse_wire_scalar("[" * 100_000)
 
 
 COUNTER = "import sys\nfor i, line in enumerate(sys.stdin, 1):\n    print(i, flush=True)\n"
@@ -448,6 +450,22 @@ def _oracle_exiting_mid_batch_fails(workdir):
         assert code == 4 and "code 3" in err.getvalue(), err.getvalue()
 
 
+def _deeply_nested_reply_is_garbage(workdir):
+    # nesting past the JSON decoder's depth limit raises RecursionError
+    nested = "import sys\nfor line in sys.stdin:\n    print('[' * 100_000, flush=True)\n"
+    problem = Path(workdir) / "problem.json"
+    problem.write_text(json.dumps({
+        "matrix": [[1, 2, 3]], "p": 2, "shapes": {"type": "all"},
+        "objective": {"type": "external", "cmd": [sys.executable, "-c", nested]},
+    }))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
+        code = cli.main(["solve", str(problem)])
+    assert code == 4 and out.getvalue() == "", err.getvalue()
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    assert "replied with garbage" in err.getvalue()
+
+
 class TestExternalOracle:
     def test_round_trip(self):
         run_isolated(_round_trip)
@@ -485,6 +503,9 @@ class TestExternalOracle:
 
     def test_oracle_exiting_mid_batch_fails(self, tmp_path):
         run_isolated(_oracle_exiting_mid_batch_fails, str(tmp_path))
+
+    def test_deeply_nested_reply_exit_4(self, tmp_path):
+        run_isolated(_deeply_nested_reply_is_garbage, str(tmp_path))
 
     def test_death_note_quotes_stderr_tail(self):
         dying = "import sys; sys.stderr.write('a' * 3000 + 'TAILMARK'); sys.exit(3)"

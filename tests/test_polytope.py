@@ -133,7 +133,7 @@ class TestAdmissibleStage:
         expected = (
             enumerate_vertices(a, 3, family).vertices,
             solve(a, 3, family, objective).best_value,
-            brute_vertices(a, 3, family),
+            brute_vertices(a, 3, family).vertices,
             brute_solve(a, 3, family, objective),
             [pi for pi in enumerate_all_partitions(5, 3, ShapeFamily.all_shapes(5, 3))
              if family.contains(shape_of(pi))],
@@ -146,7 +146,7 @@ class TestAdmissibleStage:
         assert (
             enumerate_vertices(a, 3, family).vertices,
             solve(a, 3, family, objective).best_value,
-            brute_vertices(a, 3, family),
+            brute_vertices(a, 3, family).vertices,
             brute_solve(a, 3, family, objective),
             list(enumerate_all_partitions(5, 3, family)),
         ) == expected
@@ -196,17 +196,22 @@ class TestConstructions:
         assert witnesses > report.vertex_count
         assert built.count((2, 3)) == report.vertex_count and report.vertices is vertices
 
-        # count builds no vertex matrix; a matching check builds the brute
-        # side's only; neither builds a partition
+        # count and a matching check, with or without an objective, build no
+        # part-sum matrix and no partition; solve builds the winner's. The
+        # objective has no cost matrix, which loading would build as (2, 3).
         doc = {"matrix": [["1/2", -1, 0, "1/2", 3], [1, 0, 0, 1, "2/3"]], "p": 3,
                "shapes": {"type": "all"}}
-        path = tmp_path / "problem.json"
-        path.write_text(json.dumps(doc))
-        for command, matrices in (("count", 0), ("check", report.vertex_count)):
+        plain, with_objective = tmp_path / "plain.json", tmp_path / "objective.json"
+        plain.write_text(json.dumps(doc))
+        with_objective.write_text(json.dumps(
+            {**doc, "objective": {"type": "sum_column_norm_pow", "q": 2}}))
+        for command, path, objects in (
+            ("count", plain, 0), ("check", plain, 0), ("check", with_objective, 0),
+            ("solve", with_objective, 1),
+        ):
             built.clear()
-            assert cli.main([command, str(path)]) == 0
-            assert "partition" not in built
-            assert built.count((2, 3)) == matrices
+            assert cli.main([command, str(path)]) == 0  # a check exits 0 iff it matches
+            assert built.count("partition") == built.count((2, 3)) == objects, command
         capsys.readouterr()
 
 
@@ -284,7 +289,7 @@ class TestEnumerateVertices:
             a = random_matrix(rng, k, n)
             family = ShapeFamily.all_shapes(n, p)
             report = enumerate_vertices(a, p, family)
-            reference = brute_vertices(a, p, family)
+            reference = brute_vertices(a, p, family).vertices
             assert [m.flatten() for m in report.vertices] == [m.flatten() for m in reference]
 
     @settings(max_examples=60, deadline=None, database=None)
@@ -298,7 +303,7 @@ class TestEnumerateVertices:
     def test_edge_inputs_match_brute(self, problem):
         a, p, family, cost = problem
         report = enumerate_vertices(a, p, family)
-        reference = brute_vertices(a, p, family)
+        reference = brute_vertices(a, p, family).vertices
         assert [m.flatten() for m in report.vertices] == [m.flatten() for m in reference]
         objective = LinearObjective(cost)
         assert solve(a, p, family, objective).best_value == brute_solve(a, p, family, objective)
@@ -308,7 +313,7 @@ class TestEnumerateVertices:
         a = random_matrix(random.Random(100 * k + n), k, n)
         family = ShapeFamily.all_shapes(n, p)
         report = enumerate_vertices(a, p, family)
-        reference = brute_vertices(a, p, family, force=p > 4)
+        reference = brute_vertices(a, p, family, force=p > 4).vertices
         assert [m.flatten() for m in report.vertices] == [m.flatten() for m in reference]
 
     def test_brute_vertices_inside_candidates(self):
@@ -320,7 +325,7 @@ class TestEnumerateVertices:
             a = random_matrix(rng, k, n)
             family = ShapeFamily.all_shapes(n, p)
             members = {m.flatten() for m in candidate_vertices(a, p, family).members}
-            for matrix in brute_vertices(a, p, family):
+            for matrix in brute_vertices(a, p, family).vertices:
                 assert matrix.flatten() in members
 
     def test_relabeling_invariance(self):

@@ -22,6 +22,7 @@ from shapedparts.objectives import (
     Objective,
 )
 from shapedparts.partitions import (
+    Partition,
     PartSums,
     ShapeFamily,
     compositions,
@@ -30,7 +31,7 @@ from shapedparts.partitions import (
     shape_of,
 )
 from shapedparts.polytope import candidate_vertices, enumerate_vertices
-from shapedparts.solver import SolveReport, solve
+from shapedparts.solver import solve
 
 ORACLE = [sys.executable, str(Path(__file__).parent / "data" / "square_oracle.py")]
 
@@ -41,9 +42,15 @@ def admissible_scan(a, p, family):
     return [pi for pi in generic_set if family.contains(shape_of(pi))]
 
 
+def report_fields(report):
+    """The four fields of a SolveReport, in the order reference_solve gives them."""
+    return report.best_partition, report.best_matrix, report.best_value, report.evaluations
+
+
 def reference_solve(a, p, family, objective):
     """The plain per-partition scan: one part-sum matrix and one evaluation
-    per admissible partition, first maximizer wins."""
+    per admissible partition, first maximizer wins. Returns the fields of
+    `report_fields`."""
     admissible = admissible_scan(a, p, family)
     matrices = [partition_matrix(a, pi) for pi in admissible]
     values = [objective.evaluate(m) for m in matrices]
@@ -51,12 +58,7 @@ def reference_solve(a, p, family, objective):
     for i in range(1, len(values)):
         if values[i] > values[best_index]:
             best_index = i
-    return SolveReport(
-        best_partition=admissible[best_index],
-        best_matrix=matrices[best_index],
-        best_value=values[best_index],
-        evaluations=len(admissible),
-    )
+    return admissible[best_index], matrices[best_index], values[best_index], len(admissible)
 
 
 class ConstantObjective(Objective):
@@ -196,7 +198,8 @@ class TestSolveInvariants:
     def test_edge_inputs_match_reference_scan(self, problem, kind):
         a, p, family, cost = problem
         objective = edge_objective(kind, cost)
-        assert solve(a, p, family, objective) == reference_solve(a, p, family, objective)
+        expected = reference_solve(a, p, family, objective)
+        assert report_fields(solve(a, p, family, objective)) == expected
 
     @settings(max_examples=30, deadline=None, database=None)
     @given(edge_problems(), OBJECTIVE_KINDS)
@@ -280,11 +283,21 @@ class TestBatchEvaluation:
         (Matrix([[1, 0, 2, -1], [0, "1/3", 1, 1]]), 2, DiagonalPowerObjective(3)),
         (Matrix.identity(4), 2, MaxCutObjective([(1, 2), (2, 3), (3, 4)])),
     ])
-    def test_builtins_build_the_winner_only(self, built, a, p, objective):
+    def test_builtins_build_the_winner_only(self, built, monkeypatch, a, p, objective):
+        partitions = []
+        check = Partition.__post_init__
+        monkeypatch.setattr(Partition, "__post_init__", lambda pi: check(pi) or partitions.append(pi))
         family = ShapeFamily.all_shapes(a.ncols, p)
         report = solve(a, p, family, objective)
         assert report.evaluations > 1
-        assert len(built) == 1 and PartSums(a, p).matrix(built[0]) == report.best_matrix
+        assert built == [] and partitions == []  # nothing until the first read
+        assert report.best_blocks.base is None  # no view of the generic block array
+        best_matrix = report.best_matrix
+        assert len(built) == 1 and partitions == []
+        best_partition = report.best_partition
+        assert report.best_matrix is best_matrix and report.best_partition is best_partition
+        assert len(built) == 1 and partitions == [best_partition]  # built once each
+        assert partition_matrix(a, best_partition) == best_matrix == PartSums(a, p).matrix(built[0])
         built.clear()
         assert brute_solve(a, p, family, objective) == report.best_value
         assert built == []
@@ -312,7 +325,8 @@ class TestBatchEvaluation:
         best = max(values)
         assert len(set(matrices)) < len(matrices)
         assert len({m for m, v in zip(matrices, values) if v == best}) > 1
-        assert solve(a, 3, family, objective) == reference_solve(a, 3, family, objective)
+        expected = reference_solve(a, 3, family, objective)
+        assert report_fields(solve(a, 3, family, objective)) == expected
 
     @pytest.mark.parametrize("a, p, objective", [
         (Matrix([[0, 1], [1, 0]]), 2, MaxCutObjective([(1, 2)])),
@@ -336,7 +350,8 @@ class TestSolveLargeInputs:
         a = Matrix([[rng.randint(-5, 5) for _ in range(65)]])
         family = ShapeFamily.all_shapes(65, 2)
         objective = ColumnPowerObjective(2)
-        assert solve(a, 2, family, objective) == reference_solve(a, 2, family, objective)
+        expected = reference_solve(a, 2, family, objective)
+        assert report_fields(solve(a, 2, family, objective)) == expected
 
     @pytest.mark.parametrize("problem", HUGE_PROBLEMS)
     @pytest.mark.parametrize("kind", ["linear", "column_power", "constant"])
@@ -344,7 +359,8 @@ class TestSolveLargeInputs:
         a, p, family = problem
         cost = Matrix([[(-1) ** (r + j) * (j + 1) for j in range(p)] for r in range(a.nrows)])
         objective = edge_objective(kind, cost)
-        assert solve(a, p, family, objective) == reference_solve(a, p, family, objective)
+        expected = reference_solve(a, p, family, objective)
+        assert report_fields(solve(a, p, family, objective)) == expected
 
 
 class TestExternalSolve:
