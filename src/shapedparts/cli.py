@@ -102,7 +102,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-two-partitions", type=int, default=defaults.max_two_partitions,
                         metavar="N", help="cap on enumerated generic 2-partitions")
     parser.add_argument("--max-candidates", type=int, default=defaults.max_candidates,
-                        metavar="N", help="cap on enumerated candidate sets")
+                        metavar="N", help="cap on distinct candidate part-sum matrices")
     parser.add_argument("--max-assembly-nodes", type=int, default=defaults.max_assembly_nodes,
                         metavar="N",
                         help="cap on (partial assembly, other part, word of 64 "

@@ -360,25 +360,26 @@ def _assemble(held: np.ndarray, p: int, limits: EnumerationLimits) -> np.ndarray
     table = np.packbits(table, axis=1, bitorder="little").view("<u8")[..., None]  # (n + 1, V, 1)
     words = table.shape[1]
     labels = np.zeros((1, n), dtype=np.min_scalar_type(p - 1))
+    # The empty prefix enters as the one child of narrowing its block 0 by
+    # every mask, which changes nothing; the views allocate nothing.
+    within = apart = np.broadcast_to(table[0], (p, words, 1))  # (p, V, N)
+    inside = outside = table[0]
+    part = state = [0]
+    # tile sides: prefixes, then parts r
+    step = max(1, _CHUNK_ELEMENTS // (p * p * words))
+    rows = min(p, max(1, _CHUNK_ELEMENTS // (p * words * step)))
     nodes = 0
     for e in range(n):
         nodes += len(labels) * p * (p - 1) * words
         if nodes > limits.max_assembly_nodes:
             raise CapacityError("assembly-nodes", limits.max_assembly_nodes,
                                 reached=f"element {e + 1} of {n}")
-        if e == 0:
-            within = apart = np.broadcast_to(table[0], (p, words, 1))  # (p, V, N)
-            rank = np.arange(p)
-            # tile sides: prefixes, then parts r
-            step = max(1, _CHUNK_ELEMENTS // (p * p * words))
-            rows = min(p, max(1, _CHUNK_ELEMENTS // (p * words * step)))
-        else:
-            # the children of the last element, now that their charge has passed
-            child = np.arange(len(state))
-            within = within[..., state]
-            within[part, :, child] &= inside[:, 0]
-            apart = apart[..., state]
-            apart[part, :, child] &= outside[:, 0]
+        # the children of the last element, now that their charge has passed
+        child = np.arange(len(state))
+        within = within[..., state]
+        within[part, :, child] &= inside[:, 0]
+        apart = apart[..., state]
+        apart[part, :, child] &= outside[:, 0]
         inside = table[e + 1]  # the masks that hold the element
         outside = ~inside
         fits = np.ones((p, len(labels)), dtype=bool)
@@ -390,7 +391,8 @@ def _assemble(held: np.ndarray, p: int, limits: EnumerationLimits) -> np.ndarray
                 # entry [r, s]: the witnesses of pair (r, s) once the element is in r
                 witnesses = (within[r, :, chunk] & inside)[:, None] & away
                 found = np.bitwise_or.reduce(witnesses, axis=2) != 0
-                found |= (rank[r, None] == rank)[..., None]
+                own = np.arange(len(found))
+                found[own, own + r0] = True  # no pair (r, r)
                 fits[r, chunk] &= found.all(axis=1)
         part, state = np.nonzero(fits)
         labels = labels[state]

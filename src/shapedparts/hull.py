@@ -44,15 +44,14 @@ set K onto itself, it maps conv(K) onto itself. For every x in K and every
 union U of orbits of the group of such permutations, gU = U, so x lies in
 conv(U - {x}) iff gx lies in conv(gU - {gx}) = conv(U - {gx}). Every test
 of the filter has this form, so each verdict holds for the whole orbit.
-The filter finds the part swaps that fix K, closes the proposal under the
-group they generate, tests one point per orbit against whole orbits, and
-copies each verdict to the orbit.
+The filter uses only the group of all permutations of the parts: if it
+fixes K, the filter closes the proposal under it, tests one point per orbit
+against whole orbits, and copies each verdict to the orbit.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import combinations
 from operator import itemgetter
 from typing import Sequence
 
@@ -376,38 +375,25 @@ def _low_dimensional_vertices(coords: Sequence[tuple[int, ...]],
 
 def _part_orbits(first: dict[tuple[int, ...], int], parts: int) -> list[int]:
     """Per distinct row, in the order of `first` (which maps each distinct
-    row to its index), the first index of its orbit under the part swaps
-    that map the set of rows onto itself; each row is a k x parts matrix in
-    row-major order.
+    row to its index), the first index of its orbit under all permutations
+    of the parts if they map the set of rows onto itself, else its own
+    index; each row is a k x parts matrix in row-major order.
 
-    A swap (r s) exchanges columns r and s. One pass over the rows per pair
-    of parts decides whether the swap maps every row into the set, which
-    makes it a bijection of the set; a pair already joined by such swaps is
-    skipped, as its swap is their product. The swaps found join the parts
-    into classes and generate every permutation within each class, so a
-    row's orbit is named by its columns sorted within each class.
+    The parts - 1 swaps of neighbouring parts generate every permutation.
+    One pass over the rows per swap decides whether it maps every row into
+    the set, which makes it a bijection of the set. A row's orbit is named
+    by its columns in sorted order.
     """
     rows = list(first)
     width = len(rows[0])
-    root = list(range(parts))
-    for r, s in combinations(range(parts), 2):
-        if root[r] == root[s]:
-            continue
+    for r in range(parts - 1):
         order = list(range(width))
-        order[r::parts], order[s::parts] = order[s::parts], order[r::parts]
-        if all(map(first.__contains__, map(itemgetter(*order), rows))):
-            joined = root[s]
-            root = [root[r] if c == joined else c for c in root]
-    if len(set(root)) == parts:
-        return list(first.values())
-    classes = [[slice(c, None, parts) for c in range(parts) if root[c] == name]
-               for name in sorted(set(root))]
+        order[r::parts], order[r + 1::parts] = order[r + 1::parts], order[r::parts]
+        if not all(map(first.__contains__, map(itemgetter(*order), rows))):
+            return list(first.values())
     orbits: dict[tuple, int] = {}
-    labels = []
-    for row, i in first.items():
-        form = tuple([tuple(sorted([row[c] for c in group])) for group in classes])
-        labels.append(orbits.setdefault(form, i))
-    return labels
+    return [orbits.setdefault(tuple(sorted(row[c::parts] for c in range(parts))), i)
+            for row, i in first.items()]
 
 
 def _filter_vertices(context: _HullContext, indices: Sequence[int],
@@ -456,9 +442,11 @@ def extreme_point_indices(rows: Sequence[Sequence[int]], scale: int, parts: int 
 
     parts gives the layout of the rows: each is a k x parts matrix in
     row-major order, as the part-sum keys of partitions into that many parts
-    are. The swaps of two parts that map the set of rows onto itself are
-    symmetries of the hull, which the filter uses from dimension 3 on; at
-    parts = 1 there are none. The output does not depend on parts.
+    are. If every permutation of the parts maps the set of rows onto itself,
+    as for the keys of all shapes or of bounds that all parts share, the
+    permutations are symmetries of the hull, which the filter uses from
+    dimension 3 on; at parts = 1 there are none. The output does not depend
+    on parts.
 
     The exact basis of the lifted coordinates gives the affine dimension of
     the set. Up to dimension 2 the kept integer coordinates decide alone, by
@@ -467,7 +455,7 @@ def extreme_point_indices(rows: Sequence[Sequence[int]], scale: int, parts: int 
     set is the same.
 
     From dimension 3 on, the points that maximize a fixed direction are
-    proposed as vertices, with every image of them under the part swaps,
+    proposed as vertices, with every image of them under those permutations,
     and every other point is tested against the proposed set
     (`_HullContext.inside`). A point inside is no vertex; the others join
     the proposed points as survivors, which therefore hold every vertex and

@@ -270,7 +270,7 @@ class ExternalOracle(Objective):
                 stderr=self._stderr,
                 text=True,
             )
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL or an unencodable argument
             self._close_stderr()
             raise OracleError(f"cannot start oracle {self.command}: {exc}") from exc
         return self._process

@@ -127,6 +127,23 @@ class TestSolve:
         code, _, err = run_cli(["solve", path], capsys)
         assert code == 4
 
+    @pytest.mark.parametrize("cmd", [["a\u0000b"], ["\ud800"]],
+                             ids=["embedded-null-byte", "lone-surrogate"])
+    def test_oracle_command_that_cannot_be_passed_exit_4(self, tmp_path, capsys, cmd):
+        # Popen rejects these arguments with ValueError (UnicodeEncodeError
+        # for the surrogate) before any process starts.
+        path = write_problem(
+            tmp_path,
+            {
+                "matrix": [[1, 2]], "p": 2, "shapes": {"type": "all"},
+                "objective": {"type": "external", "cmd": cmd},
+            },
+        )
+        for command in ("solve", "check"):
+            code, out, err = run_cli([command, path], capsys)
+            assert code == 4 and out == "", err
+            assert err.startswith("error: cannot start oracle ") and err.count("\n") == 1
+
     def test_oracle_that_exits_after_one_reply_always_exit_4(self, tmp_path, capsys):
         # The oracle answers one query and exits; whether that exit is seen
         # before the next query must not change the outcome.

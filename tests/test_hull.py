@@ -497,8 +497,9 @@ def part_sum_points(rng, k, n, family, p):
 
 
 class TestPartOrbits:
-    """The filter on one representative per orbit of the part swaps that fix
-    the key set gives what the unreduced filter and the reference give."""
+    """The filter on one representative per orbit of the part permutations,
+    when all of them fix the key set, gives what the unreduced filter and the
+    reference give."""
 
     @pytest.mark.parametrize("k, n, p, family, classes", [
         # all shapes: the full symmetric group on the parts
@@ -506,12 +507,16 @@ class TestPartOrbits:
         (1, 3, 4, ShapeFamily.all_shapes(3, 4), [[0, 1, 2, 3]]),
         # uniform bounds
         (2, 4, 3, ShapeFamily.bounds([1, 1, 1], [2, 2, 2], 4), [[0, 1, 2]]),
+        # Partial symmetries are not reduced: every key is its own orbit when
+        # only some of the part swaps fix the key set.
         # two of three parts share bounds: only their swap
-        (2, 4, 3, ShapeFamily.bounds([0, 0, 1], [2, 2, 3], 4), [[0, 1], [2]]),
+        (2, 4, 3, ShapeFamily.bounds([0, 0, 1], [2, 2, 3], 4), [[0], [1], [2]]),
         # a list closed under the swap of the last two parts only
-        (2, 4, 3, ShapeFamily.explicit([(1, 1, 2), (1, 2, 1)], 4, 3), [[0], [1, 2]]),
+        (2, 4, 3, ShapeFamily.explicit([(1, 1, 2), (1, 2, 1)], 4, 3), [[0], [1], [2]]),
         # no symmetry
         (2, 5, 3, ShapeFamily.explicit([(1, 2, 2), (3, 0, 2)], 5, 3), [[0], [1], [2]]),
+        # a list closed under every permutation of the parts
+        (2, 4, 3, ShapeFamily.explicit([(1, 1, 2), (1, 2, 1), (2, 1, 1)], 4, 3), [[0, 1, 2]]),
     ])
     def test_matches_unreduced_filter_and_reference(self, k, n, p, family, classes):
         rng = random.Random(19)
