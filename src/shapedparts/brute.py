@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import islice, product
 from typing import Iterator
 
@@ -54,6 +54,18 @@ def _check_guard(n: int, p: int, force: bool) -> None:
         raise CapacityError("brute-force-p", MAX_BRUTE_P, p)
 
 
+@cache
+def _low_digits(p: int, m: int) -> np.ndarray:
+    """The p^m assignments of m elements to p parts, in lexicographic order,
+    as a read-only (p^m, m) digit array, built once per (p, m).
+    _assignment_chunks keeps m * p^m within _CHUNK_ELEMENTS // p, so for
+    p >= 2, m is at most 11 and a table at most 256 KB; at p = 1 it is one
+    row of zeros."""
+    low = np.array(list(product(range(p), repeat=m)), dtype=np.int64).reshape(p ** m, m)
+    low.flags.writeable = False
+    return low
+
+
 def _assignment_chunks(n: int, p: int) -> Iterator[np.ndarray]:
     """Every assignment of n elements to p parts, in lexicographic order, as
     (N, n) digit arrays of at most _CHUNK_ELEMENTS // (p * n) rows.
@@ -66,7 +78,7 @@ def _assignment_chunks(n: int, p: int) -> Iterator[np.ndarray]:
     m = 0
     while m < n and p ** (m + 1) <= step:
         m += 1
-    low = np.array(list(product(range(p), repeat=m)), dtype=np.int64).reshape(p ** m, m)
+    low = _low_digits(p, m)
     prefixes = product(range(p), repeat=n - m)
     while batch := list(islice(prefixes, step // len(low))):
         digits = np.empty((len(batch), len(low), n), dtype=np.int64)

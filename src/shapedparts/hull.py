@@ -18,7 +18,9 @@ combination, on whose columns alone the integer simplex then runs, or a
 Farkas functional, whose strict separation is checked for all targets with
 one integer matmul (int64 when magnitude bounds allow, Python integers
 otherwise). The integer simplex on all generators decides the rest, so
-floats only influence speed, never verdicts.
+floats only influence speed, never verdicts. A small batch, of at most
+_SMALL_BATCH targets times generators, goes to the integer simplex alone:
+there the float pass costs more than it saves.
 
 A set of affine dimension at most 2 needs neither floats nor a simplex: on
 its kept integer coordinates, comparisons decide dimension 0 and 1, and
@@ -65,6 +67,13 @@ _PIVOT_TOL = 1e-9
 _DIRECTION_SEED = 20240611
 # Bound on the entries of one chunk of float tableaux or integer scores.
 _CHUNK_ELEMENTS = 1 << 16
+# Largest targets x generators of a membership batch that the integer
+# simplex decides alone (see _HullContext.inside). On random inside batches
+# (1 or 2 targets) of all-shapes part-sum sets of dimension 3 to 6, the
+# integer simplex alone took 0.71 times the float route's time at 24
+# targets x generators, 0.92 times at 32, 1.06 times at 36 and 1.31 times
+# at 48: the crossover is between 32 and 36.
+_SMALL_BATCH = 32
 
 
 def _safe_ratio(x: int, scale: int) -> float:
@@ -216,17 +225,19 @@ class _HullContext:
         supports and separating functionals and the direction scan proposes
         vertices.
 
+    The lifted rows are held in one integer array, int64 when the entries of
+    their Gram matrix fit; the Gram matrix and the kept columns come from it.
     float_rows and the integer matrix that separations are verified on are
     built on first use: a point set of affine dimension at most 2 is decided
     on int_rows alone (`_low_dimensional_vertices`) and never builds them.
     """
 
     def __init__(self, rows: Sequence[Sequence[int]], scale: int):
-        lifted = [[scale, *row] for row in rows]
-        self._max_scaled = max((abs(v) for row in lifted for v in row), default=0)
-        exact = integer_array(lifted, self._max_scaled ** 2 * len(lifted))
+        flat = [x for row in rows for x in row]
+        self._max_scaled = max(scale, max(flat, default=0), -min(flat, default=0))
+        exact = integer_array([[scale, *row] for row in rows], self._max_scaled ** 2 * len(rows))
         self._pivots = fraction_free_elimination((exact.T @ exact).tolist())
-        self.int_rows = [tuple(row[j] for j in self._pivots) for row in lifted]
+        self.int_rows = list(map(tuple, exact[:, self._pivots].tolist()))
         self._scale = scale
 
     @cached_property
@@ -268,10 +279,12 @@ class _HullContext:
         functional (as floats) that proved it outside, or a zero row where
         none did.
 
-        One batched float simplex proposes per target a support, which the
-        integer simplex decides on its columns alone, or a Farkas functional,
-        which _verify_separation checks for all targets at once. The integer
-        simplex on the generators decides the rest. Where targets are
+        When targets times generators exceed _SMALL_BATCH, one batched
+        float simplex proposes per target a support, which the integer
+        simplex decides on its columns alone, or a Farkas functional, which
+        _verify_separation checks for all targets at once. The integer
+        simplex on the generators decides the rest, and all of a smaller
+        batch, whose targets get no proof. Where targets are
         generators too, their points must be distinct: a target found inside
         is then no vertex, so it leaves the generators of these last
         decisions without changing the hull or any verdict.
@@ -281,26 +294,32 @@ class _HullContext:
         proofs = np.zeros((len(targets), len(self._pivots)))
         if not targets or not generators:
             return verdicts, proofs
-        column = {g: j for j, g in enumerate(generators)}
-        excluded = np.array([column.get(t, -1) for t in targets])
-        # Overflow and NaN in the float proposal only spoil a proposal, which
-        # then fails its exact check; numpy need not warn about them.
-        with np.errstate(all="ignore"):
-            supports, farkas = _float_phase_one(self.float_rows[generators].T,
-                                                self.float_rows[targets], excluded)
-        for j, support in supports.items():
-            verdicts[j] = self._decide(targets[j], [generators[i] for i in support])
-        # Every lifted point has the same leading coordinate, so it adds the
-        # same score to all of them: left out, it takes no precision from the
-        # rounding of the other entries.
-        farkas[:, 0] = 0.0
-        undecided = [j for j, sure in enumerate(verdicts) if not sure]
-        rounded = _round_functionals(farkas[undecided])
-        separated = self._verify_separation([targets[j] for j in undecided], generators, rounded)
-        proofs[np.array(undecided, dtype=np.intp)[separated]] = rounded[separated]
-        found = {t for t, sure in zip(targets, verdicts) if sure}
-        remaining = [g for g in generators if g not in found]
-        for j, sure in zip(undecided, separated.tolist()):
+        if len(targets) * len(generators) <= _SMALL_BATCH:
+            undecided, separated = range(len(targets)), [False] * len(targets)
+            remaining = generators
+        else:
+            column = {g: j for j, g in enumerate(generators)}
+            excluded = np.array([column.get(t, -1) for t in targets])
+            # Overflow and NaN in the float proposal only spoil a proposal,
+            # which then fails its exact check; numpy need not warn about them.
+            with np.errstate(all="ignore"):
+                supports, farkas = _float_phase_one(self.float_rows[generators].T,
+                                                    self.float_rows[targets], excluded)
+            for j, support in supports.items():
+                verdicts[j] = self._decide(targets[j], [generators[i] for i in support])
+            # Every lifted point has the same leading coordinate, so it adds
+            # the same score to all of them: left out, it takes no precision
+            # from the rounding of the other entries.
+            farkas[:, 0] = 0.0
+            undecided = [j for j, sure in enumerate(verdicts) if not sure]
+            rounded = _round_functionals(farkas[undecided])
+            verified = self._verify_separation([targets[j] for j in undecided], generators,
+                                               rounded)
+            proofs[np.array(undecided, dtype=np.intp)[verified]] = rounded[verified]
+            separated = verified.tolist()
+            found = {t for t, sure in zip(targets, verdicts) if sure}
+            remaining = [g for g in generators if g not in found]
+        for j, sure in zip(undecided, separated):
             if not sure:
                 target = targets[j]
                 verdicts[j] = self._decide(target, [g for g in remaining if g != target])
@@ -333,25 +352,31 @@ def _directions(dim: int) -> np.ndarray:
 def _propose_vertices(coords: np.ndarray) -> tuple[list[int], np.ndarray]:
     """Float guess at the hull vertices: the sorted indices of the points
     that maximize one of the fixed directions, and per index the first
-    direction that it maximizes. Correctness never depends on it."""
+    direction that it maximizes. Correctness never depends on it.
+
+    The directions are scored in chunks of _CHUNK_ELEMENTS // len(coords),
+    but at least 64, so a small set is scored in one matmul and the score
+    array of a big one stays small."""
     directions = _directions(coords.shape[1])
-    # 64 directions at a time, so the score array stays small for big sets.
-    best = np.concatenate([np.argmax(coords @ directions[start:start + 64].T, axis=0)
-                           for start in range(0, len(directions), 64)])
+    step = max(64, _CHUNK_ELEMENTS // max(1, len(coords)))
+    best = np.concatenate([np.argmax(coords @ directions[start:start + step].T, axis=0)
+                           for start in range(0, len(directions), step)])
     picks, first = np.unique(best, return_index=True)
     return picks.tolist(), directions[first]
 
 
 def _cross(o: Sequence[int], a: Sequence[int], b: Sequence[int]) -> int:
-    """Twice the signed area of the triangle o, a, b: positive for a left turn."""
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+    """Twice the signed area of the triangle o, a, b, in coordinates 1 and 2:
+    positive for a left turn."""
+    return (a[1] - o[1]) * (b[2] - o[2]) - (a[2] - o[2]) * (b[1] - o[1])
 
 
-def _low_dimensional_vertices(coords: Sequence[tuple[int, ...]],
+def _low_dimensional_vertices(rows: Sequence[tuple[int, ...]],
                               indices: Sequence[int]) -> list[int]:
     """Sorted vertex indices among the indexed points, which are distinct and
-    given by at most 2 integer coordinates that are affinely independent on
-    the set (its affine dimension is the coordinate count).
+    given by a leading entry that all share, then at most 2 integer
+    coordinates that are affinely independent on the set (its affine
+    dimension is the coordinate count).
 
     The points are sorted by their coordinates. At dimension 0 and 1 the
     vertices are the first and the last of them. At dimension 2 they come
@@ -359,14 +384,14 @@ def _low_dimensional_vertices(coords: Sequence[tuple[int, ...]],
     hulls in two dimensions", 1979), which keeps strict turns only, so a
     point inside an edge is not a vertex.
     """
-    ordered = sorted(indices, key=coords.__getitem__)
-    if len(coords[ordered[0]]) < 2:
+    ordered = sorted(indices, key=rows.__getitem__)
+    if len(rows[ordered[0]]) < 3:
         return sorted({ordered[0], ordered[-1]})
     vertices = []
     for sweep in (ordered, ordered[::-1]):  # the lower chain, then the upper one
         chain: list[int] = []
         for i in sweep:
-            while len(chain) >= 2 and _cross(coords[chain[-2]], coords[chain[-1]], coords[i]) <= 0:
+            while len(chain) >= 2 and _cross(rows[chain[-2]], rows[chain[-1]], rows[i]) <= 0:
                 chain.pop()
             chain.append(i)
         vertices += chain[:-1]  # each chain's last point starts the other
@@ -448,8 +473,9 @@ def extreme_point_indices(rows: Sequence[Sequence[int]], scale: int, parts: int 
     dimension 3 on; at parts = 1 there are none. The output does not depend
     on parts.
 
-    The exact basis of the lifted coordinates gives the affine dimension of
-    the set. Up to dimension 2 the kept integer coordinates decide alone, by
+    At most two distinct points are all vertices. Otherwise the exact basis
+    of the lifted coordinates gives the affine dimension of the set. Up to
+    dimension 2 the kept integer coordinates decide alone, by
     integer comparisons and orientation tests (`_low_dimensional_vertices`):
     the projection onto them is injective on the affine hull, so the vertex
     set is the same.
@@ -467,13 +493,13 @@ def extreme_point_indices(rows: Sequence[Sequence[int]], scale: int, parts: int 
     per orbit and its verdict holds for the whole orbit. The output is exact
     and independent of the proposal.
     """
-    if not rows:
-        return []
-    context = _HullContext(rows, scale)
     first: dict[tuple[int, ...], int] = {}
     for i, row in enumerate(map(tuple, rows)):
         first.setdefault(row, i)
     distinct = list(first.values())
+    if len(distinct) <= 2:  # each of at most two distinct points is a vertex
+        return distinct
+    context = _HullContext(rows, scale)
     if len(context.int_rows[0]) <= 3:
-        return _low_dimensional_vertices([row[1:] for row in context.int_rows], distinct)
+        return _low_dimensional_vertices(context.int_rows, distinct)
     return _filter_vertices(context, distinct, _part_orbits(first, parts))

@@ -18,7 +18,7 @@ import operator
 import re
 import sys
 from fractions import Fraction
-from math import lcm
+from math import lcm, log2
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,6 +27,9 @@ from .errors import DimensionError, ProblemError
 
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\Z")
 _INT64_MAX = (1 << 63) - 1
+# Bound on the error of a difference of two math.log2 values of integers
+# of up to a million bits, with a wide margin.
+_LOG2_SLACK = 1e-6
 
 
 def _exponent_too_large(text: str) -> bool:
@@ -95,10 +98,40 @@ def format_rational(value: Fraction) -> str:
     try:
         return str(value)
     except ValueError as exc:
-        raise ProblemError(
-            f"a reported value has more than {sys.get_int_max_str_digits()} digits, "
-            "the integer-string limit"
-        ) from exc
+        raise _digit_limit_error() from exc
+
+
+def _digit_limit_error() -> ProblemError:
+    return ProblemError(
+        f"a reported value has more than {sys.get_int_max_str_digits()} digits, "
+        "the integer-string limit"
+    )
+
+
+def check_power_sum_digits(largest: int, scale: int, q: int, terms: int) -> None:
+    """Raise the ProblemError of format_rational when the digit limit is
+    certain to reject the largest of some values, each a sum of `terms`
+    q-th powers of integers over scale^q, where `largest` is the largest
+    magnitude among all those integers (q >= 1, scale >= 1). At a limit of
+    0 nothing is raised.
+
+    With r = largest / scale, the largest value v lies between r^q and
+    terms * r^q. In lowest terms its numerator is at least v and, when
+    v > 0, its denominator is at least 1 / v, so one of them certainly has
+    more than `limit` digits when r^q >= 10^limit or terms * r^q <= 10^-limit.
+    Both tests run on base-2 logarithms with a slack far above the error of
+    math.log2, so no power is taken; q is capped at 10^300, which keeps the
+    products finite and can only weaken a test.
+    """
+    limit = sys.get_int_max_str_digits()
+    if not limit or not largest:
+        return
+    needed = limit * log2(10) + _LOG2_SLACK  # bits of 10^limit, and some
+    gap = log2(largest) - log2(scale)
+    power = float(min(q, 10 ** 300))
+    if (power * (gap - _LOG2_SLACK) >= needed
+            or power * (-gap - _LOG2_SLACK) - terms.bit_length() >= needed):
+        raise _digit_limit_error()
 
 
 class Matrix:

@@ -12,7 +12,10 @@ power sums, column power sums, cut counting). Each computes the value at a
 key by Python integer arithmetic on the key's entries, which cannot
 overflow, and divides once, into one Fraction per key; its `evaluate` is the
 one-key case, with the key and scale of `linalg.integer_rows`. The tests
-hold these against the Fraction definitions.
+hold these against the Fraction definitions. The power kinds bound the
+digits of their largest value first (`linalg.check_power_sum_digits`):
+when the integer-string limit is certain to reject it, they raise the
+ProblemError that formatting it would raise, before taking any power.
 
 Every other objective, a user subclass or an external oracle, needs only
 `evaluate`: the base class builds the Matrix of each distinct key once and
@@ -45,7 +48,8 @@ from operator import mul
 from typing import Sequence
 
 from .errors import DimensionError, OracleError, ProblemError
-from .linalg import Matrix, as_integer, as_rational, format_rational, integer_rows
+from .linalg import (Matrix, as_integer, as_rational, check_power_sum_digits, format_rational,
+                     integer_rows)
 from .partitions import _key_matrix
 
 _STDERR_TAIL = 500  # characters of a dead oracle's stderr quoted in the error
@@ -143,6 +147,8 @@ class DiagonalPowerObjective(_IntegerObjective):
         if keys and len(keys[0]) != p * p:
             raise DimensionError("diagonal power sum needs a square matrix (k = p)")
         q = self.q
+        if keys and keys[0]:
+            check_power_sum_digits(max(max(map(abs, key[::p + 1])) for key in keys), scale, q, p)
         denominator = scale ** q
         return [Fraction(sum(abs(x) ** q for x in key[::p + 1]), denominator) for key in keys]
 
@@ -161,6 +167,9 @@ class ColumnPowerObjective(_IntegerObjective):
 
     def evaluate_keys(self, keys: Sequence[Key], scale: int, p: int) -> list[Fraction]:
         q = self.q
+        if keys and keys[0]:
+            check_power_sum_digits(max(max(map(max, keys)), -min(map(min, keys))), scale, q,
+                                   len(keys[0]))
         denominator = scale ** q
         return [Fraction(sum(x ** q for x in key), denominator) for key in keys]
 

@@ -13,6 +13,7 @@ from shapedparts import cli
 from shapedparts.brute import (
     _CHUNK_ELEMENTS,
     _assignment_chunks,
+    _low_digits,
     brute_solve,
     brute_vertices,
     enumerate_all_partitions,
@@ -213,6 +214,14 @@ class TestChunkedWalk:
         assert all(len(c) * p * n <= _CHUNK_ELEMENTS for c in chunks)
         walked = [tuple(row) for chunk in chunks for row in chunk.tolist()]
         assert walked == list(product(range(p), repeat=n))
+
+    def test_low_digit_table_is_built_once_and_read_only(self):
+        table = _low_digits(3, 4)
+        assert table is _low_digits(3, 4) and not table.flags.writeable
+        assert table.tolist() == [list(t) for t in product(range(3), repeat=4)]
+        # n = 4 elements at p = 3 fit one chunk: two walks read the same table
+        walks = [[c.tolist() for c in _assignment_chunks(4, 3)] for _ in range(2)]
+        assert walks[0] == walks[1] == [table.tolist()]
 
     def test_first_partition_past_a_machine_word(self):
         family = ShapeFamily.all_shapes(70, 2)

@@ -1,7 +1,9 @@
 import json
+import resource
 import subprocess
 import sys
 from fractions import Fraction as F
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -311,6 +313,76 @@ class TestInputErrors:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "internal error" not in err
+
+
+DIGIT_LIMIT_ERROR = "error: a reported value has more than 4300 digits, the integer-string limit\n"
+POWER_ROW = [3, -1, 4, 1, -5]
+
+
+def power_problem(q, matrix=None, kind="sum_column_norm_pow"):
+    return {"matrix": matrix or [POWER_ROW], "p": 3, "shapes": {"type": "all"},
+            "objective": {"type": kind, "q": q}}
+
+
+def largest_power_sum(q):
+    """The optimum of sum_column_norm_pow on POWER_ROW at p = 3, by its definition."""
+    return max(sum(sum(x for x, label in zip(POWER_ROW, labels) if label == j) ** q
+                   for j in range(3))
+               for labels in product(range(3), repeat=len(POWER_ROW)))
+
+
+def run_cli_guarded(args):
+    """The CLI in a fresh interpreter, under a 10 s CPU limit, a 1 GiB
+    address-space limit and a 60 s timeout: returns the completed process
+    and the CPU seconds it used."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_CPU, (10, 10))
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    result = subprocess.run([sys.executable, "-m", "shapedparts.cli", *args],
+                            capture_output=True, text=True, timeout=60, preexec_fn=limit)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return result, (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)
+
+
+class TestPowerDigitLimit:
+    """A power objective whose optimum is certain to pass the digit limit
+    exits 2 before taking any power; otherwise it computes as the definition."""
+
+    @pytest.mark.parametrize("doc", [
+        power_problem(10 ** 11),
+        # the diagonal of a square part-sum matrix
+        power_problem(10 ** 11, [[3, -1, 4], [1, -5, 2], [0, 2, 1]], "sum_diag_pow"),
+        # every value is below 1, so the reduced denominator is past the limit
+        power_problem(10 ** 11, [["1/7", "2/7", "-3/7"]]),
+    ], ids=["column", "diagonal", "denominator"])
+    def test_unbounded_power_exits_early(self, tmp_path, doc):
+        result, cpu = run_cli_guarded(["solve", write_problem(tmp_path, doc)])
+        assert (result.returncode, result.stdout, result.stderr) == (2, "", DIGIT_LIMIT_ERROR)
+        assert cpu < 1.0
+
+    @pytest.mark.parametrize("command", ["solve", "check"])
+    def test_just_below_and_above_the_limit(self, tmp_path, capsys, command):
+        # The optimum has 4299 digits at q = 4760 and 4301 at q = 4762.
+        below, above = largest_power_sum(4760), largest_power_sum(4762)
+        assert below < 10 ** 4300 <= above
+        code, out, err = run_cli([command, write_problem(tmp_path, power_problem(4760))], capsys)
+        report = json.loads(out)
+        value = report["best_value"] if command == "solve" else report["results"][0]["optimum"]
+        assert (code, err, int(value)) == (0, "", below)
+        code, out, err = run_cli([command, write_problem(tmp_path, power_problem(4762))], capsys)
+        assert (code, out, err) == (2, "", DIGIT_LIMIT_ERROR)
+
+    def test_no_digit_limit_computes_as_before(self, tmp_path, capsys):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            code, out, _ = run_cli(["solve", write_problem(tmp_path, power_problem(20000))],
+                                   capsys)
+            assert code == 0 and int(json.loads(out)["best_value"]) == largest_power_sum(20000)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestLimitFlags:

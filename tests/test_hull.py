@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    HUGE_PROBLEMS,
     convex_combination_exists,
     lift_point,
     rank,
@@ -24,7 +26,7 @@ from shapedparts.hull import (
     _part_orbits,
     extreme_point_indices,
 )
-from shapedparts.linalg import Matrix, integer_rows
+from shapedparts.linalg import Matrix, fraction_free_elimination, integer_rows
 from shapedparts.partitions import ShapeFamily
 
 
@@ -166,6 +168,76 @@ class TestIntegerKernel:
         assert len(rows[0]) == rank(Matrix.from_columns(rows)) == full
 
 
+def gram_elimination(rows, scale):
+    """The definition of _HullContext's basis on Python integers: the pivot
+    columns of the lifted rows' Gram matrix, and each lifted row on them."""
+    lifted = [[scale, *row] for row in rows]
+    gram = [[sum(row[i] * row[j] for row in lifted) for j in range(len(lifted[0]))]
+            for i in range(len(lifted[0]))]
+    rank_of_lifted = rank(Matrix(gram))
+    pivots = fraction_free_elimination(gram)
+    assert len(pivots) == rank_of_lifted
+    return pivots, [tuple(row[j] for j in pivots) for row in lifted]
+
+
+def construction_cases():
+    """(rows, scale) of int64 sets, object-dtype sets, sets with duplicate
+    rows and single points."""
+    rng = random.Random(61)
+    cases = []
+    for k, n, p in ((1, 4, 3), (2, 4, 3), (2, 3, 2)):
+        a = Matrix([[F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+                    for _ in range(k)])
+        keys, sums = _part_sum_keys(a, p, ShapeFamily.all_shapes(n, p), False)
+        cases.append((keys, sums.scale))
+        cases.append((keys + keys[::3], sums.scale))  # duplicate rows
+    for a, p, family in HUGE_PROBLEMS:  # keys past 2^63, and the int64 bound
+        keys, sums = _part_sum_keys(a, p, family, False)
+        cases.append((keys, sums.scale))
+    cases.append(([(-(2 ** 70), 3, 2 ** 70)] * 3 + [(1, 2, 3)], 7))
+    # the largest magnitude is negative, and its square overflows int64
+    cases.append(([(-(2 ** 32), 0), (-(2 ** 32), 1), (0, 0)], 1))
+    cases.append(([(5, 7)], 1))
+    cases.append(([(10 ** 400, -3)], 3))
+    cases.append(([(0, 0, 0)], 2))
+    cases.append(([(), ()], 3))  # the keys of a matrix with no rows
+    return cases
+
+
+class TestContextConstruction:
+    """_HullContext takes its basis from one integer array of the lifted
+    rows, int64 or object as its bound allows."""
+
+    @pytest.mark.parametrize("rows, scale", construction_cases())
+    def test_matches_gram_elimination(self, rows, scale):
+        context = _HullContext(rows, scale)
+        pivots, int_rows = gram_elimination(rows, scale)
+        assert context._pivots == pivots
+        assert context.int_rows == int_rows
+        assert all(type(x) is int for row in context.int_rows for x in row)
+        # the magnitude bound that picks the dtypes of the integer arrays
+        assert context._max_scaled == max([scale] + [abs(x) for row in rows for x in row])
+        # the affine dimension: the rank of the lifted points, less one
+        points = [tuple(F(x, scale) for x in row) for row in rows]
+        assert len(context.int_rows[0]) == rank(Matrix.from_columns(
+            [lift_point(x) for x in dict.fromkeys(points)]))
+
+    def test_huge_keys_take_the_object_array(self):
+        a, p, family = HUGE_PROBLEMS[0]
+        keys, sums = _part_sum_keys(a, p, family, False)
+        arrays = []
+        integer_array = hull.integer_array
+
+        def spy(values, bound):
+            arrays.append(integer_array(values, bound))
+            return arrays[-1]
+
+        with mock.patch.object(hull, "integer_array", spy):
+            _HullContext(keys, sums.scale)
+        assert len(arrays) == 1 and arrays[0].dtype == object
+        assert arrays[0].shape == (len(keys), len(keys[0]) + 1)
+
+
 class TestFloatProposal:
     def test_batched_rows_match_single_rows(self, monkeypatch):
         # Targets inside and outside the hull of 12 lifted points in R^3, with
@@ -303,6 +375,70 @@ class TestRouteAgreement:
             for i, pt in enumerate(points):
                 rest = points[:i] + points[i + 1:]
                 assert convex_combination_exists(pt, rest) == every_size_caratheodory(pt, rest)
+
+
+    @staticmethod
+    def inside_both_routes(context, targets, generators):
+        """inside's verdicts and proofs through the float proposal, and
+        through the integer simplex alone."""
+        with mock.patch.object(hull, "_SMALL_BATCH", -1):
+            proposed = context.inside(targets, generators)
+        with mock.patch.object(hull, "_SMALL_BATCH", 10 ** 9):
+            exact = context.inside(targets, generators)
+        return proposed, exact
+
+    def test_inside_routes_agree_on_small_sets(self):
+        # Dimension 3 to 5: points in general position, points on a
+        # hyperplane of a larger space with repeated coordinates, and
+        # points of 1e30 or just past float range, where floats clamp.
+        rng = random.Random(83)
+        big = F(10 ** 400, 3)
+        tested = 0
+        for trial in range(42):
+            dim, kind = rng.randint(3, 5), trial % 3
+            count = rng.randint(dim + 2, 12)
+            if kind == 0:
+                raw = frac_points(rng, count, dim)
+            elif kind == 1:
+                flat = frac_points(rng, count, dim)
+                raw = [(*x, x[0] + x[1] - x[2], x[0]) for x in flat]
+            else:
+                offset = big if trial % 2 else 0
+                raw = [tuple(x * 10 ** 30 + offset for x in pt)
+                       for pt in frac_points(rng, count, dim)]
+            points = list(dict.fromkeys(raw))
+            context = _HullContext(*integer_rows(points))
+            if len(context.int_rows[0]) < 4:
+                continue  # a flat set: extreme_point_indices never calls inside
+            tested += 1
+            indices = list(range(len(points)))
+            generators = rng.sample(indices, rng.randint(1, len(points)))
+            targets = rng.sample(indices, rng.randint(1, min(6, len(points))))
+            (proposed, proofs), (exact, no_proofs) = self.inside_both_routes(
+                context, targets, generators)
+            assert proposed == exact == [
+                reference_membership(points[t], [points[g] for g in generators if g != t])
+                for t in targets
+            ]
+            # The integer route proves nothing outside; _filter_vertices
+            # certifies or retests such targets.
+            assert not no_proofs.any() and no_proofs.shape == proofs.shape
+        assert tested >= 36
+
+    def test_small_all_shapes_set_needs_no_float_simplex(self):
+        # k = 2, n = 3, p = 3, all shapes: 27 distinct keys of affine
+        # dimension 4, whose orbit filter makes only small batches.
+        keys, sums = _part_sum_keys(Matrix([[1, 2, 4], [3, -1, 5]]), 3,
+                                    ShapeFamily.all_shapes(3, 3), False)
+        points = [tuple(F(x, sums.scale) for x in key) for key in keys]
+        assert len(set(keys)) == 27
+        assert len(_HullContext(keys, sums.scale).int_rows[0]) == 5
+
+        def fail(*args):
+            raise AssertionError("float simplex called on a small batch")
+
+        with mock.patch.object(hull, "_float_phase_one", fail):
+            assert extreme_point_indices(keys, sums.scale, 3) == reference_vertices(points)
 
 
 class TestExtremePoints:

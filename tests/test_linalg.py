@@ -1,3 +1,4 @@
+import random
 import sys
 from fractions import Fraction as F
 
@@ -12,6 +13,7 @@ from shapedparts.linalg import (
     Matrix,
     as_integer,
     as_rational,
+    check_power_sum_digits,
     format_rational,
     fraction_free_elimination,
     integer_array,
@@ -182,3 +184,56 @@ class TestIntegerPrimitives:
         pivots = fraction_free_elimination(eliminated)
         assert pivots == expected
         assert all(eliminated[i][c] for i, c in enumerate(pivots))
+
+
+def past_digit_limit(largest, scale, q, terms):
+    try:
+        check_power_sum_digits(largest, scale, q, terms)
+    except ProblemError as exc:
+        assert "digits" in str(exc)
+        return True
+    return False
+
+
+class TestPowerDigitBound:
+    """check_power_sum_digits raises only when formatting the largest value
+    would fail."""
+
+    def test_raises_only_when_formatting_fails(self):
+        rng = random.Random(29)
+        answers = set()
+        for _ in range(150):
+            terms = rng.randint(1, 6)
+            bound = rng.choice([1, 3, 10, 1000])
+            keys = [[rng.randint(-bound, bound) for _ in range(terms)] for _ in range(3)]
+            scale = rng.choice([1, 2, 7, 1000])
+            q = rng.choice([1, 2, rng.randint(1, 16000)])
+            largest = max(abs(x) for key in keys for x in key)
+            past = past_digit_limit(largest, scale, q, terms)
+            answers.add(past)
+            if past:
+                value = max(F(sum(abs(x) ** q for x in key), scale ** q) for key in keys)
+                with pytest.raises(ProblemError, match="digits"):
+                    format_rational(value)
+        assert answers == {False, True}
+
+    @pytest.mark.parametrize("largest, scale, q, terms, past", [
+        (8, 1, 4760, 3, False),  # 3 * 4760 bits: 10^4300 is not reached
+        (8, 1, 4762, 3, True),
+        (1, 8, 4762, 3, False),  # 1/8^4762 * 3 > 10^-4300
+        (1, 8, 4764, 3, True),
+        (5, 5, 10 ** 11, 3, False),  # every value is at most 3
+        (0, 1, 10 ** 11, 3, False),  # every value is 0
+        (3, 1, 10 ** 400, 1, True),  # past float range
+        (1, 3, 10 ** 400, 1, True),
+    ])
+    def test_threshold(self, largest, scale, q, terms, past):
+        assert past_digit_limit(largest, scale, q, terms) is past
+
+    def test_no_limit_means_no_error(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            check_power_sum_digits(8, 1, 10 ** 11, 3)
+        finally:
+            sys.set_int_max_str_digits(limit)
