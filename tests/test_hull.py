@@ -182,7 +182,8 @@ def gram_elimination(rows, scale):
 
 def construction_cases():
     """(rows, scale) of int64 sets, object-dtype sets, sets with duplicate
-    rows and single points."""
+    rows, sets whose largest magnitude is negative, rows without coordinates
+    and single points."""
     rng = random.Random(61)
     cases = []
     for k, n, p in ((1, 4, 3), (2, 4, 3), (2, 3, 2)):
@@ -375,7 +376,6 @@ class TestRouteAgreement:
             for i, pt in enumerate(points):
                 rest = points[:i] + points[i + 1:]
                 assert convex_combination_exists(pt, rest) == every_size_caratheodory(pt, rest)
-
 
     @staticmethod
     def inside_both_routes(context, targets, generators):
