@@ -18,7 +18,7 @@ import operator
 import re
 import sys
 from fractions import Fraction
-from math import lcm, log2
+from math import gcd, lcm, log2
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -108,29 +108,38 @@ def _digit_limit_error() -> ProblemError:
     )
 
 
-def check_power_sum_digits(largest: int, scale: int, q: int, terms: int) -> None:
+def check_power_sum_digits(keys: Sequence[Sequence[int]], scale: int, q: int) -> None:
     """Raise the ProblemError of format_rational when the digit limit is
-    certain to reject the largest of some values, each a sum of `terms`
-    q-th powers of integers over scale^q, where `largest` is the largest
-    magnitude among all those integers (q >= 1, scale >= 1). At a limit of
-    0 nothing is raised.
+    certain to reject the largest of the values sum(|x|^q for x in key) /
+    scale^q, one per key, whose lengths are equal (q >= 1, scale >= 1). At
+    a limit of 0 nothing is raised.
 
-    With r = largest / scale, the largest value v lies between r^q and
-    terms * r^q. In lowest terms its numerator is at least v and, when
+    With r the largest |x| over scale, the largest value v lies between r^q
+    and terms * r^q. In lowest terms its numerator is at least v and, when
     v > 0, its denominator is at least 1 / v, so one of them certainly has
     more than `limit` digits when r^q >= 10^limit or terms * r^q <= 10^-limit.
     Both tests run on base-2 logarithms with a slack far above the error of
     math.log2, so no power is taken; q is capped at 10^300, which keeps the
     products finite and can only weaken a test.
+
+    A value near 1 can still have a long denominator: where scale^q passes
+    10^limit and every key's power sum is prime to scale (read off the sum
+    of pow(|x|, q, scale)), each value is in lowest terms over scale^q.
     """
     limit = sys.get_int_max_str_digits()
-    if not limit or not largest:
+    if not limit or not keys or not keys[0]:
+        return
+    largest = max(max(map(max, keys)), -min(map(min, keys)))
+    if not largest:
         return
     needed = limit * log2(10) + _LOG2_SLACK  # bits of 10^limit, and some
     gap = log2(largest) - log2(scale)
     power = float(min(q, 10 ** 300))
     if (power * (gap - _LOG2_SLACK) >= needed
-            or power * (-gap - _LOG2_SLACK) - terms.bit_length() >= needed):
+            or power * (-gap - _LOG2_SLACK) - len(keys[0]).bit_length() >= needed):
+        raise _digit_limit_error()
+    if power * (log2(scale) - _LOG2_SLACK) >= needed and all(
+            gcd(sum(pow(abs(x), q, scale) for x in key), scale) == 1 for key in keys):
         raise _digit_limit_error()
 
 

@@ -147,10 +147,11 @@ class DiagonalPowerObjective(_IntegerObjective):
         if keys and len(keys[0]) != p * p:
             raise DimensionError("diagonal power sum needs a square matrix (k = p)")
         q = self.q
-        if keys and keys[0]:
-            check_power_sum_digits(max(max(map(abs, key[::p + 1])) for key in keys), scale, q, p)
+        diagonals = [key[::p + 1] for key in keys]
+        check_power_sum_digits(diagonals, scale, q)
         denominator = scale ** q
-        return [Fraction(sum(abs(x) ** q for x in key[::p + 1]), denominator) for key in keys]
+        return [Fraction(sum(abs(x) ** q for x in diagonal), denominator)
+                for diagonal in diagonals]
 
     def check_compatible(self, a: Matrix, p: int) -> None:
         if a.nrows != p:
@@ -167,9 +168,7 @@ class ColumnPowerObjective(_IntegerObjective):
 
     def evaluate_keys(self, keys: Sequence[Key], scale: int, p: int) -> list[Fraction]:
         q = self.q
-        if keys and keys[0]:
-            check_power_sum_digits(max(max(map(max, keys)), -min(map(min, keys))), scale, q,
-                                   len(keys[0]))
+        check_power_sum_digits(keys, scale, q)
         denominator = scale ** q
         return [Fraction(sum(x ** q for x in key), denominator) for key in keys]
 

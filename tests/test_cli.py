@@ -356,7 +356,9 @@ class TestPowerDigitLimit:
         power_problem(10 ** 11, [[3, -1, 4], [1, -5, 2], [0, 2, 1]], "sum_diag_pow"),
         # every value is below 1, so the reduced denominator is past the limit
         power_problem(10 ** 11, [["1/7", "2/7", "-3/7"]]),
-    ], ids=["column", "diagonal", "denominator"])
+        # every value is 1 + 2^-q, in lowest terms over 2^q
+        power_problem(10 ** 11, [[1, 0], [0, "1/2"]]),
+    ], ids=["column", "diagonal", "denominator", "near-one"])
     def test_unbounded_power_exits_early(self, tmp_path, doc):
         result, cpu = run_cli_guarded(["solve", write_problem(tmp_path, doc)])
         assert (result.returncode, result.stdout, result.stderr) == (2, "", DIGIT_LIMIT_ERROR)
@@ -372,6 +374,17 @@ class TestPowerDigitLimit:
         value = report["best_value"] if command == "solve" else report["results"][0]["optimum"]
         assert (code, err, int(value)) == (0, "", below)
         code, out, err = run_cli([command, write_problem(tmp_path, power_problem(4762))], capsys)
+        assert (code, out, err) == (2, "", DIGIT_LIMIT_ERROR)
+
+    def test_denominator_just_below_and_above_the_limit(self, tmp_path, capsys):
+        # Every value is 1 + 2^-q; 2^14284 has 4300 digits and 2^14286 has 4301.
+        near_one = [[1, 0], [0, "1/2"]]
+        code, out, err = run_cli(["solve", write_problem(tmp_path, power_problem(14284, near_one))],
+                                 capsys)
+        assert (code, err) == (0, "")
+        assert F(json.loads(out)["best_value"]) == 1 + F(1, 2 ** 14284)
+        code, out, err = run_cli(["solve", write_problem(tmp_path, power_problem(14286, near_one))],
+                                 capsys)
         assert (code, out, err) == (2, "", DIGIT_LIMIT_ERROR)
 
     def test_no_digit_limit_computes_as_before(self, tmp_path, capsys):

@@ -186,9 +186,9 @@ class TestIntegerPrimitives:
         assert all(eliminated[i][c] for i, c in enumerate(pivots))
 
 
-def past_digit_limit(largest, scale, q, terms):
+def past_digit_limit(keys, scale, q):
     try:
-        check_power_sum_digits(largest, scale, q, terms)
+        check_power_sum_digits(keys, scale, q)
     except ProblemError as exc:
         assert "digits" in str(exc)
         return True
@@ -202,14 +202,13 @@ class TestPowerDigitBound:
     def test_raises_only_when_formatting_fails(self):
         rng = random.Random(29)
         answers = set()
-        for _ in range(150):
+        for _ in range(200):
             terms = rng.randint(1, 6)
             bound = rng.choice([1, 3, 10, 1000])
             keys = [[rng.randint(-bound, bound) for _ in range(terms)] for _ in range(3)]
             scale = rng.choice([1, 2, 7, 1000])
             q = rng.choice([1, 2, rng.randint(1, 16000)])
-            largest = max(abs(x) for key in keys for x in key)
-            past = past_digit_limit(largest, scale, q, terms)
+            past = past_digit_limit(keys, scale, q)
             answers.add(past)
             if past:
                 value = max(F(sum(abs(x) ** q for x in key), scale ** q) for key in keys)
@@ -217,23 +216,31 @@ class TestPowerDigitBound:
                     format_rational(value)
         assert answers == {False, True}
 
-    @pytest.mark.parametrize("largest, scale, q, terms, past", [
-        (8, 1, 4760, 3, False),  # 3 * 4760 bits: 10^4300 is not reached
-        (8, 1, 4762, 3, True),
-        (1, 8, 4762, 3, False),  # 1/8^4762 * 3 > 10^-4300
-        (1, 8, 4764, 3, True),
-        (5, 5, 10 ** 11, 3, False),  # every value is at most 3
-        (0, 1, 10 ** 11, 3, False),  # every value is 0
-        (3, 1, 10 ** 400, 1, True),  # past float range
-        (1, 3, 10 ** 400, 1, True),
+    @pytest.mark.parametrize("keys, scale, q, past", [
+        ([[8, 0, 0]], 1, 4760, False),  # 8^4760 = 2^14280 < 10^4300
+        ([[8, 0, 0]], 1, 4762, True),
+        # 3 / 8^q; the test takes 4 for 3, and 4 / 8^4762 > 10^-4300
+        ([[2, 2, 2]], 16, 4762, False),
+        ([[2, 2, 2]], 16, 4764, True),
+        ([[1, 1, 1]], 8, 4760, False),  # in lowest terms over 8^q, which has 4299 digits
+        ([[1, 1, 1]], 8, 4762, True),  # and 4301 here
+        ([[5, 5, 5]], 5, 10 ** 11, False),  # every value is 3
+        ([[2, 1], [0, 1]], 2, 10 ** 11, True),  # 1 + 2^-q and 2^-q
+        # The largest value, 1 + 5^-q, has a denominator past the limit, but
+        # the other value is 1, so no key is known to be the largest.
+        ([[5, 1], [5, 0]], 5, 10 ** 11, False),
+        ([[0, 0, 0]], 1, 10 ** 11, False),  # every value is 0
+        ([[3]], 1, 10 ** 400, True),  # past float range
+        ([[1]], 3, 10 ** 400, True),
+        ([], 3, 10 ** 11, False),
     ])
-    def test_threshold(self, largest, scale, q, terms, past):
-        assert past_digit_limit(largest, scale, q, terms) is past
+    def test_threshold(self, keys, scale, q, past):
+        assert past_digit_limit(keys, scale, q) is past
 
     def test_no_limit_means_no_error(self):
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
-            check_power_sum_digits(8, 1, 10 ** 11, 3)
+            check_power_sum_digits([[8, 0, 0]], 1, 10 ** 11)
         finally:
             sys.set_int_max_str_digits(limit)
