@@ -29,7 +29,8 @@ Andrew's monotone chain, with integer orientation tests, decides dimension 2.
 From dimension 3 on, the vertices are the points outside the hull of the
 others, one membership test per point, run in batches (Dulá and Helgason,
 EJOR 1996). A float scan proposes the points that maximize one of a fixed
-set of directions (a seeded random set and the coordinate axes both ways);
+set of directions (Gaussian directions drawn once per dimension from the
+standard library's seeded generator, and the coordinate axes both ways);
 every other point is tested against the proposed ones, and the proposed
 points, with the points found outside them, are the survivors. A survivor
 is certified a vertex when an integer functional scores it strictly above
@@ -53,6 +54,7 @@ against whole orbits, and copies each verdict to the orbit.
 
 from __future__ import annotations
 
+import random
 from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Sequence
@@ -92,26 +94,33 @@ def _integer_phase_one(rhs: Sequence[int], columns: Sequence[Sequence[int]]) -> 
     The tableau is fraction-free (Edmonds 1967, Bareiss 1968): every stored
     entry is denom times the true one, where denom is the absolute determinant
     of the current basis, so each pivot divides exactly and every sign test is
-    a sign test on the true entry. One artificial column per row starts the
-    basis; the last row holds the phase-one reduced costs and, in its last
-    entry, minus the sum of the artificials.
+    a sign test on the true entry. One artificial per row starts the basis,
+    with ids ng to ng + m - 1, which break ratio-test ties after every
+    generator column. The rows store the generator columns and the
+    right-hand side only; the last row holds the phase-one reduced costs and,
+    in its last entry, minus the sum of the artificials.
+
+    No artificial column is stored, and none ever enters. A basic artificial
+    has reduced cost 0, so it would not enter anyway. An artificial that has
+    left the basis cannot re-enter, which fixes it at 0: that leaves the
+    feasible set of A x = b, x >= 0 unchanged, so the phase-one optimum is
+    still 0 exactly when rhs is a combination. Each leaving artificial
+    drops a column, so Bland's rule runs on an LP that loses a column at
+    most m times, and on each of those LPs it terminates.
     """
     m, ng = len(rhs), len(columns)
-    width = ng + m
     rows = []
     for i in range(m):
         sign = -1 if rhs[i] < 0 else 1  # flip rows so the right-hand side is nonnegative
-        rows.append([sign * col[i] for col in columns] + [0] * m + [sign * rhs[i]])
-        rows[i][ng + i] = 1
-    # Phase-one reduced costs; the artificials start basic with reduced cost 0.
-    totals = [sum(col) for col in zip(*rows)]
-    rows.append([-t for t in totals[:ng]] + [0] * m + [-totals[width]])
-    basis = list(range(ng, width))
+        rows.append([sign * col[i] for col in columns] + [sign * rhs[i]])
+    # Phase-one reduced costs and minus the sum of the artificials, which start basic.
+    rows.append([-sum(col) for col in zip(*rows)])
+    basis = list(range(ng, ng + m))
     denom = 1
     while True:
-        enter = next((j for j in range(width) if rows[m][j] < 0), None)
+        enter = next((j for j in range(ng) if rows[m][j] < 0), None)
         if enter is None:
-            return rows[m][width] == 0
+            return rows[m][ng] == 0
         leave = None
         for i in range(m):
             coeff = rows[i][enter]
@@ -120,8 +129,8 @@ def _integer_phase_one(rhs: Sequence[int], columns: Sequence[Sequence[int]]) -> 
                     leave = i
                     continue
                 # compare the ratios rhs / coeff by cross-multiplying (coeffs > 0)
-                ours = rows[i][width] * rows[leave][enter]
-                theirs = rows[leave][width] * coeff
+                ours = rows[i][ng] * rows[leave][enter]
+                theirs = rows[leave][ng] * coeff
                 if ours < theirs or (ours == theirs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
@@ -345,10 +354,18 @@ def _round_functionals(vectors: np.ndarray) -> np.ndarray:
 def _directions(dim: int) -> np.ndarray:
     """The fixed proposal directions in R^dim: 64 * dim + 64 seeded Gaussian
     directions, then the coordinate axes both ways. Only the set of points
-    that maximize one of them is used, so their order does not matter."""
+    that maximize one of them is used, so their order does not matter.
+
+    The Gaussian entries come from the standard library's Mersenne Twister,
+    seeded with _DIRECTION_SEED, so numpy.random is never imported: 16 bytes
+    per entry, read as two little-endian 64-bit words, whose top 53 bits
+    give uniforms u1, u2 in (0, 1], and the Box-Muller transform
+    sqrt(-2 log u1) cos(2 pi u2) (Box and Muller, Ann. Math. Statist. 1958)."""
+    rows = 64 * dim + 64
+    words = np.frombuffer(random.Random(_DIRECTION_SEED).randbytes(16 * rows * dim), dtype="<u8")
+    u1, u2 = ((words.reshape(2, rows, dim) >> 11) + 1) * 2.0 ** -53
     axes = np.eye(dim)
-    rng = np.random.default_rng(_DIRECTION_SEED)
-    return np.vstack([rng.standard_normal((64 * dim + 64, dim)), axes, -axes])
+    return np.vstack([np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2), axes, -axes])
 
 
 def _propose_vertices(coords: np.ndarray) -> tuple[list[int], np.ndarray]:

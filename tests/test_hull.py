@@ -1,4 +1,9 @@
+import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from itertools import combinations
 from unittest import mock
@@ -166,6 +171,42 @@ class TestIntegerKernel:
         rows = _HullContext(*integer_rows(points)).int_rows
         full = rank(Matrix.from_columns([lift_point(x) for x in points]))
         assert len(rows[0]) == rank(Matrix.from_columns(rows)) == full
+
+    def test_raw_lifted_rows_off_the_exact_basis(self):
+        """Lifted rows with a copied or an all-zero coordinate, which
+        _HullContext would drop. The generator columns have rank below the
+        row count, so every basis holds an artificial, and where the target
+        is inside, one stays basic at level 0 to the end."""
+        rng = random.Random(41)
+        scalars = (lambda: F(rng.randint(-3, 3)),
+                   lambda: F(rng.randint(-2 ** 64, 2 ** 64), rng.randint(2 ** 61, 2 ** 62)),
+                   lambda: F(10 ** 400, 3) + rng.randint(-3, 3))
+        verdicts = []
+        for _ in range(120):
+            dim, scalar = rng.randint(1, 3), rng.choice(scalars)
+            points = [[scalar() for _ in range(dim)] for _ in range(rng.randint(1, 7))]
+            points += [list(rng.choice(points)) for _ in range(rng.randint(0, 2))]
+            kind = rng.choice(["copy", "zero", "both"])
+            if kind in ("copy", "both"):
+                for point in points:
+                    point.append(point[0])
+            if kind in ("zero", "both"):
+                at = rng.randint(0, len(points[0]))
+                for point in points:
+                    point.insert(at, F(0))
+            generators = [tuple(point) for point in points]
+            chosen = rng.sample(generators, rng.randint(1, len(generators)))
+            target = [sum(c) / len(chosen) for c in zip(*chosen)]
+            if rng.random() < 0.5:  # perturb one coordinate: mostly outside
+                target[rng.randrange(len(target))] += rng.choice([-1, 1])
+            target = tuple(target)
+            rows, scale = integer_rows([target] + generators)
+            lifted = [(scale, *row) for row in rows]
+            assert rank(Matrix.from_columns(lifted[1:])) < len(lifted[0])
+            expected = reference_membership(target, generators)
+            assert _integer_phase_one(lifted[0], lifted[1:]) == expected
+            verdicts.append(expected)
+        assert 30 < sum(verdicts) < 90
 
 
 def gram_elimination(rows, scale):
@@ -695,3 +736,43 @@ class TestCertificates:
         for rows, scale, parts, points in cases:
             assert len(_HullContext(rows, scale).int_rows[0]) >= 4
             assert extreme_point_indices(rows, scale, parts) == reference_vertices(points)
+
+
+def fresh_python(code, *args, seed="0"):
+    """Standard output of code run in a new interpreter with its own hash seed."""
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONHASHSEED": seed})
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestDirections:
+    """The proposal directions: a fixed set, drawn without numpy.random."""
+
+    def test_check_leaves_numpy_random_unimported(self, tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"matrix": [[1, 2, 3], [3, 1, 2]], "p": 3,
+                                    "shapes": {"type": "all"}}))
+        code = ("import sys\n"
+                "from shapedparts import cli, hull\n"
+                "assert cli.main(['check', sys.argv[1], '--output', sys.argv[2]]) == 0\n"
+                "assert hull._directions.cache_info().currsize  # a dimension >= 3 hull ran\n"
+                "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n")
+        assert fresh_python(code, str(path), str(tmp_path / "report.json")) == "[]\n"
+
+    @pytest.mark.parametrize("dim", [3, 4, 12])
+    def test_gaussian_rows_then_the_axes(self, dim):
+        directions = _directions(dim)
+        rows = 64 * dim + 64
+        assert directions.shape == (rows + 2 * dim, dim)
+        assert np.array_equal(directions[rows:], np.vstack([np.eye(dim), -np.eye(dim)]))
+        assert np.isfinite(directions[:rows]).all() and 0.9 < directions[:rows].std() < 1.1
+
+    def test_same_directions_in_every_process(self):
+        code = ("import hashlib, sys\n"
+                "from shapedparts.hull import _directions\n"
+                "print(hashlib.sha256(_directions(int(sys.argv[1])).tobytes()).hexdigest())\n")
+        for dim in (3, 7):
+            digest = hashlib.sha256(_directions(dim).tobytes()).hexdigest()
+            assert fresh_python(code, str(dim), seed="1") == fresh_python(code, str(dim), seed="2")
+            assert fresh_python(code, str(dim)) == digest + "\n"
