@@ -361,8 +361,9 @@ def _assemble(held: np.ndarray, p: int, limits: EnumerationLimits) -> np.ndarray
     words = table.shape[1]
     labels = np.zeros((1, n), dtype=np.min_scalar_type(p - 1))
     # The empty prefix enters as the one child of narrowing its block 0 by
-    # every mask, which changes nothing; the views allocate nothing.
-    within = apart = np.broadcast_to(table[0], (p, words, 1))  # (p, V, N)
+    # every mask, which changes nothing. Its state is one part's (1, V, 1),
+    # broadcast to p parts only once element 1's charge has passed.
+    within = apart = table[:1]
     inside = outside = table[0]
     part = state = [0]
     # tile sides: prefixes, then parts r
@@ -376,9 +377,9 @@ def _assemble(held: np.ndarray, p: int, limits: EnumerationLimits) -> np.ndarray
                                 reached=f"element {e + 1} of {n}")
         # the children of the last element, now that their charge has passed
         child = np.arange(len(state))
-        within = within[..., state]
+        within = np.broadcast_to(within, (p, words, within.shape[2]))[..., state]
         within[part, :, child] &= inside[:, 0]
-        apart = apart[..., state]
+        apart = np.broadcast_to(apart, (p, words, apart.shape[2]))[..., state]
         apart[part, :, child] &= outside[:, 0]
         inside = table[e + 1]  # the masks that hold the element
         outside = ~inside

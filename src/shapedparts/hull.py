@@ -17,10 +17,13 @@ itself. One float phase-one simplex, batched over the targets
 combination, on whose columns alone the integer simplex then runs, or a
 Farkas functional, whose strict separation is checked for all targets with
 one integer matmul (int64 when magnitude bounds allow, Python integers
-otherwise). The integer simplex on all generators decides the rest, so
-floats only influence speed, never verdicts. A small batch, of at most
+otherwise). The integer simplex on the other generators decides the rest,
+so floats only influence speed, never verdicts. A small batch, of at most
 _SMALL_BATCH targets times generators, goes to the integer simplex alone:
-there the float pass costs more than it saves.
+there the float pass costs more than it saves. Overflow and NaN in a float
+proposal only spoil it, so `extreme_point_indices` runs the dimension >= 3
+filter, the only caller of the float code, under the module's one numpy
+``errstate`` scope, which silences numpy's floating-point warnings.
 
 A set of affine dimension at most 2 needs neither floats nor a simplex: on
 its kept integer coordinates, comparisons decide dimension 0 and 1, and
@@ -286,36 +289,30 @@ class _HullContext:
         """Exact verdict per target: is it in the hull of the indexed
         generators other than itself? Also, per target, the integer
         functional (as floats) that proved it outside, or a zero row where
-        none did.
+        none did. Each target is decided on its own, so its verdict depends
+        only on its point and the generators' points; a generator with the
+        same point as the target, under another index, counts as any other.
 
         When targets times generators exceed _SMALL_BATCH (32), one batched
         float simplex proposes per target a support, which the integer
         simplex decides on its columns alone, or a Farkas functional, which
         _verify_separation checks for all targets at once. The integer
-        simplex on the generators decides the rest, and all of a smaller
-        batch, whose targets get no proof: below the measured crossover,
-        between 32 and 36 targets times generators, the float pass costs
-        more than it saves. Where targets are generators too, their points
-        must be distinct: a target found inside is then no vertex, so it
-        leaves the generators of these last decisions without changing the
-        hull or any verdict.
+        simplex on the generators other than the target decides the rest,
+        and all of a smaller batch, whose targets get no proof: below the
+        measured crossover, between 32 and 36 targets times generators, the
+        float pass costs more than it saves. An empty batch is such a small
+        one.
         """
         targets, generators = list(targets), list(generator_indices)
         verdicts = [False] * len(targets)
         proofs = np.zeros((len(targets), len(self._pivots)))
-        if not targets or not generators:
-            return verdicts, proofs
         if len(targets) * len(generators) <= _SMALL_BATCH:
             undecided, separated = range(len(targets)), [False] * len(targets)
-            remaining = generators
         else:
             column = {g: j for j, g in enumerate(generators)}
             excluded = np.array([column.get(t, -1) for t in targets])
-            # Overflow and NaN in the float proposal only spoil a proposal,
-            # which then fails its exact check; numpy need not warn about them.
-            with np.errstate(all="ignore"):
-                supports, farkas = _float_phase_one(self.float_rows[generators].T,
-                                                    self.float_rows[targets], excluded)
+            supports, farkas = _float_phase_one(self.float_rows[generators].T,
+                                                self.float_rows[targets], excluded)
             for j, support in supports.items():
                 verdicts[j] = self._decide(targets[j], [generators[i] for i in support])
             # Every lifted point has the same leading coordinate, so it adds
@@ -328,24 +325,18 @@ class _HullContext:
                                                rounded)
             proofs[np.array(undecided, dtype=np.intp)[verified]] = rounded[verified]
             separated = verified.tolist()
-            found = {t for t, sure in zip(targets, verdicts) if sure}
-            remaining = [g for g in generators if g not in found]
         for j, sure in zip(undecided, separated):
             if not sure:
-                target = targets[j]
-                verdicts[j] = self._decide(target, [g for g in remaining if g != target])
-                if verdicts[j]:
-                    remaining = [g for g in remaining if g != target]
+                verdicts[j] = self._decide(targets[j], [g for g in generators if g != targets[j]])
         return verdicts, proofs
 
 
 def _round_functionals(vectors: np.ndarray) -> np.ndarray:
     """Each row scaled to a largest entry of _FUNCTIONAL_SCALE and rounded to
     integers (as floats); rows that are zero or not finite become zero."""
-    with np.errstate(all="ignore"):
-        peak = np.abs(vectors).max(axis=1, initial=0.0)
-        usable = (peak > 0) & np.isfinite(peak)
-        scaled = np.rint(vectors * (_FUNCTIONAL_SCALE / np.where(usable, peak, 1.0))[:, None])
+    peak = np.abs(vectors).max(axis=1, initial=0.0)
+    usable = (peak > 0) & np.isfinite(peak)
+    scaled = np.rint(vectors * (_FUNCTIONAL_SCALE / np.where(usable, peak, 1.0))[:, None])
     scaled[~usable] = 0.0
     return scaled
 
@@ -448,8 +439,7 @@ def _filter_vertices(context: _HullContext, indices: Sequence[int],
     the group, then one representative per orbit through two batched
     membership tests with the certificates between them (see
     extreme_point_indices)."""
-    with np.errstate(all="ignore"):
-        picks, directions = _propose_vertices(context.float_rows[indices, 1:])
+    picks, directions = _propose_vertices(context.float_rows[indices, 1:])
     members: dict[int, list[int]] = {}
     for i, label in zip(indices, labels):
         members.setdefault(label, []).append(i)
@@ -521,4 +511,5 @@ def extreme_point_indices(rows: Sequence[Sequence[int]], scale: int, parts: int 
     context = _HullContext(rows, scale)
     if len(context.int_rows[0]) <= 3:
         return _low_dimensional_vertices(context.int_rows, distinct)
-    return _filter_vertices(context, distinct, _part_orbits(first, parts))
+    with np.errstate(all="ignore"):
+        return _filter_vertices(context, distinct, _part_orbits(first, parts))

@@ -274,8 +274,6 @@ def edge_problems(draw):
 def convex_combination_exists(target: Sequence[Fraction], generators: Sequence[Sequence[Fraction]]) -> bool:
     """Exact test whether target lies in the convex hull of the generators,
     through the hull stage's batched membership test."""
-    if not generators:
-        return False
     context = _HullContext(*integer_rows([target, *generators]))
     return context.inside([0], range(1, len(generators) + 1))[0][0]
 

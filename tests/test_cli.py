@@ -431,6 +431,17 @@ class TestLimitFlags:
         assert code == 3
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("command", ["count", "vertices", "solve", "check"])
+    @pytest.mark.parametrize("p", [2 ** 62, 2 ** 70], ids=["2^62", "2^70"])
+    def test_huge_p_trips_the_assembly_guard(self, tmp_path, capsys, command, p):
+        # element 1 alone would test p (p - 1) mask words, more than the limit
+        path = write_problem(tmp_path, {"matrix": [[1, 2, 3]], "p": p, "shapes": {"type": "all"},
+                                        "objective": {"type": "sum_column_norm_pow", "q": 2}})
+        code, out, err = run_cli([command, path], capsys)
+        assert code == 3 and out == ""
+        assert err == ("error: capacity guard 'assembly-nodes' exceeded "
+                       "(limit 5000000; reached element 1 of 3)\n")
+
 
 class TestCount:
     def test_huge_entry_writes_no_warnings(self, tmp_path):
@@ -447,6 +458,27 @@ class TestCount:
             "admissible_partitions": 27,
             "candidates": 27,
             "vertices": 3,
+        }
+
+    def test_float_route_writes_no_warnings(self, tmp_path):
+        # A dimension >= 3 hull whose membership batches are large enough for
+        # the float simplex, on entries past float range.
+        path = write_problem(tmp_path, {
+            "matrix": [["1e400", "-1e400", 3, "1e400"], [1, 2, "-3e400", 2]],
+            "p": 3, "shapes": {"type": "all"},
+        })
+        result = subprocess.run(
+            [sys.executable, "-m", "shapedparts.cli", "count", path],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0
+        assert result.stderr == ""
+        assert json.loads(result.stdout)["counts"] == {
+            "two_partitions": 16,
+            "generic_partitions": 81,
+            "admissible_partitions": 81,
+            "candidates": 81,
+            "vertices": 48,
         }
 
     def test_float_degenerate_counts(self, tmp_path, capsys):

@@ -329,15 +329,16 @@ class TestInside:
     @settings(max_examples=40, deadline=None, database=None)
     @given(st.integers(3, 4), st.integers(0, 2), st.randoms(use_true_random=False))
     def test_batched_call_matches_one_target_calls(self, dim, kind, rng):
-        # Distinct points, well scaled, near 1e30 or off the integers by
-        # 2^-61, where the float simplex proposes little that verifies.
-        # The targets include generators, each tested against the others.
+        # Points, well scaled, near 1e30 or off the integers by 2^-61, where
+        # the float simplex proposes little that verifies; with few distinct
+        # coordinates, some points repeat. The targets include generators,
+        # each tested against the others.
         tiny = F(1, 2 ** 61)
-        points = list(dict.fromkeys(
+        points = [
             tuple(F(rng.randint(-3, 3)) * (10 ** 30 if kind == 1 else 1)
                   + (rng.randint(-1, 1) * tiny if kind == 2 else 0) for _ in range(dim))
             for _ in range(rng.randint(2, 16))
-        ))
+        ]
         context = _HullContext(*integer_rows(points))
         indices = list(range(len(points)))
         generators = rng.sample(indices, rng.randint(1, len(points)))
@@ -354,6 +355,15 @@ class TestInside:
             if proof.any():
                 score = [sum(int(w) * x for w, x in zip(proof, row)) for row in context.int_rows]
                 assert all(score[t] > score[g] for g in generators if g != t)
+
+    def test_copy_of_a_target_stays_a_generator(self):
+        # Points 1 and 5 are the same corner of the cube: each is inside the
+        # hull of the others through the other copy.
+        rows = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 0, 0)]
+        points = [tuple(map(F, row)) for row in rows]
+        expected = [reference_membership(points[t], points[:t] + points[t + 1:]) for t in (1, 5)]
+        assert expected == [True, True]
+        assert _HullContext(rows, 1).inside([1, 5], range(6))[0] == expected
 
 
 class TestMembership:
