@@ -32,9 +32,10 @@ columns by sign, and each two-sided split of I itself yields two associated
 ordered 2-partitions. A 2-partition is held as a 0/1 row over the elements,
 1 for the first block. The rows of a chunk of subsets are formed as one
 uint8 array, and the bytes of each row or of its complement, whichever holds
-element 1, are kept in a set. The 2-partitions are closed under complements,
-as the separable 2-partitions of Alon and Onn ("Separable partitions",
-1999) are.
+element 1, are kept in a set. What depends only on d (the expansion's
+index tables, the cofactor signs and the split table) is built once per d.
+The 2-partitions are closed under complements, as the separable
+2-partitions of Alon and Onn ("Separable partitions", 1999) are.
 
 A generic p-partition is an ordered partition whose every part pair r < s is
 separated by a 2-partition holding block r in its first block and block s in
@@ -49,20 +50,22 @@ complement holds B_r and none of B_s, so each pair is tested one way, on
 the masks that hold all of block r and none of block s. The test is
 monotone, so a prefix without a witness for some pair is dropped with
 everything below it, and every kept prefix is a distinct ordered partition.
-The work is whole-array numpy on (p, V, N) uint64 arrays, V words of
-2-partition bits per bitset and N prefixes, tested in bounded chunks. The
-2-partitions enter as their (M, n) 0/1 array, one row per 2-partition, and
-are packed into those bitsets once. The finished labels are decoded once
-into an (N, p, n) 0/1 block array and put in canonical order (sorted by
-blocks), and `GenericPartitionSet` keeps that array, building Partition
-objects only when they are asked for.
+The work is whole-array numpy on one (2, p, V, N) uint64 array, both
+bitsets of every part, V words of 2-partition bits per bitset and N
+prefixes: an element costs one gather, one narrowing and one test, which
+runs in bounded tiles only when it is large. The 2-partitions enter as
+their (M, n) 0/1 array, one row per 2-partition, and are packed into those
+bitsets once. The finished labels are decoded once into an (N, p, n) 0/1
+block array and put in canonical order (sorted by blocks), and
+`GenericPartitionSet` keeps that array, building Partition objects only
+when they are asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from math import comb, factorial, prod
 from typing import Iterator
 
@@ -103,18 +106,30 @@ class PerturbedMatrix:
     def __init__(self, base: Matrix):
         if base.nrows < 1:
             raise DimensionError("perturbation needs at least one row")
-        self.d = base.nrows
-        self.n = base.ncols
-        integral, _ = integer_rows(base.rows())
-        self._lifted = [[1] * self.n] + integral
-        self._shifts = [[(c + 1) ** r if r else 0 for c in range(self.n)]
-                        for r in range(self.d + 1)]
+        self._set_rows(integer_rows(base.rows())[0], base.ncols)
+
+    @classmethod
+    def of_lift(cls, a: Matrix) -> "PerturbedMatrix":
+        """PerturbedMatrix(lift(a)), built from the integer rows of a and the
+        index row (1, ..., n) times their common denominator, without the
+        lifted Matrix."""
+        integral, scale = integer_rows(a.rows())
+        perturbed = cls.__new__(cls)
+        perturbed._set_rows(integral + [[scale * c for c in range(1, a.ncols + 1)]], a.ncols)
+        return perturbed
+
+    def _set_rows(self, integral: list[list[int]], n: int) -> None:
+        """Set d, n, _lifted and _shifts from the d rows of L * base over n columns."""
+        self.d = len(integral)
+        self.n = n
+        self._lifted = [[1] * n] + integral
+        self._shifts = [[(c + 1) ** r if r else 0 for c in range(n)] for r in range(self.d + 1)]
 
 
 _WORD_BITS = 64
 # Bound on the elements of one chunk's temporaries in the assembly test:
 # prefixes x parts x p x mask words.
-_CHUNK_ELEMENTS = 1 << 12
+_CHUNK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,13 +172,16 @@ _SUBSET_CHUNK_ELEMENTS = 1 << 16
 
 
 @cache
-def _expansion(d: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Index tables of the expansion by minors of d columns of d + 1 rows.
+def _expansion(d: int) -> tuple[list[tuple[np.ndarray, np.ndarray, np.ndarray]], np.ndarray]:
+    """Index tables of the expansion by minors of d columns of d + 1 rows,
+    and the (d + 1, 1) cofactor parity column (-1)^(r + d) of row r.
 
-    Entry j serves column j: for the row sets of size j + 1 in lexicographic
-    order, the (C, j + 1) array of their rows, the position of each row set
-    less one of its rows among the row sets of size j, and the (j + 1, 1)
-    signs (-1)^(t + j) of expanding along column j at row position t.
+    Entry j of the list serves column j: for the row sets of size j + 1 in
+    lexicographic order, the (C, j + 1, 1) array of their rows, shaped to
+    gather with a column of subsets, the position of each row set less one
+    of its rows among the row sets of size j, and the (j + 1, 1) signs
+    (-1)^(t + j) of expanding along column j at row position t. The arrays
+    are shared by every caller, so they are read-only.
     """
     tables = []
     position = {(): 0}
@@ -171,9 +189,24 @@ def _expansion(d: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         sets = list(combinations(range(d + 1), j + 1))
         smaller = [[position[rows[:t] + rows[t + 1:]] for t in range(j + 1)] for rows in sets]
         signs = np.array([[(-1) ** (t + j)] for t in range(j + 1)], dtype=np.int64)
-        tables.append((np.array(sets), np.array(smaller), signs))
+        tables.append((np.array(sets)[..., None], np.array(smaller), signs))
         position = {rows: i for i, rows in enumerate(sets)}
-    return tables
+    parity = np.array([[(-1) ** (r + d)] for r in range(d + 1)], dtype=np.int64)
+    for array in (parity, *chain.from_iterable(tables)):
+        array.flags.writeable = False
+    return tables, parity
+
+
+@cache
+def _splits(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (2^d, d) split table of a d-subset, choices[i, pos] = 1 iff split
+    i puts the subset's element pos below, and the (2^d, 1) split numbers,
+    shaped to index the split axis of a chunk's (S, 2^d, n) rows; both
+    read-only."""
+    choices = (np.arange(1 << d)[:, None] >> np.arange(d) & 1).astype(np.uint8)
+    split = np.arange(1 << d)[:, None]
+    choices.flags.writeable = split.flags.writeable = False
+    return choices, split
 
 
 def _determinant_polynomials(
@@ -225,17 +258,22 @@ def _determinant_polynomials(
     intermediate.
     """
     d = subsets.shape[1]
-    minors = np.zeros((degree + 1, 1, len(subsets)), dtype=columns.dtype)
-    minors[0] = 1
-    for j, (rows, smaller, signs) in enumerate(_expansion(d)):
-        at = rows[..., None], subsets[:, j]
+    tables, parity = _expansion(d)
+    if d and not degree:
+        # the minors on one row and the first column are its entries
+        minors, start = columns[None, :, subsets[:, 0]], 1
+    else:
+        minors, start = np.zeros((degree + 1, 1, len(subsets)), dtype=columns.dtype), 0
+        minors[0] = 1  # the empty minor
+    for j in range(start, d):
+        rows, smaller, signs = tables[j]
+        at = rows, subsets[:, j]
         terms = signs * minors[:, smaller]  # (degree + 1, C, j + 1, S)
         minors = (columns[at] * terms).sum(axis=2)
         if degree:
             minors[1:] += (shifts[at] * terms[:-1]).sum(axis=2)
     # The row sets of size d omit rows d, d - 1, ..., 0 in turn; the cofactor
     # of row r is (-1)^(r + d) times the minor that omits it.
-    parity = np.array([[(-1) ** (r + d)] for r in range(d + 1)])
     cofactors = (minors[:, ::-1] * parity).swapaxes(1, 2)  # (degree + 1, S, d + 1)
     values = cofactors @ columns
     if degree:
@@ -263,11 +301,14 @@ def _two_partition_masks(perturbed: PerturbedMatrix, limits: EnumerationLimits) 
     raises AssertionError, since the eps^d coefficient is a Vandermonde
     determinant at distinct column indices. A chunk's rows repeat each below
     row once per split of its d-subset, with the d-subset's own columns set
-    from the split. A row and its complement form a pair, which the set
-    holds as the bytes of the member that holds element 1; the complements
-    are appended at the end. More than limits.max_two_partitions distinct
-    masks, twice the pairs, raise CapacityError naming the first d-subset,
-    in lexicographic order, after which the count exceeds the limit.
+    from the split table of `_splits` in one assignment. A row and its
+    complement form a pair, which the set holds as the bytes of the member
+    that holds element 1; the complements are appended at the end. More
+    than limits.max_two_partitions distinct masks, twice the pairs, raise
+    CapacityError naming the first d-subset, in lexicographic order, after
+    which the count exceeds the limit. A chunk that cannot pass the limit
+    even if all its rows are new enters the set in one update; any other
+    is walked subset by subset, so the error names that subset.
     """
     d, n = perturbed.d, perturbed.n
     if n <= d:
@@ -280,8 +321,7 @@ def _two_partition_masks(perturbed: PerturbedMatrix, limits: EnumerationLimits) 
     norm = max(sum(map(abs, column)) for column in zip(*lifted))
     columns = integer_array(lifted, norm ** (d + 1))
     wide = None  # the lifted columns and shifts for the degree-d pass
-    # choices[i, pos]: split i of a d-subset puts its element pos below
-    choices = (np.arange(1 << d)[:, None] >> np.arange(d) & 1).astype(np.uint8)
+    choices, split = _splits(d)
     per = 1 << d  # splits per d-subset
     total = comb(n, d)
     step = max(1, _SUBSET_CHUNK_ELEMENTS // (n + (2 * d + 2 + -(-n // 8)) * per))
@@ -292,8 +332,9 @@ def _two_partition_masks(perturbed: PerturbedMatrix, limits: EnumerationLimits) 
         values = _determinant_polynomials(columns, None, subsets, 0)[0]
         below = values < 0
         # A subset's own d columns always give 0; any other 0 needs degree d.
-        again = np.flatnonzero((values == 0).sum(axis=1) > d)
-        if len(again):
+        zeros = values == 0
+        if np.count_nonzero(zeros) > d * len(subsets):
+            again = np.flatnonzero(zeros.sum(axis=1) > d)
             if wide is None:
                 # R_r of every row: the shifts are nonnegative
                 rows = (max(abs(a) + b for a, b in zip(*pair)) for pair in zip(lifted, shifts))
@@ -311,11 +352,13 @@ def _two_partition_masks(perturbed: PerturbedMatrix, limits: EnumerationLimits) 
             leading = np.take_along_axis(polynomials, nonzero.argmax(axis=0)[None], axis=0)[0]
             below[again] = leading < 0
         first = np.repeat(below[:, None].view(np.uint8), per, axis=1)  # (S, 2^d, n)
-        for pos in range(d):
-            first[np.arange(len(subsets)), :, subsets[:, pos]] = choices[:, pos]
+        first[np.arange(len(subsets))[:, None, None], split, subsets[:, None]] = choices
         first ^= first[..., :1] ^ 1  # the member of each pair that holds element 1
         # each row as one n-byte void item, which tolist gives as bytes
         found = first.view(f"V{n}").ravel().tolist()
+        if 2 * (len(pairs) + len(found)) <= limits.max_two_partitions:
+            pairs.update(found)
+            continue
         for offset in range(len(subsets)):
             pairs.update(found[offset * per:(offset + 1) * per])
             if 2 * len(pairs) > limits.max_two_partitions:
@@ -335,66 +378,76 @@ def _assemble(held: np.ndarray, p: int, limits: EnumerationLimits) -> np.ndarray
 
     Elements are placed one at a time. A prefix state holds, per part t, the
     bitsets of the masks that hold all of block t (within) and none of it
-    (apart), V words each, stored (p, V, N) so that every operation runs
-    along the prefixes. A mask holding B_s and none of B_r exists iff its
-    complement holds B_r and none of B_s, so the pair {r, s} is witnessed,
-    in either order, by the masks in within_r & apart_s. Placing the next
-    element in part r narrows only within_r and apart_r, so a child is
-    tested on the pairs of r alone, each one way. A pair that has no
-    witness keeps none as blocks grow, so every prefix with a witness for
-    each pair is kept and every other one dropped. Distinct label rows are
-    distinct partitions, so there is nothing to deduplicate.
+    (apart), V words each, stored together as one (2, p, V, N) array,
+    within first, so that every operation runs along the prefixes. A mask
+    holding B_s and none of B_r exists iff its complement holds B_r and
+    none of B_s, so the pair {r, s} is witnessed, in either order, by the
+    masks in within_r & apart_s. Placing the next element in part r narrows
+    only within_r and apart_r, so a child's state is its parent's, taken
+    by one gather for all children, narrowed by one & with the element's
+    (inside, outside) rows, which are built for every element before the
+    loop; a child is tested on the pairs of r alone, each one way. A pair
+    that has no witness keeps none as blocks grow, so every prefix with a
+    witness for each pair is kept and every other one dropped. Distinct
+    label rows are distinct partitions, so there is nothing to deduplicate.
     Before each element the prefixes times p times (p - 1) times V, every
     (child, other part, mask word) triple the element tests, are charged to
-    limits.max_assembly_nodes. The prefixes' bitsets are built only once
-    that charge has passed, and nothing of size p is built before the first
-    charge has. The tests run in (parts r, p, V, prefixes) tiles of at most
-    max(_CHUNK_ELEMENTS, p V) words: one part r and one prefix when p V is
-    larger.
+    limits.max_assembly_nodes; with no elements, the one partition's p
+    blocks are. The prefixes' bitsets are built only once that charge has
+    passed, and nothing of size p is built before the first charge has.
+    When all (parts r, p, V, prefixes) of an element fit in _CHUNK_ELEMENTS
+    words, the test is one expression over them, with the diagonal r = s
+    built once; otherwise it runs in tiles of at most max(_CHUNK_ELEMENTS,
+    p V) words: one part r and one prefix when p V is larger.
     """
     count, n = held.shape
+    if not n and p > limits.max_assembly_nodes:
+        raise CapacityError("assembly-nodes", limits.max_assembly_nodes, p)
     # row 0: every mask; row c + 1: the masks that hold element c + 1
     table = np.zeros((n + 1, -(-count // _WORD_BITS) * _WORD_BITS), dtype=np.uint8)
     table[0, :count] = 1
     table[1:, :count] = held.T
-    table = np.packbits(table, axis=1, bitorder="little").view("<u8")[..., None]  # (n + 1, V, 1)
+    table = np.packbits(table, axis=1, bitorder="little").view("<u8")  # (n + 1, V)
     words = table.shape[1]
+    # sides[c]: the (inside, outside) rows that narrow the part taking element c + 1
+    sides = np.stack([table[1:], ~table[1:]], axis=1)  # (n, 2, V)
     labels = np.zeros((1, n), dtype=np.min_scalar_type(p - 1))
-    # The empty prefix enters as the one child of narrowing its block 0 by
-    # every mask, which changes nothing. Its state is one part's (1, V, 1),
-    # broadcast to p parts only once element 1's charge has passed.
-    within = apart = table[:1]
-    inside = outside = table[0]
-    part = state = [0]
     # tile sides: prefixes, then parts r
     step = max(1, _CHUNK_ELEMENTS // (p * p * words))
     rows = min(p, max(1, _CHUNK_ELEMENTS // (p * words * step)))
+    diagonal = None  # (p, p, 1): no pair (r, r)
     nodes = 0
     for e in range(n):
         nodes += len(labels) * p * (p - 1) * words
         if nodes > limits.max_assembly_nodes:
             raise CapacityError("assembly-nodes", limits.max_assembly_nodes,
                                 reached=f"element {e + 1} of {n}")
-        # the children of the last element, now that their charge has passed
-        child = np.arange(len(state))
-        within = np.broadcast_to(within, (p, words, within.shape[2]))[..., state]
-        within[part, :, child] &= inside[:, 0]
-        apart = np.broadcast_to(apart, (p, words, apart.shape[2]))[..., state]
-        apart[part, :, child] &= outside[:, 0]
-        inside = table[e + 1]  # the masks that hold the element
-        outside = ~inside
-        fits = np.ones((p, len(labels)), dtype=bool)
-        for start in range(0, len(labels), step):
-            chunk = slice(start, start + step)
-            away = apart[..., chunk]
-            for r0 in range(0, p, rows):
-                r = slice(r0, r0 + rows)
-                # entry [r, s]: the witnesses of pair (r, s) once the element is in r
-                witnesses = (within[r, :, chunk] & inside)[:, None] & away
-                found = np.bitwise_or.reduce(witnesses, axis=2) != 0
-                own = np.arange(len(found))
-                found[own, own + r0] = True  # no pair (r, r)
-                fits[r, chunk] &= found.all(axis=1)
+        if e:
+            # the children of the last element, now that their charge has passed
+            bits = bits[..., state]
+            bits[:, part, :, np.arange(len(state))] &= sides[e - 1]
+        else:
+            # the empty prefix: every mask holds all and none of each empty block
+            bits = np.broadcast_to(table[0, :, None], (2, p, words, 1))
+        inside = table[e + 1, :, None]  # the masks that hold the element
+        # entry [r, s]: the witnesses of pair (r, s) once the element is in r
+        if len(labels) * p * p * words <= _CHUNK_ELEMENTS:
+            if diagonal is None:
+                diagonal = np.eye(p, dtype=bool)[..., None]
+            found = ((bits[0] & inside)[:, None] & bits[1]).any(axis=2)
+            found |= diagonal
+            fits = found.all(axis=1)
+        else:
+            fits = np.ones((p, len(labels)), dtype=bool)
+            for start in range(0, len(labels), step):
+                chunk = slice(start, start + step)
+                away = bits[1, ..., chunk]
+                for r0 in range(0, p, rows):
+                    r = slice(r0, r0 + rows)
+                    found = ((bits[0, r, :, chunk] & inside)[:, None] & away).any(axis=2)
+                    own = np.arange(len(found))
+                    found[own, own + r0] = True
+                    fits[r, chunk] &= found.all(axis=1)
         part, state = np.nonzero(fits)
         labels = labels[state]
         labels[:, e] = part

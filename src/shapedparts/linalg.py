@@ -10,10 +10,14 @@ instead: `integer_rows` scales rationals by their common denominator,
 `integer_array` holds integers as int64 exactly when no intermediate can
 overflow it, and `fraction_free_elimination` is the one exact elimination,
 called only by the hull.
+
+Problem files and oracle replies are read by `decode_json`, which keeps
+every JSON float literal as its text for `as_rational`.
 """
 
 from __future__ import annotations
 
+import json
 import operator
 import re
 import sys
@@ -30,6 +34,7 @@ _INT64_MAX = (1 << 63) - 1
 # Bound on the error of a difference of two math.log2 values of integers
 # of up to a million bits, with a wide margin.
 _LOG2_SLACK = 1e-6
+_JSON_DECODER = json.JSONDecoder(parse_float=str)
 
 
 def _exponent_too_large(text: str) -> bool:
@@ -47,6 +52,18 @@ def _exponent_too_large(text: str) -> bool:
         return abs(int(match.group(1))) > limit
     except ValueError:
         return False  # malformed or too long to read: Fraction rejects it as fast
+
+
+def decode_json(text: str):
+    """The JSON document text, with each float literal kept as its text, as
+    json.loads(text, parse_float=str) gives it, by one decoder built once.
+
+    Raises json.JSONDecodeError, a ValueError, on malformed text and
+    RecursionError on nesting past the decoder's depth limit.
+    """
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    return _JSON_DECODER.decode(text)
 
 
 def as_rational(value) -> Fraction:

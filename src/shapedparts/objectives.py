@@ -48,8 +48,8 @@ from operator import mul
 from typing import Sequence
 
 from .errors import DimensionError, OracleError, ProblemError
-from .linalg import (Matrix, as_integer, as_rational, check_power_sum_digits, format_rational,
-                     integer_rows)
+from .linalg import (Matrix, as_integer, as_rational, check_power_sum_digits, decode_json,
+                     format_rational, integer_rows)
 from .partitions import _key_matrix
 
 _STDERR_TAIL = 500  # characters of a dead oracle's stderr quoted in the error
@@ -232,7 +232,7 @@ def parse_wire_scalar(text: str) -> Fraction:
     if not stripped:
         raise ValueError("empty reply")
     try:
-        decoded = json.loads(stripped, parse_float=str)
+        decoded = decode_json(stripped)
     except json.JSONDecodeError:
         decoded = stripped
     except RecursionError as exc:

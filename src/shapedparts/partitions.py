@@ -5,7 +5,8 @@ This module owns what the pipeline and the brute-force reference share: the
 writes it from part labels, `partitions_from_blocks` reads it back), the
 integer part-sum keys (`PartSums`, taken in chunks; `_key_matrix` reads one
 back, for `objectives` too) and shape admission (`ShapeFamily.check`, then
-`admitted`, which asks once per distinct shape).
+`admitted`, which admits every row of the all-shapes family without asking
+and asks any other family once per distinct shape).
 
 Element indices are 1-based everywhere a user can see them, matching the
 ground set {1, ..., n}. A shape is a plain tuple of p nonnegative block sizes
@@ -184,7 +185,7 @@ class ShapeFamily:
     @classmethod
     def all_shapes(cls, n: int, p: int) -> "ShapeFamily":
         n, p = _check_dims(n, p)
-        return cls("all", n, p, lambda shape: True)
+        return cls("all", n, p, _every_shape)
 
     @classmethod
     def explicit(cls, shapes: Iterable[Sequence[int]], n: int, p: int) -> "ShapeFamily":
@@ -232,9 +233,13 @@ class ShapeFamily:
     def admitted(self, blocks: np.ndarray, verdicts: dict[bytes, bool]) -> np.ndarray:
         """One bool per partition of an (N, p, n) 0/1 block array over the
         family's n and p (see `check`): whether its shape is admitted. The
-        shapes are not validated. verdicts memoizes the answers across calls,
-        keyed by the bytes of each int64 shape; admits is asked for each shape
-        not in it, in order of first occurrence."""
+        shapes are not validated. A family whose admits is the one that
+        `all_shapes` installs admits every row without asking it. Otherwise
+        verdicts memoizes the answers across calls, keyed by the bytes of
+        each int64 shape; admits is asked for each shape not in it, in order
+        of first occurrence."""
+        if self.admits is _every_shape:
+            return np.ones(len(blocks), dtype=bool)
         rows = blocks.sum(axis=2, dtype=np.int64).view(f"V{8 * self.p}").ravel().tolist()
         for row in dict.fromkeys(rows):
             if row not in verdicts:
@@ -243,6 +248,11 @@ class ShapeFamily:
 
     def __repr__(self) -> str:
         return f"ShapeFamily({self.kind}, n={self.n}, p={self.p})"
+
+
+def _every_shape(shape: Shape) -> bool:
+    """The membership callable of `ShapeFamily.all_shapes`."""
+    return True
 
 
 def _check_dims(n: int, p: int) -> tuple[int, int]:

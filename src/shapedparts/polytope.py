@@ -37,7 +37,7 @@ from .generic import (
 )
 from .hull import extreme_point_indices
 from .linalg import Matrix
-from .partitions import Partition, PartSums, ShapeFamily, lift
+from .partitions import Partition, PartSums, ShapeFamily
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,7 +150,7 @@ def candidate_vertices(
     2-partition count is set at p = 1 too.
     """
     family.check(a.ncols, p)
-    perturbed = PerturbedMatrix(lift(a))
+    perturbed = PerturbedMatrix.of_lift(a)
     masks = _two_partition_masks(perturbed, limits)
     generic = enumerate_generic_p_partitions(perturbed, p, limits, two_partition_masks=masks)
     return admissible_partitions(a, generic, family, limits)

@@ -23,12 +23,11 @@ All element indices are 1-based.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 
 from .errors import DimensionError, ProblemError
-from .linalg import Matrix
+from .linalg import Matrix, decode_json
 from .objectives import (
     ColumnPowerObjective,
     DiagonalPowerObjective,
@@ -143,7 +142,7 @@ def problem_from_dict(raw: dict) -> Problem:
 def load_problem(path: str) -> Problem:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle, parse_float=str)
+            raw = decode_json(handle.read())
     except OSError as exc:
         raise ProblemError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:

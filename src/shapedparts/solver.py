@@ -29,7 +29,7 @@ from .errors import DimensionError
 from .generic import DEFAULT_LIMITS, EnumerationLimits, PerturbedMatrix, enumerate_generic_p_partitions
 from .linalg import Matrix
 from .objectives import Objective
-from .partitions import Partition, PartSums, ShapeFamily, lift, partitions_from_blocks
+from .partitions import Partition, PartSums, ShapeFamily, partitions_from_blocks
 from .polytope import admissible_partitions
 
 
@@ -72,7 +72,7 @@ def solve(
     """
     family.check(a.ncols, p)
     objective.check_compatible(a, p)
-    generic = enumerate_generic_p_partitions(PerturbedMatrix(lift(a)), p, limits)
+    generic = enumerate_generic_p_partitions(PerturbedMatrix.of_lift(a), p, limits)
     candidates = admissible_partitions(a, generic, family, limits)
     if not candidates.admissible_count:
         raise DimensionError("shape family admits no partition")

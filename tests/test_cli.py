@@ -434,13 +434,14 @@ class TestLimitFlags:
     @pytest.mark.parametrize("command", ["count", "vertices", "solve", "check"])
     @pytest.mark.parametrize("p", [2 ** 62, 2 ** 70], ids=["2^62", "2^70"])
     def test_huge_p_trips_the_assembly_guard(self, tmp_path, capsys, command, p):
-        # element 1 alone would test p (p - 1) mask words, more than the limit
-        path = write_problem(tmp_path, {"matrix": [[1, 2, 3]], "p": p, "shapes": {"type": "all"},
-                                        "objective": {"type": "sum_column_norm_pow", "q": 2}})
-        code, out, err = run_cli([command, path], capsys)
-        assert code == 3 and out == ""
-        assert err == ("error: capacity guard 'assembly-nodes' exceeded "
-                       "(limit 5000000; reached element 1 of 3)\n")
+        # element 1 alone would test p (p - 1) mask words, more than the
+        # limit; with no elements, the one partition's p blocks are charged
+        for matrix, detail in [([[1, 2, 3]], "; reached element 1 of 3"), ([[]], f", needed {p}")]:
+            path = write_problem(tmp_path, {"matrix": matrix, "p": p, "shapes": {"type": "all"},
+                                            "objective": {"type": "sum_column_norm_pow", "q": 2}})
+            code, out, err = run_cli([command, path], capsys)
+            assert code == 3 and out == ""
+            assert err == f"error: capacity guard 'assembly-nodes' exceeded (limit 5000000{detail})\n"
 
 
 class TestCount:

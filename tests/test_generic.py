@@ -1004,3 +1004,21 @@ class TestDeterminism:
         first = enumerate_generic_p_partitions(perturbed(rows), 3)
         second = enumerate_generic_p_partitions(perturbed(rows), 3)
         assert [pi.blocks for pi in first] == [pi.blocks for pi in second]
+
+
+class TestPerturbedLift:
+    """PerturbedMatrix.of_lift(a) is PerturbedMatrix(lift(a)), built from the
+    integer rows of a without the lifted Matrix."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_lifted_matrix(self, seed):
+        rng = random.Random(seed)
+        k, n = rng.randint(0, 3), rng.choice([0, 1, 2, 5])
+        rows = [[F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)] for _ in range(k)]
+        if k and seed % 3 == 0:
+            rows[rng.randrange(k)] = [F(0)] * n
+        a = Matrix(rows, ncols=n)
+        expected, found = PerturbedMatrix(lift(a)), PerturbedMatrix.of_lift(a)
+        assert (found.d, found.n) == (expected.d, expected.n) == (k + 1, n)
+        assert found._lifted == expected._lifted
+        assert found._shifts == expected._shifts

@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from fractions import Fraction as F
@@ -14,6 +15,7 @@ from shapedparts.linalg import (
     as_integer,
     as_rational,
     check_power_sum_digits,
+    decode_json,
     format_rational,
     fraction_free_elimination,
     integer_array,
@@ -82,6 +84,25 @@ class TestScalars:
                     format_rational(value)
         finally:
             sys.set_int_max_str_digits(saved)
+
+
+class TestDecodeJson:
+    """decode_json gives what json.loads(text, parse_float=str) gives, and
+    raises the same error class with the same message."""
+
+    @pytest.mark.parametrize("text", [
+        '{"matrix": [[1, 0.6, "1/3"]], "p": 2}', " 1e400 ", "-2.50", '"17/20"', "[]",
+        "", "[1, 2", "1 2", "\ufeff[1]", "[-Infinity]", "[1e5]",
+    ])
+    def test_matches_json_loads(self, text):
+        try:
+            expected = json.loads(text, parse_float=str)
+        except json.JSONDecodeError as caught:
+            with pytest.raises(json.JSONDecodeError) as raised:
+                decode_json(text)
+            assert str(raised.value) == str(caught)
+        else:
+            assert decode_json(text) == expected
 
 
 class TestMatrix:

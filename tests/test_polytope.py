@@ -1,18 +1,25 @@
 import json
 import random
 from fractions import Fraction as F
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import HUGE_PROBLEMS, TRANSLATIONS, convex_combination_exists, edge_problems
+from conftest import (
+    HUGE_PROBLEMS,
+    TRANSLATIONS,
+    convex_combination_exists,
+    edge_problems,
+    reference_membership,
+)
 from shapedparts import cli, polytope
 from shapedparts.brute import brute_solve, brute_vertices, enumerate_all_partitions
 from shapedparts.errors import CapacityError, DimensionError
 from shapedparts.generic import EnumerationLimits, PerturbedMatrix, enumerate_generic_p_partitions
 from shapedparts.linalg import Matrix
-from shapedparts.objectives import LinearObjective
+from shapedparts.objectives import ColumnPowerObjective, LinearObjective
 from shapedparts.partitions import (
     Partition,
     ShapeFamily,
@@ -408,3 +415,48 @@ class TestVertexInvariants:
             for m in enumerate_vertices(a, p, family).vertices
         }
         assert {m.flatten() for m in enumerate_vertices(moved, p, family).vertices} == expected
+
+
+def small_scope_cases():
+    """(a, p, family) for every multiset of columns with entries in {-1, 0,
+    1}, one of each negated pair: k = 1 with n <= 5 and p in {2, 3, 4}, and
+    k = 2 with n <= 3 and p in {2, 3}, each under all shapes and under the
+    upper bounds ceil(n / p)."""
+    for k, max_n, parts in [(1, 5, (2, 3, 4)), (2, 3, (2, 3))]:
+        columns = list(product((-1, 0, 1), repeat=k))
+        for n in range(max_n + 1):
+            for chosen in combinations_with_replacement(columns, n):
+                negated = tuple(sorted(tuple(-x for x in column) for column in chosen))
+                if negated < chosen:
+                    continue
+                a = Matrix([list(row) for row in zip(*chosen)] or [[]] * k, ncols=n)
+                for p in parts:
+                    yield a, p, ShapeFamily.all_shapes(n, p)
+                    yield a, p, ShapeFamily.bounds([0] * p, [-(-n // p)] * p, n)
+
+
+class TestExhaustiveSmallScope:
+    """The enumeration front end against brute force on every small case
+    with entries in {-1, 0, 1}, at the sizes `check --random` draws."""
+
+    def test_every_case_matches_brute_force(self):
+        cases = list(small_scope_cases())
+        assert len(cases) > 500
+        objective = ColumnPowerObjective(2)
+        for index, (a, p, family) in enumerate(cases):
+            report = enumerate_vertices(a, p, family)
+            reference = brute_vertices(a, p, family)
+            candidates = report.candidates
+            where = (a, p, family)
+            assert [candidates.keys[g] for g in report.numbers] == reference.keys, where
+            assert set(reference.keys) <= set(candidates.keys), where
+            assert solve(a, p, family, objective).best_value == brute_solve(
+                a, p, family, objective), where
+            if index % 25 == 0:
+                # brute_vertices shares the hull: hold it against the Fraction simplex
+                points = list(dict.fromkeys(
+                    partition_matrix(a, pi).flatten()
+                    for pi in enumerate_all_partitions(a.ncols, p, family)))
+                expected = {x for x in points
+                            if not reference_membership(x, [y for y in points if y != x])}
+                assert {v.flatten() for v in reference.vertices} == expected, where
